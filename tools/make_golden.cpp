@@ -1,8 +1,9 @@
 // Regenerates the golden trace corpus under tests/golden/.
 //
 // Each corpus entry is one deterministic simulator run of a generated
-// program, saved in both serialization formats plus a .expect summary
-// (metrics totals + canonical structural signature). The simulator's
+// program, saved in both serialization formats and as a GGSPOOL1 spool,
+// plus a .expect summary (metrics totals + canonical structural
+// signature). The simulator's
 // virtual clock makes the traces byte-stable across machines, so the files
 // are committed and golden_trace_test simply diffs against them.
 //
@@ -21,10 +22,16 @@
 #include "metrics/metrics.hpp"
 #include "sim/sim_engine.hpp"
 #include "trace/serialize.hpp"
+#include "trace/spool.hpp"
 
 namespace {
 
 using namespace gg;
+
+/// Spool epoch size of the committed .ggspool files: small enough that
+/// every worker's records span several epoch frames. Must stay in sync with
+/// golden_trace_test.cpp.
+constexpr u64 kGoldenEpochBytes = 256;
 
 /// The committed expectation: integer metrics plus the full signature.
 /// Doubles are deliberately excluded — the expectation must be exact.
@@ -81,6 +88,12 @@ int main(int argc, char** argv) {
         !save_trace_file(t, base + ".ggbin")) {
       std::fprintf(stderr, "failed to write %s.{ggtrace,ggbin}\n",
                    base.c_str());
+      return 1;
+    }
+    std::ofstream spool(base + ".ggspool", std::ios::binary);
+    spool << spool::spool_trace_bytes(t, kGoldenEpochBytes);
+    if (!spool) {
+      std::fprintf(stderr, "failed to write %s.ggspool\n", base.c_str());
       return 1;
     }
     std::ofstream expect(base + ".expect");
