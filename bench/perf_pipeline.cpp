@@ -1,20 +1,19 @@
-// perf_pipeline — end-to-end analysis pipeline benchmark: legacy path
-// (istream parser + serial metrics) vs fast path (mmap ingestion +
+// perf_pipeline — end-to-end analysis pipeline benchmark: the serial path
+// (one thread in every stage) vs the parallel path (mmap ingestion +
 // parallel decode + sharded graph/grain construction + parallel metrics)
 // on a seeded synthetic trace.
 //
 //   perf_pipeline [--grains N] [--seed S] [--workers W] [--out file.json]
-//                 [--skip-legacy] [--skip-text]
+//                 [--skip-text]
 //
 // Measures load + graph + grain-table + metrics + problem-view wall time
-// per engine/io/thread-count combination on the same input file, checks
-// every combination produces byte-identical analysis output (including a
-// thread sweep over 1/2/4/8 workers and mmap vs read() ingestion), and
-// writes machine-readable results to BENCH_analyze.json. Exit 1 on any
-// parse error or output mismatch (so CI can gate on correctness without
-// gating on timing). --skip-legacy / --skip-text drop the slow reference
-// paths for very large runs (e.g. --grains 10000000), where the text
-// round-trip would dominate the wall time and the memory budget.
+// per format/thread-count combination on the same input file, checks every
+// combination produces byte-identical analysis output (including a thread
+// sweep over 1/2/4/8 workers), and writes machine-readable results to
+// BENCH_analyze.json. Exit 1 on any parse error or output mismatch (so CI
+// can gate on correctness without gating on timing). --skip-text drops the
+// text round-trip for very large runs (e.g. --grains 10000000), where it
+// would dominate the wall time and the memory budget.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,14 +49,11 @@ struct PathResult {
   i64 total_ns() const { return load_ns + stages.total_ns(); }
 };
 
-/// Loads `path` with the given engine/io source and runs the full pipeline
-/// with `threads` workers in every stage. Returns false on load failure.
-bool run_path(const std::string& path, ParseEngine engine, IoSource io,
-              int threads, PathResult& out) {
+/// Loads `path` and runs the full pipeline with `threads` workers in every
+/// stage. Returns false on load failure.
+bool run_path(const std::string& path, int threads, PathResult& out) {
   LoadOptions lo;
-  lo.engine = engine;
   lo.mode = LoadMode::Strict;
-  lo.io = io;
   lo.threads = threads;
   const i64 t0 = now_ns();
   LoadResult lr = load_trace_file_ex(path, lo);
@@ -94,7 +90,7 @@ int main(int argc, char** argv) {
   SynthOptions sopts;
   sopts.grains = 1000000;
   std::string out_json = "BENCH_analyze.json";
-  bool skip_legacy = false, skip_text = false;
+  bool skip_text = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -112,19 +108,16 @@ int main(int argc, char** argv) {
       sopts.workers = std::atoi(value());
     } else if (arg == "--out") {
       out_json = value();
-    } else if (arg == "--skip-legacy") {
-      skip_legacy = true;
     } else if (arg == "--skip-text") {
       skip_text = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--grains N] [--seed S] [--workers W] "
-                   "[--out file.json] [--skip-legacy] [--skip-text]\n",
+                   "[--out file.json] [--skip-text]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (skip_text) skip_legacy = true;  // the legacy engine is text-only
 
   bench::print_header(
       "analysis pipeline throughput (serial vs sharded-parallel)",
@@ -178,9 +171,7 @@ int main(int argc, char** argv) {
   // The serial binary run is the correctness reference every other
   // combination must match byte-for-byte.
   PathResult serial;
-  if (!run_path(bin_path, ParseEngine::Fast, IoSource::Mmap, /*threads=*/1,
-                serial))
-    return 1;
+  if (!run_path(bin_path, /*threads=*/1, serial)) return 1;
   print_path("serial/binary", serial);
 
   bool identical = true;
@@ -194,18 +185,9 @@ int main(int argc, char** argv) {
   };
 
   PathResult parallel;
-  if (!run_path(bin_path, ParseEngine::Fast, IoSource::Mmap, /*threads=*/0,
-                parallel))
-    return 1;
+  if (!run_path(bin_path, /*threads=*/0, parallel)) return 1;
   print_path("parallel/binary", parallel);
   gate("parallel/binary", parallel);
-
-  PathResult stream;
-  if (!run_path(bin_path, ParseEngine::Fast, IoSource::Stream, /*threads=*/0,
-                stream))
-    return 1;
-  print_path("stream/binary", stream);
-  gate("stream/binary", stream);
 
   // Thread sweep: the sharded builders must be bit-identical at every
   // worker count, not just serial-vs-auto.
@@ -216,40 +198,22 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   for (const int t : {2, 4, 8}) {
     PathResult r;
-    if (!run_path(bin_path, ParseEngine::Fast, IoSource::Mmap, t, r))
-      return 1;
+    if (!run_path(bin_path, t, r)) return 1;
     print_path("t=" + std::to_string(t) + "/binary", r);
     gate("t=" + std::to_string(t) + "/binary", r);
     sweep.push_back({t, r.total_ns()});
   }
 
-  PathResult legacy, fast_text;
-  bool have_legacy = false, have_text = false;
+  PathResult text;
   if (!skip_text) {
-    if (!run_path(text_path, ParseEngine::Fast, IoSource::Mmap,
-                  /*threads=*/0, fast_text))
-      return 1;
-    have_text = true;
-    print_path("parallel/text", fast_text);
-    gate("parallel/text", fast_text);
-  }
-  if (!skip_legacy) {
-    if (!run_path(text_path, ParseEngine::Legacy, IoSource::Stream,
-                  /*threads=*/1, legacy))
-      return 1;
-    have_legacy = true;
-    print_path("legacy/text", legacy);
-    gate("legacy/text", legacy);
+    if (!run_path(text_path, /*threads=*/0, text)) return 1;
+    print_path("parallel/text", text);
+    gate("parallel/text", text);
   }
 
   const double serial_over_parallel =
       serial.total_ns() > 0 && parallel.total_ns() > 0
           ? static_cast<double>(serial.total_ns()) /
-                static_cast<double>(parallel.total_ns())
-          : 0.0;
-  const double legacy_over_fast =
-      have_legacy && legacy.total_ns() > 0 && parallel.total_ns() > 0
-          ? static_cast<double>(legacy.total_ns()) /
                 static_cast<double>(parallel.total_ns())
           : 0.0;
   const double grains_per_sec =
@@ -259,10 +223,6 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("parallel speedup over serial (binary): %.2fx\n",
               serial_over_parallel);
-  if (have_legacy) {
-    std::printf("end-to-end speedup (legacy/text vs parallel): %.2fx\n",
-                legacy_over_fast);
-  }
   std::printf("end-to-end throughput (parallel/binary): %.0f grains/s\n",
               grains_per_sec);
   std::printf("outputs byte-identical across paths: %s\n",
@@ -282,15 +242,9 @@ int main(int argc, char** argv) {
   emit_stages(os, "serial_binary", serial);
   os << ",\n";
   emit_stages(os, "parallel_binary", parallel);
-  os << ",\n";
-  emit_stages(os, "stream_binary", stream);
-  if (have_text) {
+  if (!skip_text) {
     os << ",\n";
-    emit_stages(os, "parallel_text", fast_text);
-  }
-  if (have_legacy) {
-    os << ",\n";
-    emit_stages(os, "legacy_text", legacy);
+    emit_stages(os, "parallel_text", text);
   }
   os << ",\n  \"thread_sweep\": [";
   for (size_t i = 0; i < sweep.size(); ++i) {
@@ -300,8 +254,6 @@ int main(int argc, char** argv) {
   }
   os << "]";
   os << ",\n  \"speedup_parallel_over_serial\": " << serial_over_parallel;
-  if (have_legacy)
-    os << ",\n  \"speedup_end_to_end\": " << legacy_over_fast;
   os << ",\n  \"grains_per_sec\": " << grains_per_sec
      << ",\n  \"outputs_identical\": " << (identical ? "true" : "false")
      << "\n}\n";

@@ -59,7 +59,7 @@ struct RunResult {
   std::string summary;
 };
 
-/// One full pipeline pass: load (fast engine), analyze, render the text
+/// One full pipeline pass: load, analyze, render the text
 /// report and the JSON summary. `telemetry` non-null installs the context
 /// for the duration of the run.
 bool run_once(const std::string& path, obs::Telemetry* telemetry,

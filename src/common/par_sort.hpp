@@ -9,7 +9,7 @@
 // input — identical for every thread count, including 1, and identical to a
 // plain std::stable_sort. That property is what lets Trace::finalize() run
 // parallel by default while corrupted traces with duplicate record keys keep
-// byte-identical salvage output across thread counts and io engines.
+// byte-identical salvage output across thread counts.
 
 #include <algorithm>
 #include <thread>

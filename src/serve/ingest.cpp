@@ -12,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/session.hpp"
+#include "trace/record_schema.hpp"
 #include "trace/salvage.hpp"
 #include "trace/validate.hpp"
 
@@ -250,14 +251,7 @@ u64 IngestStream::acked_seq() const {
 u64 IngestStream::resident_locked() const {
   if (inc_) return inc_->resident_bytes();
   if (!usable_) return 0;
-  u64 bytes = 0;
-  auto vec = [](const auto& v) {
-    return static_cast<u64>(v.size() * sizeof(v[0]));
-  };
-  bytes += vec(trace_.tasks) + vec(trace_.fragments) + vec(trace_.joins) +
-           vec(trace_.loops) + vec(trace_.chunks) + vec(trace_.bookkeeps) +
-           vec(trace_.depends) + vec(trace_.worker_stats);
-  return bytes;
+  return schema::record_bytes(trace_);
 }
 
 u64 IngestStream::resident_bytes() const {

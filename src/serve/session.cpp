@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "analysis/report.hpp"
+#include "trace/record_schema.hpp"
 #include "trace/salvage.hpp"
 #include "trace/validate.hpp"
 
@@ -50,16 +51,7 @@ Session::Session(u64 id, std::string path, const SessionOptions& opts)
       tailer_(std::move(path), opts.tailer) {}
 
 u64 Session::resident_bytes() const {
-  if (finalized_) {
-    u64 bytes = 0;
-    auto vec = [](const auto& v) {
-      return static_cast<u64>(v.size() * sizeof(v[0]));
-    };
-    bytes += vec(trace_.tasks) + vec(trace_.fragments) + vec(trace_.joins) +
-             vec(trace_.loops) + vec(trace_.chunks) + vec(trace_.bookkeeps) +
-             vec(trace_.depends) + vec(trace_.worker_stats);
-    return bytes;
-  }
+  if (finalized_) return schema::record_bytes(trace_);
   return tailer_.resident_bytes();
 }
 

@@ -4,160 +4,156 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <istream>
-#include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/par_for.hpp"
 #include "trace/mmap_source.hpp"
-#include "trace/serialize_detail.hpp"
+#include "trace/record_codec.hpp"
+#include "trace/salvage.hpp"
+#include "trace/serialize.hpp"
+#include "trace/validate.hpp"
 
 namespace gg {
+
+using codec::Cursor;
+
 namespace {
 
-// --- text field cursor -----------------------------------------------------
-//
-// Replicates the extraction semantics the legacy loader got from
-// `istringstream >> field`: skip C-locale whitespace, optional sign, greedy
-// decimal digits, failure on missing digits or overflow, strtoull-style
-// wraparound for negative fields read into a 64-bit unsigned target, and the
-// position resting on the first unconsumed character. Once one extraction
-// fails, every later one fails too (failbit behavior), so a whole-record
-// `if (!(c >> a >> b >> ...))` reads exactly like the stream code it
-// replaces.
-
-inline bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' ||
-         c == '\n';
+// Inverse of the writer's percent-escaping; nullopt on a malformed escape
+// sequence.
+std::optional<std::string> unescape(std::string_view s) {
+  if (s == "%") return std::string();
+  std::string out;
+  out.reserve(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '%') {
+      if (i + 2 >= s.size()) return std::nullopt;
+      auto nib = [](char c) -> int {
+        if (c >= '0' && c <= '9') return c - '0';
+        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+        return -1;
+      };
+      const int hi = nib(s[i + 1]), lo = nib(s[i + 2]);
+      if (hi < 0 || lo < 0) return std::nullopt;
+      out += static_cast<char>(hi * 16 + lo);
+      i += 2;
+    } else {
+      out += s[i];
+    }
+  }
+  return out;
 }
 
-class Cursor {
- public:
-  explicit Cursor(std::string_view s) : s_(s) {}
-  explicit operator bool() const { return ok_; }
-
-  Cursor& operator>>(std::string_view& out) {
-    if (!skip_ws()) return *this;
-    const size_t start = pos_;
-    while (pos_ < s_.size() && !is_space(s_[pos_])) ++pos_;
-    out = s_.substr(start, pos_ - start);
-    return *this;
-  }
-
-  Cursor& operator>>(u64& v) { return extract_unsigned(v); }
-  Cursor& operator>>(u32& v) { return extract_unsigned(v); }
-  Cursor& operator>>(u16& v) { return extract_unsigned(v); }
-
-  Cursor& operator>>(int& v) {
-    if (!skip_ws()) return *this;
-    size_t p = pos_;
-    if (s_[p] == '+') {  // from_chars rejects '+'; streams accept it
-      ++p;
-      if (p >= s_.size() || s_[p] < '0' || s_[p] > '9') {
-        ok_ = false;
-        return *this;
+// Finalizes, optionally salvages, optionally validates, and fills in the
+// result status: the shared tail of every parser.
+void finish_load(Trace&& trace, const LoadOptions& opts, LoadResult& res) {
+  trace.finalize(resolve_threads(opts.threads));
+  if (opts.mode == LoadMode::Salvage) {
+    res.salvage = salvage_trace(trace);
+    if (opts.validate) {
+      const ValidationReport v = validate_trace_structured(trace);
+      if (!v.ok()) {
+        size_t listed = 0;
+        for (const Violation& viol : v.violations) {
+          if (listed++ >= 16) break;
+          res.diagnostics.push_back(LoadDiagnostic{
+              LoadErrorCode::InvalidStructure, 0, true, viol.where(),
+              "unsalvageable: " + viol.message});
+        }
+        res.status = LoadStatus::Failed;
+        res.trace = std::move(trace);  // kept for postmortem inspection
+        return;
       }
     }
-    const char* first = s_.data() + p;
-    int out = 0;
-    auto [ptr, ec] = std::from_chars(first, s_.data() + s_.size(), out);
-    if (ptr == first) {
-      ok_ = false;
-      return *this;
-    }
-    pos_ = static_cast<size_t>(ptr - s_.data());
-    if (ec != std::errc()) {
-      ok_ = false;
-      return *this;
-    }
-    v = out;
-    return *this;
+    res.status = (res.salvage.any() || !res.diagnostics.empty())
+                     ? LoadStatus::Salvaged
+                     : LoadStatus::Ok;
+    res.trace = std::move(trace);
+    return;
   }
-
-  Cursor& operator>>(double& v) {
-    if (!skip_ws()) return *this;
-    size_t p = pos_;
-    bool neg = false;
-    if (s_[p] == '+' || s_[p] == '-') {
-      neg = s_[p] == '-';
-      ++p;
+  if (opts.validate) {
+    const ValidationReport v = validate_trace_structured(trace);
+    if (!v.ok()) {
+      size_t listed = 0;
+      for (const Violation& viol : v.violations) {
+        if (listed++ >= 16) break;
+        res.diagnostics.push_back(LoadDiagnostic{
+            LoadErrorCode::InvalidStructure, 0, true, viol.where(),
+            viol.message});
+      }
+      res.status = LoadStatus::Failed;
+      res.trace = std::move(trace);
+      return;
     }
-    const char* first = s_.data() + p;
-    double out = 0;
-    auto [ptr, ec] = std::from_chars(first, s_.data() + s_.size(), out);
-    if (ptr == first || ec != std::errc()) {
-      ok_ = false;
-      return *this;
-    }
-    pos_ = static_cast<size_t>(ptr - s_.data());
-    v = neg ? -out : out;
-    return *this;
   }
-
- private:
-  // Positions on the next field; extraction at end-of-view fails like eof.
-  bool skip_ws() {
-    if (!ok_) return false;
-    while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
-    if (pos_ >= s_.size()) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  template <class T>
-  Cursor& extract_unsigned(T& v) {
-    if (!skip_ws()) return *this;
-    size_t p = pos_;
-    bool neg = false;
-    if (s_[p] == '+' || s_[p] == '-') {
-      neg = s_[p] == '-';
-      ++p;
-    }
-    const char* first = s_.data() + p;
-    u64 out = 0;
-    auto [ptr, ec] = std::from_chars(first, s_.data() + s_.size(), out, 10);
-    if (ptr == first) {
-      ok_ = false;
-      return *this;
-    }
-    pos_ = static_cast<size_t>(ptr - s_.data());
-    if (ec != std::errc()) {  // magnitude overflowed even u64
-      ok_ = false;
-      return *this;
-    }
-    if (neg) out = 0 - out;  // strtoull wraparound, as num_get does
-    if (out > std::numeric_limits<T>::max()) {
-      ok_ = false;
-      return *this;
-    }
-    v = static_cast<T>(out);
-    return *this;
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-bool read_counters(Cursor& c, Counters& k) {
-  return static_cast<bool>(c >> k.compute >> k.stall >> k.cache_misses >>
-                           k.bytes_accessed);
+  res.status = LoadStatus::Ok;
+  res.trace = std::move(trace);
 }
 
-// The task record's parent field is either "-" or a number parsed from the
-// token in isolation (trailing junk ignored, like `istringstream >> u64`).
-bool parse_parent_token(std::string_view tok, u64& out) {
-  Cursor c(tok);
-  u64 v = 0;
-  if (!(c >> v)) return false;
-  out = v;
+// Rebuilds the trace's string table from collected (id, contents) pairs,
+// enforcing dense ids. In Strict/Lenient a non-dense table is fatal
+// (diagnostic appended, returns false); in Salvage the table is rebuilt with
+// placeholders. Sorts `strs` in place.
+bool apply_string_table(std::vector<std::pair<StrId, std::string>>& strs,
+                        bool salv, Trace& trace, LoadResult& res) {
+  auto add = [&](LoadErrorCode code, std::string msg) {
+    res.diagnostics.push_back(
+        LoadDiagnostic{code, 0, true, "str", std::move(msg)});
+  };
+  std::sort(strs.begin(), strs.end());
+  bool table_ok = true;
+  for (const auto& [id, s] : strs) {
+    const StrId got = trace.strings.intern(s);
+    if (got != id) {
+      if (!salv) {
+        add(LoadErrorCode::StringTableCorrupt,
+            "string table ids not dense (expected " + std::to_string(id) +
+                ", got " + std::to_string(got) + ")");
+        return false;
+      }
+      table_ok = false;
+      break;
+    }
+  }
+  if (!table_ok) {
+    // Salvage: rebuild a dense table, padding holes and de-duplicating
+    // colliding contents with unique placeholders so every recorded id keeps
+    // its original string where possible. Dangling src ids degrade to ""
+    // (StringTable::get is total), so references never become unsafe.
+    trace.strings = StringTable{};
+    add(LoadErrorCode::StringTableCorrupt,
+        "string table ids not dense; rebuilt with placeholders");
+    std::map<StrId, std::string> by_id;
+    u64 max_id = 0;
+    for (const auto& [id, s] : strs) {
+      by_id.emplace(id, s);
+      max_id = std::max<u64>(max_id, id);
+    }
+    if (max_id > strs.size() + 1024) {
+      // Garbage ids: keep the contents, abandon the numbering.
+      for (const auto& [id, s] : by_id) trace.strings.intern(s);
+    } else {
+      for (u64 i = 1; i <= max_id; ++i) {
+        auto it = by_id.find(static_cast<StrId>(i));
+        std::string candidate = it != by_id.end()
+                                    ? it->second
+                                    : "<missing-str-" + std::to_string(i) + ">";
+        StrId got = trace.strings.intern(candidate);
+        while (got != i) {  // content collides with an earlier id
+          candidate += "#";
+          got = trace.strings.intern(candidate);
+        }
+      }
+    }
+  }
   return true;
 }
 
@@ -198,7 +194,7 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
           "bad header: " + std::string(line));
       return res;
     }
-    if (version < 1 || version > detail::kTraceVersion) {
+    if (version < 1 || version > kTraceVersion) {
       add(LoadErrorCode::UnsupportedVersion, 1, "header",
           "unsupported version " + std::to_string(version));
       if (!salv) return res;
@@ -228,107 +224,33 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
               std::to_string(lineno));
       if (!salv) aborted = true;
     };
-    if (kind == "frag") {
-      FragmentRec f;
-      int reason = 0;
-      if (!(ls >> f.task >> f.seq >> f.start >> f.end >> f.core >> reason >>
-            f.end_ref) ||
-          !read_counters(ls, f.counters) || reason < 0 || reason > 3) {
-        bad();
-        continue;
-      }
-      f.end_reason = static_cast<FragmentEnd>(reason);
-      trace.fragments.push_back(f);
-    } else if (kind == "chunk") {
-      ChunkRec c;
-      if (!(ls >> c.loop >> c.thread >> c.core >> c.seq_on_thread >>
-            c.iter_begin >> c.iter_end >> c.start >> c.end) ||
-          !read_counters(ls, c.counters)) {
-        bad();
-        continue;
-      }
-      trace.chunks.push_back(c);
-    } else if (kind == "book") {
-      BookkeepRec b;
-      int got = 0;
-      if (!(ls >> b.loop >> b.thread >> b.core >> b.seq_on_thread >> b.start >>
-            b.end >> got)) {
-        bad();
-        continue;
-      }
-      b.got_chunk = got != 0;
-      trace.bookkeeps.push_back(b);
-    } else if (kind == "task") {
-      TaskRec t;
-      std::string_view parent;
-      int inlined = 0;
-      if (!(ls >> t.uid >> parent >> t.child_index >> t.src >> t.create_time >>
-            t.create_core >> t.creation_cost >> inlined)) {
-        bad();
-        continue;
-      }
-      if (parent == "-") {
-        t.parent = kNoTask;
+    // The eight record kinds, decoded by the schema's text codec.
+    bool record = false;
+    schema::for_each_record([&](auto type) {
+      using Rec = typename decltype(type)::type;
+      if (record || kind != schema::Record<Rec>::tag) return;
+      record = true;
+      Rec r;
+      if (codec::read_text(ls, r)) {
+        schema::Record<Rec>::of(trace).push_back(r);
       } else {
-        u64 p = 0;
-        if (!parse_parent_token(parent, p)) {
-          bad();
-          continue;
-        }
-        t.parent = p;
-      }
-      t.inlined = inlined != 0;
-      trace.tasks.push_back(t);
-    } else if (kind == "join") {
-      JoinRec j;
-      if (!(ls >> j.task >> j.seq >> j.start >> j.end >> j.core)) {
         bad();
-        continue;
       }
-      trace.joins.push_back(j);
-    } else if (kind == "loop") {
-      LoopRec l;
-      int sched = 0;
-      if (!(ls >> l.uid >> l.enclosing_task >> l.src >> sched >>
-            l.chunk_param >> l.iter_begin >> l.iter_end >> l.num_threads >>
-            l.starting_thread >> l.seq >> l.start >> l.end) ||
-          sched < 0 || sched > 2) {
-        bad();
-        continue;
-      }
-      l.sched = static_cast<ScheduleKind>(sched);
-      trace.loops.push_back(l);
-    } else if (kind == "dep") {
-      DependRec d;
-      if (!(ls >> d.pred >> d.succ)) {
-        bad();
-        continue;
-      }
-      trace.depends.push_back(d);
-    } else if (kind == "str") {
+    });
+    if (record) continue;
+    if (kind == "str") {
       StrId id;
       std::string_view s;
       if (!(ls >> id >> s)) {
         bad();
         continue;
       }
-      auto u = detail::unescape(s);
+      auto u = unescape(s);
       if (!u) {
         bad();
         continue;
       }
       strs.emplace_back(id, *u);
-    } else if (kind == "wstat") {
-      WorkerStatsRec s;
-      if (!(ls >> s.worker >> s.tasks_spawned >> s.tasks_executed >>
-            s.tasks_inlined >> s.steals >> s.steal_failures >>
-            s.cas_failures >> s.deque_pushes >> s.deque_pops >>
-            s.deque_resizes >> s.taskwait_helps >> s.idle_ns >>
-            s.trace_bytes)) {
-        bad();
-        continue;
-      }
-      trace.worker_stats.push_back(s);
     } else if (kind == "meta") {
       std::string_view program, runtime, topology;
       TraceMeta m;
@@ -337,8 +259,8 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
         bad();
         continue;
       }
-      auto p = detail::unescape(program), r = detail::unescape(runtime),
-           t = detail::unescape(topology);
+      auto p = unescape(program), r = unescape(runtime),
+           t = unescape(topology);
       if (!p || !r || !t) {
         bad();
         continue;
@@ -359,7 +281,7 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
         bad();
         continue;
       }
-      auto c = detail::unescape(clock);
+      auto c = unescape(clock);
       if (!c) {
         bad();
         continue;
@@ -373,7 +295,7 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
         bad();
         continue;
       }
-      auto u = detail::unescape(n);
+      auto u = unescape(n);
       if (!u) {
         bad();
         continue;
@@ -390,8 +312,8 @@ LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts) {
   }
   if (aborted) return res;  // fatal diagnostic already recorded
 
-  if (!detail::apply_string_table(strs, salv, trace, res)) return res;
-  detail::finish_load(std::move(trace), opts, res);
+  if (!apply_string_table(strs, salv, trace, res)) return res;
+  finish_load(std::move(trace), opts, res);
   return res;
 }
 
@@ -430,152 +352,11 @@ struct ByteReader {
     pos += static_cast<size_t>(n);
     return true;
   }
-  bool get_counters(Counters& c) {
-    return get_u64(c.compute) && get_u64(c.stall) && get_u64(c.cache_misses) &&
-           get_u64(c.bytes_accessed);
-  }
 };
 
 constexpr char kBinMagic[] = "GGTB3";  // v3 adds worker stats + profiling meta
 constexpr char kBinMagicV2[] = "GGTB2";  // v2 added a dependence section
 constexpr char kBinMagicV1[] = "GGTB1";
-
-// Encoded sizes per record. These are *exact* strides — every record kind
-// below serializes to a fixed byte count — which buys two things: a section
-// count that passes the plausibility check (n <= remaining / stride, exact
-// division) proves the whole section is present, and record i lives at a
-// computable offset, so the section decodes in parallel with no scan.
-constexpr size_t kMinTaskBytes = 48;
-constexpr size_t kMinFragBytes = 76;
-constexpr size_t kMinJoinBytes = 32;
-constexpr size_t kMinLoopBytes = 76;
-constexpr size_t kMinChunkBytes = 84;
-constexpr size_t kMinBookBytes = 40;
-constexpr size_t kMinDependBytes = 16;
-constexpr size_t kMinWstatBytes = 100;
-
-// --- parallel fixed-stride section decode ----------------------------------
-
-inline u64 ld64(const char* p) {
-  u64 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline u32 ld32(const char* p) {
-  u32 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-// Per-record decoders, each reading exactly the stride above from `p`.
-// Return false for a malformed (but complete) record — the same validity
-// checks the strict loader applies.
-
-inline bool decode_task(const char* p, TaskRec& t) {
-  t.uid = ld64(p);
-  t.parent = ld64(p + 8);
-  t.child_index = ld32(p + 16);
-  t.src = ld32(p + 20);
-  t.create_time = ld64(p + 24);
-  t.create_core = static_cast<u16>(ld32(p + 32));
-  t.creation_cost = ld64(p + 36);
-  t.inlined = ld32(p + 44) != 0;
-  return true;
-}
-
-inline bool decode_frag(const char* p, FragmentRec& f) {
-  f.task = ld64(p);
-  f.seq = ld32(p + 8);
-  f.start = ld64(p + 12);
-  f.end = ld64(p + 20);
-  f.core = static_cast<u16>(ld32(p + 28));
-  const u32 reason = ld32(p + 32);
-  f.end_ref = ld64(p + 36);
-  f.counters.compute = ld64(p + 44);
-  f.counters.stall = ld64(p + 52);
-  f.counters.cache_misses = ld64(p + 60);
-  f.counters.bytes_accessed = ld64(p + 68);
-  if (reason > 3) return false;
-  f.end_reason = static_cast<FragmentEnd>(reason);
-  return true;
-}
-
-inline bool decode_join(const char* p, JoinRec& j) {
-  j.task = ld64(p);
-  j.seq = ld32(p + 8);
-  j.start = ld64(p + 12);
-  j.end = ld64(p + 20);
-  j.core = static_cast<u16>(ld32(p + 28));
-  return true;
-}
-
-inline bool decode_loop(const char* p, LoopRec& l) {
-  l.uid = ld64(p);
-  l.enclosing_task = ld64(p + 8);
-  l.src = ld32(p + 16);
-  const u32 sched = ld32(p + 20);
-  l.chunk_param = ld64(p + 24);
-  l.iter_begin = ld64(p + 32);
-  l.iter_end = ld64(p + 40);
-  l.num_threads = static_cast<u16>(ld32(p + 48));
-  l.starting_thread = static_cast<u16>(ld32(p + 52));
-  l.seq = ld32(p + 56);
-  l.start = ld64(p + 60);
-  l.end = ld64(p + 68);
-  if (sched > 2) return false;
-  l.sched = static_cast<ScheduleKind>(sched);
-  return true;
-}
-
-inline bool decode_chunk(const char* p, ChunkRec& c) {
-  c.loop = ld64(p);
-  c.thread = static_cast<u16>(ld32(p + 8));
-  c.core = static_cast<u16>(ld32(p + 12));
-  c.seq_on_thread = ld32(p + 16);
-  c.iter_begin = ld64(p + 20);
-  c.iter_end = ld64(p + 28);
-  c.start = ld64(p + 36);
-  c.end = ld64(p + 44);
-  c.counters.compute = ld64(p + 52);
-  c.counters.stall = ld64(p + 60);
-  c.counters.cache_misses = ld64(p + 68);
-  c.counters.bytes_accessed = ld64(p + 76);
-  return true;
-}
-
-inline bool decode_book(const char* p, BookkeepRec& b) {
-  b.loop = ld64(p);
-  b.thread = static_cast<u16>(ld32(p + 8));
-  b.core = static_cast<u16>(ld32(p + 12));
-  b.seq_on_thread = ld32(p + 16);
-  b.start = ld64(p + 20);
-  b.end = ld64(p + 28);
-  b.got_chunk = ld32(p + 36) != 0;
-  return true;
-}
-
-inline bool decode_depend(const char* p, DependRec& d) {
-  d.pred = ld64(p);
-  d.succ = ld64(p + 8);
-  return true;
-}
-
-inline bool decode_wstat(const char* p, WorkerStatsRec& s) {
-  s.worker = static_cast<u16>(ld32(p));
-  s.tasks_spawned = ld64(p + 4);
-  s.tasks_executed = ld64(p + 12);
-  s.tasks_inlined = ld64(p + 20);
-  s.steals = ld64(p + 28);
-  s.steal_failures = ld64(p + 36);
-  s.cas_failures = ld64(p + 44);
-  s.deque_pushes = ld64(p + 52);
-  s.deque_pops = ld64(p + 60);
-  s.deque_resizes = ld64(p + 68);
-  s.taskwait_helps = ld64(p + 76);
-  s.idle_ns = ld64(p + 84);
-  s.trace_bytes = ld64(p + 92);
-  return true;
-}
 
 // Decodes a whole fixed-stride section (count already read and validated, so
 // all `n` records are present) into `out`, partitioned across `threads`
@@ -587,50 +368,52 @@ inline bool decode_wstat(const char* p, WorkerStatsRec& s) {
 // first bad record is reported (at its byte offset) and the parse fails; in
 // Salvage every bad record is reported in offset order and skipped, the
 // survivors compacted in their original order.
-template <class Rec, class Decode>
-bool decode_section(ByteReader& r, u64 n, size_t stride, int threads,
-                    bool salv, const char* ctx, const char* bad_msg,
+template <class Rec>
+bool decode_section(ByteReader& r, u64 n, int threads, bool salv,
                     std::vector<Rec>& out,
-                    std::vector<LoadDiagnostic>& diags, Decode decode) {
+                    std::vector<LoadDiagnostic>& diags) {
+  constexpr size_t stride = codec::kRecordBytes<codec::Ggtb3, Rec>;
   const size_t base = r.pos;
   const size_t count = static_cast<size_t>(n);
   r.pos = base + count * stride;
   out.resize(count);
   const size_t nblocks = static_cast<size_t>(std::max(threads, 1));
-  // Per-block bad-record indices: block b only touches bad[b], and each
-  // block's list is ascending, so concatenation in block order is the
-  // ascending list of all bad records.
-  std::vector<std::vector<size_t>> bad(nblocks);
+  // Per-block bad records: block b only touches bad[b], and each block's
+  // list is ascending, so concatenation in block order is the ascending
+  // list of all bad records.
+  std::vector<std::vector<std::pair<size_t, codec::Fault>>> bad(nblocks);
   par_for_blocks(count, threads, [&](size_t b, size_t lo, size_t hi) {
     auto& mine = bad[b];
     const char* p = r.buf.data() + base + lo * stride;
     for (size_t i = lo; i < hi; ++i, p += stride) {
-      if (!decode(p, out[i])) mine.push_back(i);
+      const codec::Fault fault = codec::get<codec::Ggtb3>(p, out[i]);
+      if (fault != codec::Fault::None) mine.emplace_back(i, fault);
     }
   });
+  auto diagnose = [&](size_t i, codec::Fault fault) {
+    diags.push_back(LoadDiagnostic{LoadErrorCode::MalformedRecord,
+                                   base + i * stride, false,
+                                   schema::Record<Rec>::section,
+                                   codec::fault_message<Rec>(fault)});
+  };
   size_t nbad = 0;
   for (const auto& b : bad) nbad += b.size();
   if (nbad == 0) return true;
   if (!salv) {
-    size_t first = count;
     for (const auto& b : bad) {
       if (!b.empty()) {
-        first = b.front();
+        diagnose(b.front().first, b.front().second);
         break;
       }
     }
-    diags.push_back(LoadDiagnostic{LoadErrorCode::MalformedRecord,
-                                   base + first * stride, false, ctx,
-                                   bad_msg});
     return false;
   }
   std::vector<size_t> bad_all;
   bad_all.reserve(nbad);
   for (const auto& b : bad) {
-    for (size_t i : b) {
+    for (const auto& [i, fault] : b) {
       bad_all.push_back(i);
-      diags.push_back(LoadDiagnostic{LoadErrorCode::MalformedRecord,
-                                     base + i * stride, false, ctx, bad_msg});
+      diagnose(i, fault);
     }
   }
   // Stable in-place compaction over the sorted bad list.
@@ -665,15 +448,16 @@ bool parse_binary_body(ByteReader& r, bool v1, bool v2, bool salv, int threads,
     return salv;  // salvage keeps the prefix; strict/lenient fail
   };
   // Reads a section count and sanity-checks it against the bytes that are
-  // actually left; min_size == 0 skips the plausibility check.
-  auto get_count = [&](u64& n, size_t min_size, const char* ctx,
-                       const char* trunc_msg, bool& ok) {
+  // actually left.
+  auto get_count = [&](u64& n, size_t min_size, const char* ctx, bool& ok) {
     const u64 off = r.pos;
     if (!r.get_u64(n)) {
-      ok = truncated(off, ctx, trunc_msg);
+      add(LoadErrorCode::TruncatedStream, off, ctx,
+          std::string("truncated ") + ctx);
+      ok = salv;
       return false;
     }
-    if (min_size != 0 && n > r.remaining() / min_size) {
+    if (n > r.remaining() / min_size) {
       add(LoadErrorCode::LimitExceeded, off, ctx,
           std::string("implausible ") + ctx + " count " + std::to_string(n));
       ok = salv;
@@ -696,7 +480,7 @@ bool parse_binary_body(ByteReader& r, bool v1, bool v2, bool salv, int threads,
   m.ghz = static_cast<double>(ghz_u) / 1e6;
   {
     bool ok = true;
-    if (!get_count(nnotes, 8, "notes", "truncated notes", ok)) return ok;
+    if (!get_count(nnotes, 8, "notes", ok)) return ok;
     for (u64 i = 0; i < nnotes; ++i) {
       std::string n;
       if (!r.get_str(n)) return truncated(r.pos, "notes", "truncated notes");
@@ -738,92 +522,40 @@ bool parse_binary_body(ByteReader& r, bool v1, bool v2, bool salv, int threads,
       }
     }
   }
-  {
+  // The record sections, in schema order. GGTB1 ends after the bookkeeps;
+  // GGTB2 adds the depends; GGTB3 adds the profiling trailer and the worker
+  // stats.
+  bool more = true, result = true;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    if (!more) return;
+    if constexpr (std::is_same_v<Rec, DependRec>) {
+      if (v1) return;
+    }
+    if constexpr (std::is_same_v<Rec, WorkerStatsRec>) {
+      if (v1 || v2) return;
+      u32 profiled = 1;
+      if (!(r.get_u32(profiled) && r.get_u64(m.trace_buffer_bytes) &&
+            r.get_str(m.clock_source))) {
+        more = false;
+        result = truncated(r.pos, "trailer", "truncated profiling meta");
+        return;
+      }
+      m.profiled = profiled != 0;
+    }
     u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinTaskBytes, "tasks", "truncated tasks", ok))
-      return ok;
-    if (!decode_section(r, n, kMinTaskBytes, threads, salv, "tasks",
-                        "malformed task record", trace.tasks, diags,
-                        decode_task))
-      return false;
-  }
-  {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinFragBytes, "fragments", "truncated fragments", ok))
-      return ok;
-    if (!decode_section(r, n, kMinFragBytes, threads, salv, "fragments",
-                        "bad fragment end reason", trace.fragments, diags,
-                        decode_frag))
-      return false;
-  }
-  {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinJoinBytes, "joins", "truncated joins", ok))
-      return ok;
-    if (!decode_section(r, n, kMinJoinBytes, threads, salv, "joins",
-                        "malformed join record", trace.joins, diags,
-                        decode_join))
-      return false;
-  }
-  {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinLoopBytes, "loops", "truncated loops", ok))
-      return ok;
-    if (!decode_section(r, n, kMinLoopBytes, threads, salv, "loops",
-                        "bad loop schedule", trace.loops, diags, decode_loop))
-      return false;
-  }
-  {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinChunkBytes, "chunks", "truncated chunks", ok))
-      return ok;
-    if (!decode_section(r, n, kMinChunkBytes, threads, salv, "chunks",
-                        "malformed chunk record", trace.chunks, diags,
-                        decode_chunk))
-      return false;
-  }
-  {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinBookBytes, "bookkeeps", "truncated bookkeeps", ok))
-      return ok;
-    if (!decode_section(r, n, kMinBookBytes, threads, salv, "bookkeeps",
-                        "malformed bookkeep record", trace.bookkeeps, diags,
-                        decode_book))
-      return false;
-  }
-  if (!v1) {
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinDependBytes, "depends", "truncated depends", ok))
-      return ok;
-    if (!decode_section(r, n, kMinDependBytes, threads, salv, "depends",
-                        "malformed depend record", trace.depends, diags,
-                        decode_depend))
-      return false;
-  }
-  if (!v1 && !v2) {
-    u32 profiled = 1;
-    if (!(r.get_u32(profiled) && r.get_u64(m.trace_buffer_bytes) &&
-          r.get_str(m.clock_source)))
-      return truncated(r.pos, "trailer", "truncated profiling meta");
-    m.profiled = profiled != 0;
-    u64 n = 0;
-    bool ok = true;
-    if (!get_count(n, kMinWstatBytes, "worker stats", "truncated worker stats",
-                   ok))
-      return ok;
-    if (!decode_section(r, n, kMinWstatBytes, threads, salv, "worker stats",
-                        "malformed worker stats record", trace.worker_stats,
-                        diags, decode_wstat))
-      return false;
-  }
-  return true;
+    if (!get_count(n, codec::kRecordBytes<codec::Ggtb3, Rec>,
+                   schema::Record<Rec>::section, result)) {
+      more = false;
+      return;
+    }
+    if (!decode_section(r, n, threads, salv, schema::Record<Rec>::of(trace),
+                        diags)) {
+      more = false;
+      result = false;
+    }
+  });
+  return result;
 }
 
 }  // namespace
@@ -851,7 +583,7 @@ LoadResult parse_trace_binary(std::string_view buf, const LoadOptions& opts) {
   if (!parse_binary_body(r, v1, v2, salv, threads, trace, res.diagnostics)) {
     return res;  // fatal in Strict/Lenient; diagnostics already recorded
   }
-  detail::finish_load(std::move(trace), opts, res);
+  finish_load(std::move(trace), opts, res);
   return res;
 }
 

@@ -1,10 +1,9 @@
-// Buffered trace parsing: whole-input string_view parsers that avoid the
-// per-line istringstream and per-field allocation of the legacy stream
-// loader. Text records are cut with std::from_chars over string views;
-// binary records go through the same bounds-checked reader as before, just
-// over a caller-owned buffer. Both are reached through the load_trace*_ex
-// API (LoadOptions::engine selects the text implementation) and preserve the
-// Strict/Lenient/Salvage diagnostics and exit-code contract.
+// Buffered trace parsing: whole-input string_view parsers. Text records are
+// cut with std::from_chars over string views; binary records are decoded at
+// their fixed strides over a caller-owned buffer. Both decode records with
+// the schema's codecs (trace/record_codec.hpp), are reached through the
+// load_trace*_ex API, and keep the Strict/Lenient/Salvage diagnostics and
+// exit-code contract.
 #pragma once
 
 #include <iosfwd>
@@ -15,9 +14,8 @@
 
 namespace gg {
 
-/// Parses a complete text trace held in `buf`. Same records, same traces,
-/// same diagnostics (codes, line numbers, messages) as the legacy stream
-/// loader on well-formed and malformed input alike.
+/// Parses a complete text trace held in `buf`. Diagnostics carry line
+/// numbers; field extraction follows istream semantics (codec::Cursor).
 LoadResult parse_trace_text(std::string_view buf, const LoadOptions& opts = {});
 
 /// Parses a complete binary trace held in `buf` (GGTB1/2/3). Bounds-checked;

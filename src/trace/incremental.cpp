@@ -165,18 +165,8 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
             std::to_string(next_seq_[worker]) + "): " +
             std::to_string(seq - next_seq_[worker]) + " epoch(s) lost");
       }
-      auto move_into = [](auto& dst, auto& src) {
-        dst.insert(dst.end(), src.begin(), src.end());
-      };
-      move_into(t.tasks, buf.tasks);
-      move_into(t.fragments, buf.fragments);
-      move_into(t.joins, buf.joins);
-      move_into(t.loops, buf.loops);
-      move_into(t.chunks, buf.chunks);
-      move_into(t.bookkeeps, buf.bookkeeps);
-      move_into(t.depends, buf.depends);
-      move_into(t.worker_stats, buf.worker_stats);
       resident_bytes_ += buf.payload_bytes();
+      buf.move_into(t);
       next_seq_[worker] = seq + 1;
       ++rep.epochs_per_worker[worker];
       ++rep.frames_kept;

@@ -60,30 +60,9 @@ enum class LoadMode : u8 {
   Salvage,  ///< recover the longest valid prefix; repair the rest
 };
 
-/// Which text-parsing implementation a loader uses. Both accept the same
-/// format, produce the same trace and the same diagnostics; Legacy is the
-/// original line-by-line istream parser, kept compilable so the fast path's
-/// speedup stays measurable (bench/perf_pipeline.cpp) and differentially
-/// testable (tests/fastpath_test.cpp).
-enum class ParseEngine : u8 {
-  Fast,    ///< block-read + std::from_chars over string views (the default)
-  Legacy,  ///< getline + per-line istringstream (the seed implementation)
-};
-
-/// How file-path loads get their bytes. Both produce identical traces and
-/// identical diagnostics (byte offsets are into the file either way); Stream
-/// is the read()-based fallback, also used automatically for non-regular
-/// files (pipes, sockets) where mmap cannot apply.
-enum class IoSource : u8 {
-  Mmap,    ///< zero-copy mmap of regular files (the default)
-  Stream,  ///< EINTR-safe read() loop into a heap buffer
-};
-
 struct LoadOptions {
   LoadMode mode = LoadMode::Lenient;
   bool validate = true;  ///< run validate_trace after load (and after salvage)
-  ParseEngine engine = ParseEngine::Fast;
-  IoSource io = IoSource::Mmap;  ///< file-path loads only; streams unaffected
   /// Worker threads for binary section decode and trace finalize sorting.
   /// 0 = auto (GG_THREADS env, else hardware concurrency, clamped to 8);
   /// 1 = serial. Outputs are identical for every value.

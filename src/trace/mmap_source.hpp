@@ -5,9 +5,9 @@
 // string_view over the mapping — no heap copy of a multi-GB trace, and the
 // kernel prefetches sequentially (madvise) while the fixed-stride section
 // decoders walk it. Non-regular files (pipes, /proc, sockets) cannot be
-// mapped, so open() transparently falls back to the same EINTR-safe read()
-// loop the Stream io engine uses; callers never need to care which path fed
-// them. Byte offsets in diagnostics are file offsets either way.
+// mapped, so open() transparently falls back to an EINTR-safe read() loop
+// (read_fd_contents); callers never need to care which path fed them. Byte
+// offsets in diagnostics are file offsets either way.
 //
 // Edge cases handled explicitly (tests/mmap_ingest_test.cpp):
 //   * zero-length files: mmap(len=0) is EINVAL, so an empty view is returned
@@ -16,7 +16,7 @@
 //   * files whose size is an exact page multiple (no zero-fill tail): the
 //     view length comes from fstat, never from page rounding, so a trace
 //     truncated at a page boundary reports the same TruncatedStream offset
-//     under both io engines;
+//     as a parse of the file read into a buffer;
 //   * files that shrink between fstat and the parse would normally SIGBUS on
 //     the vanished tail; loads are point-in-time reads of sealed files, so
 //     this is out of contract (the live-tailing path in src/serve/ uses

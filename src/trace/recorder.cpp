@@ -52,20 +52,7 @@ Trace TraceRecorder::finish(TraceMeta meta) {
   // buffers are merged (and freed) into the trace.
   trace.meta.trace_buffer_bytes = 0;
   for (auto& buf : buffers_) trace.meta.trace_buffer_bytes += buf->payload_bytes();
-  for (auto& buf : buffers_) {
-    auto move_into = [](auto& dst, auto& src) {
-      dst.insert(dst.end(), src.begin(), src.end());
-      src.clear();
-    };
-    move_into(trace.tasks, buf->tasks);
-    move_into(trace.fragments, buf->fragments);
-    move_into(trace.joins, buf->joins);
-    move_into(trace.loops, buf->loops);
-    move_into(trace.chunks, buf->chunks);
-    move_into(trace.bookkeeps, buf->bookkeeps);
-    move_into(trace.depends, buf->depends);
-    move_into(trace.worker_stats, buf->worker_stats);
-  }
+  for (auto& buf : buffers_) buf->move_into(trace);
   {
     std::lock_guard lock(strings_mutex_);
     trace.strings = std::exchange(strings_, StringTable{});

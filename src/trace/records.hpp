@@ -27,6 +27,8 @@ struct Counters {
     bytes_accessed += o.bytes_accessed;
     return *this;
   }
+
+  bool operator==(const Counters&) const = default;
 };
 
 /// OpenMP loop schedule kinds supported by the runtimes.
@@ -46,6 +48,8 @@ struct TaskRec {
   TimeNs creation_cost = 0;  ///< time the parent spent creating this task
   bool inlined = false;      ///< executed immediately in the parent's context
                              ///< (runtime internal cutoff), not deferred
+
+  bool operator==(const TaskRec&) const = default;
 };
 
 /// Why a fragment ended: the task forked a child, reached a taskwait,
@@ -65,6 +69,8 @@ struct FragmentRec {
   FragmentEnd end_reason = FragmentEnd::TaskEnd;
   u64 end_ref = 0;  ///< Fork: uid of the created child; Join: join seq;
                     ///< Loop: uid of the encountered loop
+
+  bool operator==(const FragmentRec&) const = default;
 };
 
 /// One taskwait-style synchronization point inside a task. Children created
@@ -75,6 +81,8 @@ struct JoinRec {
   TimeNs start = 0;
   TimeNs end = 0;
   u16 core = 0;
+
+  bool operator==(const JoinRec&) const = default;
 };
 
 /// One parallel for-loop instance.
@@ -92,6 +100,8 @@ struct LoopRec {
   u32 seq = 0;              ///< loop sequence counter of the starting thread
   TimeNs start = 0;
   TimeNs end = 0;
+
+  bool operator==(const LoopRec&) const = default;
 };
 
 /// Computation performed by the set of iterations assigned to one chunk.
@@ -105,6 +115,8 @@ struct ChunkRec {
   TimeNs start = 0;
   TimeNs end = 0;
   Counters counters;
+
+  bool operator==(const ChunkRec&) const = default;
 };
 
 /// One resolved task dependence: `succ` may not start before `pred`
@@ -114,6 +126,8 @@ struct ChunkRec {
 struct DependRec {
   TaskId pred = 0;
   TaskId succ = 0;
+
+  bool operator==(const DependRec&) const = default;
 };
 
 /// Book-keeping performed by a thread to claim its next chunk (iteration
@@ -127,6 +141,8 @@ struct BookkeepRec {
   TimeNs end = 0;
   bool got_chunk = false;  ///< false for the final (empty) book-keeping step
                            ///< that proceeds to the loop join
+
+  bool operator==(const BookkeepRec&) const = default;
 };
 
 /// Scheduler-internal counters accumulated by one worker over the profiled
@@ -149,6 +165,8 @@ struct WorkerStatsRec {
   u64 taskwait_helps = 0;   ///< tasks executed while helping inside a wait
   TimeNs idle_ns = 0;       ///< time spent spinning with nothing to run
   u64 trace_bytes = 0;      ///< profiler buffer bytes this worker recorded
+
+  bool operator==(const WorkerStatsRec&) const = default;
 };
 
 }  // namespace gg

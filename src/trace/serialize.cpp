@@ -1,21 +1,17 @@
 #include "trace/serialize.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <map>
-#include <sstream>
 
-#include "common/par_for.hpp"
 #include "trace/fast_parse.hpp"
 #include "trace/mmap_source.hpp"
-#include "trace/salvage.hpp"
-#include "trace/serialize_detail.hpp"
-#include "trace/validate.hpp"
+#include "trace/record_codec.hpp"
 
 namespace gg {
 
-namespace detail {
+namespace {
 
 // Strings may contain spaces; they are written percent-escaped so that every
 // record stays a single whitespace-separated line.
@@ -36,449 +32,13 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-std::optional<std::string> unescape(std::string_view s) {
-  if (s == "%") return std::string();
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) return std::nullopt;
-      auto nib = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = nib(s[i + 1]), lo = nib(s[i + 2]);
-      if (hi < 0 || lo < 0) return std::nullopt;
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
+// Encoded records are batched into one buffer per write.
+constexpr size_t kWriteBatchBytes = 1 << 16;
 
-void finish_load(Trace&& trace, const LoadOptions& opts, LoadResult& res) {
-  trace.finalize(resolve_threads(opts.threads));
-  if (opts.mode == LoadMode::Salvage) {
-    res.salvage = salvage_trace(trace);
-    if (opts.validate) {
-      const ValidationReport v = validate_trace_structured(trace);
-      if (!v.ok()) {
-        size_t listed = 0;
-        for (const Violation& viol : v.violations) {
-          if (listed++ >= 16) break;
-          res.diagnostics.push_back(LoadDiagnostic{
-              LoadErrorCode::InvalidStructure, 0, true, viol.where(),
-              "unsalvageable: " + viol.message});
-        }
-        res.status = LoadStatus::Failed;
-        res.trace = std::move(trace);  // kept for postmortem inspection
-        return;
-      }
-    }
-    res.status = (res.salvage.any() || !res.diagnostics.empty())
-                     ? LoadStatus::Salvaged
-                     : LoadStatus::Ok;
-    res.trace = std::move(trace);
-    return;
-  }
-  if (opts.validate) {
-    const ValidationReport v = validate_trace_structured(trace);
-    if (!v.ok()) {
-      size_t listed = 0;
-      for (const Violation& viol : v.violations) {
-        if (listed++ >= 16) break;
-        res.diagnostics.push_back(LoadDiagnostic{
-            LoadErrorCode::InvalidStructure, 0, true, viol.where(),
-            viol.message});
-      }
-      res.status = LoadStatus::Failed;
-      res.trace = std::move(trace);
-      return;
-    }
-  }
-  res.status = LoadStatus::Ok;
-  res.trace = std::move(trace);
-}
+// The optional<Trace> loaders: strict, no validation, first error message.
+constexpr LoadOptions kStrictNoValidate{LoadMode::Strict, false};
 
-bool apply_string_table(std::vector<std::pair<StrId, std::string>>& strs,
-                        bool salv, Trace& trace, LoadResult& res) {
-  auto add = [&](LoadErrorCode code, std::string msg) {
-    res.diagnostics.push_back(
-        LoadDiagnostic{code, 0, true, "str", std::move(msg)});
-  };
-  std::sort(strs.begin(), strs.end());
-  bool table_ok = true;
-  for (const auto& [id, s] : strs) {
-    const StrId got = trace.strings.intern(s);
-    if (got != id) {
-      if (!salv) {
-        add(LoadErrorCode::StringTableCorrupt,
-            "string table ids not dense (expected " + std::to_string(id) +
-                ", got " + std::to_string(got) + ")");
-        return false;
-      }
-      table_ok = false;
-      break;
-    }
-  }
-  if (!table_ok) {
-    // Salvage: rebuild a dense table, padding holes and de-duplicating
-    // colliding contents with unique placeholders so every recorded id keeps
-    // its original string where possible. Dangling src ids degrade to ""
-    // (StringTable::get is total), so references never become unsafe.
-    trace.strings = StringTable{};
-    add(LoadErrorCode::StringTableCorrupt,
-        "string table ids not dense; rebuilt with placeholders");
-    std::map<StrId, std::string> by_id;
-    u64 max_id = 0;
-    for (const auto& [id, s] : strs) {
-      by_id.emplace(id, s);
-      max_id = std::max<u64>(max_id, id);
-    }
-    if (max_id > strs.size() + 1024) {
-      // Garbage ids: keep the contents, abandon the numbering.
-      for (const auto& [id, s] : by_id) trace.strings.intern(s);
-    } else {
-      for (u64 i = 1; i <= max_id; ++i) {
-        auto it = by_id.find(static_cast<StrId>(i));
-        std::string candidate = it != by_id.end()
-                                    ? it->second
-                                    : "<missing-str-" + std::to_string(i) + ">";
-        StrId got = trace.strings.intern(candidate);
-        while (got != i) {  // content collides with an earlier id
-          candidate += "#";
-          got = trace.strings.intern(candidate);
-        }
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::escape;
-using detail::unescape;
-
-void write_counters(std::ostream& os, const Counters& c) {
-  os << ' ' << c.compute << ' ' << c.stall << ' ' << c.cache_misses << ' '
-     << c.bytes_accessed;
-}
-
-bool read_counters(std::istringstream& is, Counters& c) {
-  return static_cast<bool>(is >> c.compute >> c.stall >> c.cache_misses >>
-                           c.bytes_accessed);
-}
-
-}  // namespace
-
-void save_trace(const Trace& trace, std::ostream& os) {
-  os << "ggtrace " << detail::kTraceVersion << '\n';
-  const TraceMeta& m = trace.meta;
-  os << "meta " << escape(m.program) << ' ' << escape(m.runtime) << ' '
-     << escape(m.topology) << ' ' << m.num_workers << ' ' << m.num_cores
-     << ' ' << m.ghz << ' ' << m.region_start << ' ' << m.region_end << '\n';
-  // v3 profiling-substrate metadata (a separate record so v1/v2 `meta` lines
-  // keep their field layout).
-  os << "metax " << (m.profiled ? 1 : 0) << ' ' << m.trace_buffer_bytes << ' '
-     << escape(m.clock_source) << '\n';
-  for (const std::string& n : m.notes) os << "note " << escape(n) << '\n';
-  // String table (skip the implicit empty string at id 0).
-  const auto& strs = trace.strings.all();
-  for (size_t i = 1; i < strs.size(); ++i)
-    os << "str " << i << ' ' << escape(strs[i]) << '\n';
-  for (const TaskRec& t : trace.tasks) {
-    os << "task " << t.uid << ' '
-       << (t.parent == kNoTask ? std::string("-")
-                               : std::to_string(t.parent))
-       << ' ' << t.child_index << ' ' << t.src << ' ' << t.create_time << ' '
-       << t.create_core << ' ' << t.creation_cost << ' ' << (t.inlined ? 1 : 0)
-       << '\n';
-  }
-  for (const FragmentRec& f : trace.fragments) {
-    os << "frag " << f.task << ' ' << f.seq << ' ' << f.start << ' ' << f.end
-       << ' ' << f.core << ' ' << static_cast<int>(f.end_reason) << ' '
-       << f.end_ref;
-    write_counters(os, f.counters);
-    os << '\n';
-  }
-  for (const JoinRec& j : trace.joins) {
-    os << "join " << j.task << ' ' << j.seq << ' ' << j.start << ' ' << j.end
-       << ' ' << j.core << '\n';
-  }
-  for (const LoopRec& l : trace.loops) {
-    os << "loop " << l.uid << ' ' << l.enclosing_task << ' ' << l.src << ' '
-       << static_cast<int>(l.sched) << ' ' << l.chunk_param << ' '
-       << l.iter_begin << ' ' << l.iter_end << ' ' << l.num_threads << ' '
-       << l.starting_thread << ' ' << l.seq << ' ' << l.start << ' ' << l.end
-       << '\n';
-  }
-  for (const ChunkRec& c : trace.chunks) {
-    os << "chunk " << c.loop << ' ' << c.thread << ' ' << c.core << ' '
-       << c.seq_on_thread << ' ' << c.iter_begin << ' ' << c.iter_end << ' '
-       << c.start << ' ' << c.end;
-    write_counters(os, c.counters);
-    os << '\n';
-  }
-  for (const BookkeepRec& b : trace.bookkeeps) {
-    os << "book " << b.loop << ' ' << b.thread << ' ' << b.core << ' '
-       << b.seq_on_thread << ' ' << b.start << ' ' << b.end << ' '
-       << (b.got_chunk ? 1 : 0) << '\n';
-  }
-  for (const DependRec& d : trace.depends) {
-    os << "dep " << d.pred << ' ' << d.succ << '\n';
-  }
-  for (const WorkerStatsRec& s : trace.worker_stats) {
-    os << "wstat " << s.worker << ' ' << s.tasks_spawned << ' '
-       << s.tasks_executed << ' ' << s.tasks_inlined << ' ' << s.steals << ' '
-       << s.steal_failures << ' ' << s.cas_failures << ' ' << s.deque_pushes
-       << ' ' << s.deque_pops << ' ' << s.deque_resizes << ' '
-       << s.taskwait_helps << ' ' << s.idle_ns << ' ' << s.trace_bytes
-       << '\n';
-  }
-}
-
-namespace {
-
-// The seed line-by-line stream parser, kept intact behind
-// ParseEngine::Legacy so the fast path's speedup is measured against it and
-// its behavior is differentially tested (tests/fastpath_test.cpp).
-LoadResult load_trace_text_legacy(std::istream& is, const LoadOptions& opts) {
-  LoadResult res;
-  res.source = "<stream>";
-  const bool salv = opts.mode == LoadMode::Salvage;
-  auto add = [&](LoadErrorCode code, u64 line, std::string context,
-                 std::string msg) {
-    res.diagnostics.push_back(LoadDiagnostic{code, line, true,
-                                             std::move(context),
-                                             std::move(msg)});
-  };
-
-  std::string line;
-  if (!std::getline(is, line)) {
-    add(LoadErrorCode::EmptyInput, 0, "header", "empty input");
-    return res;  // status defaults to Failed
-  }
-  {
-    std::istringstream head(line);
-    std::string magic;
-    int version = 0;
-    if (!(head >> magic >> version) || magic != "ggtrace") {
-      add(LoadErrorCode::BadMagic, 1, "header", "bad header: " + line);
-      return res;
-    }
-    if (version < 1 || version > detail::kTraceVersion) {
-      add(LoadErrorCode::UnsupportedVersion, 1, "header",
-          "unsupported version " + std::to_string(version));
-      if (!salv) return res;
-      // Salvage: read it as the newest format we know and let the record
-      // parser flag whatever does not fit.
-    }
-  }
-
-  Trace trace;
-  // The string table must be rebuilt with identical ids; collect then intern
-  // in id order.
-  std::vector<std::pair<StrId, std::string>> strs;
-  int lineno = 1;
-  bool aborted = false;
-  while (!aborted && std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    // In Strict/Lenient a malformed record is fatal; in Salvage it is
-    // skipped with a diagnostic and parsing continues.
-    auto bad = [&]() {
-      add(LoadErrorCode::MalformedRecord, static_cast<u64>(lineno), kind,
-          "malformed " + kind + " record at line " + std::to_string(lineno));
-      if (!salv) aborted = true;
-    };
-    if (kind == "meta") {
-      std::string program, runtime, topology;
-      TraceMeta m;
-      if (!(ls >> program >> runtime >> topology >> m.num_workers >>
-            m.num_cores >> m.ghz >> m.region_start >> m.region_end)) {
-        bad();
-        continue;
-      }
-      auto p = unescape(program), r = unescape(runtime), t = unescape(topology);
-      if (!p || !r || !t) {
-        bad();
-        continue;
-      }
-      m.profiled = trace.meta.profiled;
-      m.trace_buffer_bytes = trace.meta.trace_buffer_bytes;
-      m.clock_source = trace.meta.clock_source;
-      m.notes = std::move(trace.meta.notes);
-      m.program = *p;
-      m.runtime = *r;
-      m.topology = *t;
-      trace.meta = std::move(m);
-    } else if (kind == "metax") {
-      int profiled = 1;
-      u64 buffer_bytes = 0;
-      std::string clock;
-      if (!(ls >> profiled >> buffer_bytes >> clock)) {
-        bad();
-        continue;
-      }
-      auto c = unescape(clock);
-      if (!c) {
-        bad();
-        continue;
-      }
-      trace.meta.profiled = profiled != 0;
-      trace.meta.trace_buffer_bytes = buffer_bytes;
-      trace.meta.clock_source = *c;
-    } else if (kind == "note") {
-      std::string n;
-      if (!(ls >> n)) {
-        bad();
-        continue;
-      }
-      auto u = unescape(n);
-      if (!u) {
-        bad();
-        continue;
-      }
-      trace.meta.notes.push_back(*u);
-    } else if (kind == "str") {
-      StrId id;
-      std::string s;
-      if (!(ls >> id >> s)) {
-        bad();
-        continue;
-      }
-      auto u = unescape(s);
-      if (!u) {
-        bad();
-        continue;
-      }
-      strs.emplace_back(id, *u);
-    } else if (kind == "task") {
-      TaskRec t;
-      std::string parent;
-      int inlined = 0;
-      if (!(ls >> t.uid >> parent >> t.child_index >> t.src >> t.create_time >>
-            t.create_core >> t.creation_cost >> inlined)) {
-        bad();
-        continue;
-      }
-      if (parent == "-") {
-        t.parent = kNoTask;
-      } else {
-        u64 p = 0;
-        std::istringstream ps(parent);
-        if (!(ps >> p)) {
-          bad();
-          continue;
-        }
-        t.parent = p;
-      }
-      t.inlined = inlined != 0;
-      trace.tasks.push_back(t);
-    } else if (kind == "frag") {
-      FragmentRec f;
-      int reason = 0;
-      if (!(ls >> f.task >> f.seq >> f.start >> f.end >> f.core >> reason >>
-            f.end_ref) ||
-          !read_counters(ls, f.counters) || reason < 0 || reason > 3) {
-        bad();
-        continue;
-      }
-      f.end_reason = static_cast<FragmentEnd>(reason);
-      trace.fragments.push_back(f);
-    } else if (kind == "join") {
-      JoinRec j;
-      if (!(ls >> j.task >> j.seq >> j.start >> j.end >> j.core)) {
-        bad();
-        continue;
-      }
-      trace.joins.push_back(j);
-    } else if (kind == "loop") {
-      LoopRec l;
-      int sched = 0;
-      if (!(ls >> l.uid >> l.enclosing_task >> l.src >> sched >>
-            l.chunk_param >> l.iter_begin >> l.iter_end >> l.num_threads >>
-            l.starting_thread >> l.seq >> l.start >> l.end) ||
-          sched < 0 || sched > 2) {
-        bad();
-        continue;
-      }
-      l.sched = static_cast<ScheduleKind>(sched);
-      trace.loops.push_back(l);
-    } else if (kind == "chunk") {
-      ChunkRec c;
-      if (!(ls >> c.loop >> c.thread >> c.core >> c.seq_on_thread >>
-            c.iter_begin >> c.iter_end >> c.start >> c.end) ||
-          !read_counters(ls, c.counters)) {
-        bad();
-        continue;
-      }
-      trace.chunks.push_back(c);
-    } else if (kind == "dep") {
-      DependRec d;
-      if (!(ls >> d.pred >> d.succ)) {
-        bad();
-        continue;
-      }
-      trace.depends.push_back(d);
-    } else if (kind == "wstat") {
-      WorkerStatsRec s;
-      if (!(ls >> s.worker >> s.tasks_spawned >> s.tasks_executed >>
-            s.tasks_inlined >> s.steals >> s.steal_failures >>
-            s.cas_failures >> s.deque_pushes >> s.deque_pops >>
-            s.deque_resizes >> s.taskwait_helps >> s.idle_ns >>
-            s.trace_bytes)) {
-        bad();
-        continue;
-      }
-      trace.worker_stats.push_back(s);
-    } else if (kind == "book") {
-      BookkeepRec b;
-      int got = 0;
-      if (!(ls >> b.loop >> b.thread >> b.core >> b.seq_on_thread >> b.start >>
-            b.end >> got)) {
-        bad();
-        continue;
-      }
-      b.got_chunk = got != 0;
-      trace.bookkeeps.push_back(b);
-    } else {
-      add(LoadErrorCode::UnknownRecordKind, static_cast<u64>(lineno), kind,
-          "unknown record kind '" + kind + "' at line " +
-              std::to_string(lineno));
-      if (opts.mode == LoadMode::Strict) aborted = true;
-      // Lenient/Salvage: skip the line (forward compatibility).
-    }
-  }
-  if (aborted) return res;  // fatal diagnostic already recorded
-
-  if (!detail::apply_string_table(strs, salv, trace, res)) return res;
-  detail::finish_load(std::move(trace), opts, res);
-  return res;
-}
-
-}  // namespace
-
-LoadResult load_trace_ex(std::istream& is, const LoadOptions& opts) {
-  if (opts.engine == ParseEngine::Legacy) {
-    return load_trace_text_legacy(is, opts);
-  }
-  const std::string buf = slurp_stream(is);
-  return parse_trace_text(buf, opts);
-}
-
-std::optional<Trace> load_trace(std::istream& is, std::string* error) {
-  LoadResult r = load_trace_ex(is, LoadOptions{LoadMode::Strict, false});
+std::optional<Trace> strict_trace(LoadResult&& r, std::string* error) {
   if (!r.ok()) {
     if (error) {
       const LoadDiagnostic* d = r.first_error();
@@ -489,7 +49,12 @@ std::optional<Trace> load_trace(std::istream& is, std::string* error) {
   return std::move(r.trace);
 }
 
-namespace {
+// Shortest digits that read back as the same double.
+std::string shortest(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
 
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -508,16 +73,65 @@ void put_str(std::ostream& os, const std::string& s) {
   put_u64(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
-void put_counters(std::ostream& os, const Counters& c) {
-  put_u64(os, c.compute);
-  put_u64(os, c.stall);
-  put_u64(os, c.cache_misses);
-  put_u64(os, c.bytes_accessed);
+
+// One record section: the count, then the fixed-stride records.
+template <class Rec>
+void put_section(std::ostream& os, const std::vector<Rec>& recs) {
+  constexpr size_t kStride = codec::kRecordBytes<codec::Ggtb3, Rec>;
+  constexpr size_t kBatch = kWriteBatchBytes / kStride;
+  put_u64(os, recs.size());
+  std::string buf;
+  for (size_t i = 0; i < recs.size(); i += kBatch) {
+    const size_t n = std::min(kBatch, recs.size() - i);
+    buf.resize(n * kStride);
+    char* p = buf.data();
+    for (size_t k = 0; k < n; ++k) p = codec::put<codec::Ggtb3>(p, recs[i + k]);
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  }
 }
 
 constexpr char kBinMagic[] = "GGTB3";  // v3 adds worker stats + profiling meta
 
 }  // namespace
+
+void save_trace(const Trace& trace, std::ostream& os) {
+  os << "ggtrace " << kTraceVersion << '\n';
+  const TraceMeta& m = trace.meta;
+  os << "meta " << escape(m.program) << ' ' << escape(m.runtime) << ' '
+     << escape(m.topology) << ' ' << m.num_workers << ' ' << m.num_cores
+     << ' ' << shortest(m.ghz) << ' ' << m.region_start << ' '
+     << m.region_end << '\n';
+  // v3 profiling-substrate metadata (a separate record so v1/v2 `meta` lines
+  // keep their field layout).
+  os << "metax " << (m.profiled ? 1 : 0) << ' ' << m.trace_buffer_bytes << ' '
+     << escape(m.clock_source) << '\n';
+  for (const std::string& n : m.notes) os << "note " << escape(n) << '\n';
+  // String table (skip the implicit empty string at id 0).
+  const auto& strs = trace.strings.all();
+  for (size_t i = 1; i < strs.size(); ++i)
+    os << "str " << i << ' ' << escape(strs[i]) << '\n';
+  std::string buf;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    for (const Rec& r : schema::Record<Rec>::of(trace)) {
+      codec::append_text(buf, r);
+      if (buf.size() >= kWriteBatchBytes) {
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+      }
+    }
+  });
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+LoadResult load_trace_ex(std::istream& is, const LoadOptions& opts) {
+  const std::string buf = slurp_stream(is);
+  return parse_trace_text(buf, opts);
+}
+
+std::optional<Trace> load_trace(std::istream& is, std::string* error) {
+  return strict_trace(load_trace_ex(is, kStrictNoValidate), error);
+}
 
 void save_trace_binary(const Trace& trace, std::ostream& os) {
   os.write(kBinMagic, 5);
@@ -527,7 +141,9 @@ void save_trace_binary(const Trace& trace, std::ostream& os) {
   put_str(os, m.topology);
   put_u32(os, static_cast<u32>(m.num_workers));
   put_u32(os, static_cast<u32>(m.num_cores));
-  put_u64(os, static_cast<u64>(m.ghz * 1e6));  // micro-GHz fixed point
+  // Micro-GHz fixed point, rounded to the nearest so a value like 4.1 reads
+  // back exactly.
+  put_u64(os, static_cast<u64>(std::llround(m.ghz * 1e6)));
   put_u64(os, m.region_start);
   put_u64(os, m.region_end);
   put_u64(os, m.notes.size());
@@ -537,98 +153,16 @@ void save_trace_binary(const Trace& trace, std::ostream& os) {
   put_u64(os, strs.size());
   for (size_t i = 1; i < strs.size(); ++i) put_str(os, strs[i]);
 
-  put_u64(os, trace.tasks.size());
-  for (const TaskRec& t : trace.tasks) {
-    put_u64(os, t.uid);
-    put_u64(os, t.parent);
-    put_u32(os, t.child_index);
-    put_u32(os, t.src);
-    put_u64(os, t.create_time);
-    put_u32(os, t.create_core);
-    put_u64(os, t.creation_cost);
-    put_u32(os, t.inlined ? 1 : 0);
-  }
-  put_u64(os, trace.fragments.size());
-  for (const FragmentRec& f : trace.fragments) {
-    put_u64(os, f.task);
-    put_u32(os, f.seq);
-    put_u64(os, f.start);
-    put_u64(os, f.end);
-    put_u32(os, f.core);
-    put_u32(os, static_cast<u32>(f.end_reason));
-    put_u64(os, f.end_ref);
-    put_counters(os, f.counters);
-  }
-  put_u64(os, trace.joins.size());
-  for (const JoinRec& j : trace.joins) {
-    put_u64(os, j.task);
-    put_u32(os, j.seq);
-    put_u64(os, j.start);
-    put_u64(os, j.end);
-    put_u32(os, j.core);
-  }
-  put_u64(os, trace.loops.size());
-  for (const LoopRec& l : trace.loops) {
-    put_u64(os, l.uid);
-    put_u64(os, l.enclosing_task);
-    put_u32(os, l.src);
-    put_u32(os, static_cast<u32>(l.sched));
-    put_u64(os, l.chunk_param);
-    put_u64(os, l.iter_begin);
-    put_u64(os, l.iter_end);
-    put_u32(os, l.num_threads);
-    put_u32(os, l.starting_thread);
-    put_u32(os, l.seq);
-    put_u64(os, l.start);
-    put_u64(os, l.end);
-  }
-  put_u64(os, trace.chunks.size());
-  for (const ChunkRec& c : trace.chunks) {
-    put_u64(os, c.loop);
-    put_u32(os, c.thread);
-    put_u32(os, c.core);
-    put_u32(os, c.seq_on_thread);
-    put_u64(os, c.iter_begin);
-    put_u64(os, c.iter_end);
-    put_u64(os, c.start);
-    put_u64(os, c.end);
-    put_counters(os, c.counters);
-  }
-  put_u64(os, trace.bookkeeps.size());
-  for (const BookkeepRec& b : trace.bookkeeps) {
-    put_u64(os, b.loop);
-    put_u32(os, b.thread);
-    put_u32(os, b.core);
-    put_u32(os, b.seq_on_thread);
-    put_u64(os, b.start);
-    put_u64(os, b.end);
-    put_u32(os, b.got_chunk ? 1 : 0);
-  }
-  put_u64(os, trace.depends.size());
-  for (const DependRec& d : trace.depends) {
-    put_u64(os, d.pred);
-    put_u64(os, d.succ);
-  }
-  // v3 trailer: profiling-substrate metadata + per-worker scheduler stats.
-  put_u32(os, m.profiled ? 1 : 0);
-  put_u64(os, m.trace_buffer_bytes);
-  put_str(os, m.clock_source);
-  put_u64(os, trace.worker_stats.size());
-  for (const WorkerStatsRec& s : trace.worker_stats) {
-    put_u32(os, s.worker);
-    put_u64(os, s.tasks_spawned);
-    put_u64(os, s.tasks_executed);
-    put_u64(os, s.tasks_inlined);
-    put_u64(os, s.steals);
-    put_u64(os, s.steal_failures);
-    put_u64(os, s.cas_failures);
-    put_u64(os, s.deque_pushes);
-    put_u64(os, s.deque_pops);
-    put_u64(os, s.deque_resizes);
-    put_u64(os, s.taskwait_helps);
-    put_u64(os, s.idle_ns);
-    put_u64(os, s.trace_bytes);
-  }
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    if constexpr (std::is_same_v<Rec, WorkerStatsRec>) {
+      // v3 trailer: profiling-substrate metadata ahead of the worker stats.
+      put_u32(os, m.profiled ? 1 : 0);
+      put_u64(os, m.trace_buffer_bytes);
+      put_str(os, m.clock_source);
+    }
+    put_section(os, schema::Record<Rec>::of(trace));
+  });
 }
 
 LoadResult load_trace_binary_ex(std::istream& is, const LoadOptions& opts) {
@@ -637,15 +171,7 @@ LoadResult load_trace_binary_ex(std::istream& is, const LoadOptions& opts) {
 }
 
 std::optional<Trace> load_trace_binary(std::istream& is, std::string* error) {
-  LoadResult r = load_trace_binary_ex(is, LoadOptions{LoadMode::Strict, false});
-  if (!r.ok()) {
-    if (error) {
-      const LoadDiagnostic* d = r.first_error();
-      *error = d ? d->message : "load failed";
-    }
-    return std::nullopt;
-  }
-  return std::move(r.trace);
+  return strict_trace(load_trace_binary_ex(is, kStrictNoValidate), error);
 }
 
 bool save_trace_file(const Trace& trace, const std::string& path) {
@@ -663,38 +189,11 @@ bool save_trace_file(const Trace& trace, const std::string& path) {
 LoadResult load_trace_file_ex(const std::string& path,
                               const LoadOptions& opts) {
   const bool binary = has_suffix(path, ".ggbin");
-  if (opts.engine == ParseEngine::Legacy && !binary) {
-    // Seed behavior: stream the file through the line-by-line parser.
-    std::ifstream is(path);
-    if (!is) {
-      LoadResult res;
-      res.source = path;
-      res.diagnostics.push_back(LoadDiagnostic{LoadErrorCode::CannotOpen, 0,
-                                               true, "file",
-                                               "cannot open " + path});
-      return res;
-    }
-    LoadResult res = load_trace_text_legacy(is, opts);
-    res.source = path;
-    return res;
-  }
-  // Both io engines produce one string_view over the whole file, parsed by
-  // the same code with the same byte offsets: Mmap maps regular files
-  // zero-copy (falling back to a read loop for pipes and the like), Stream
-  // always reads into a heap buffer. Failure to get bytes at all is the
-  // same CannotOpen either way.
-  MmapSource mapped;
-  std::string buf;
-  std::string_view bytes;
-  bool opened;
-  if (opts.io == IoSource::Mmap) {
-    opened = mapped.open(path);
-    bytes = mapped.view();
-  } else {
-    opened = read_file_contents(path, buf);
-    bytes = buf;
-  }
-  if (!opened) {
+  // Regular files are mapped zero-copy; pipes and other non-regular files
+  // are read into a buffer. Either way the parser sees one view of the whole
+  // file, so byte offsets in diagnostics are file offsets.
+  MmapSource src;
+  if (!src.open(path)) {
     LoadResult res;
     res.source = path;
     res.diagnostics.push_back(LoadDiagnostic{LoadErrorCode::CannotOpen, 0,
@@ -702,23 +201,15 @@ LoadResult load_trace_file_ex(const std::string& path,
                                              "cannot open " + path});
     return res;
   }
-  LoadResult res = binary ? parse_trace_binary(bytes, opts)
-                          : parse_trace_text(bytes, opts);
+  LoadResult res = binary ? parse_trace_binary(src.view(), opts)
+                          : parse_trace_text(src.view(), opts);
   res.source = path;
   return res;
 }
 
 std::optional<Trace> load_trace_file(const std::string& path,
                                      std::string* error) {
-  LoadResult r = load_trace_file_ex(path, LoadOptions{LoadMode::Strict, false});
-  if (!r.ok()) {
-    if (error) {
-      const LoadDiagnostic* d = r.first_error();
-      *error = d ? d->message : "load failed";
-    }
-    return std::nullopt;
-  }
-  return std::move(r.trace);
+  return strict_trace(load_trace_file_ex(path, kStrictNoValidate), error);
 }
 
 }  // namespace gg

@@ -15,6 +15,7 @@
 #include "obs/span.hpp"
 #include "trace/incremental.hpp"
 #include "trace/mmap_source.hpp"
+#include "trace/record_codec.hpp"
 
 namespace gg::spool {
 
@@ -23,11 +24,6 @@ namespace {
 // --- little-endian primitives ----------------------------------------------
 
 void put_u8(std::string& out, u8 v) { out.push_back(static_cast<char>(v)); }
-
-void put_u16(std::string& out, u16 v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
 
 void put_u32(std::string& out, u32 v) {
   for (int i = 0; i < 4; ++i)
@@ -64,15 +60,6 @@ struct Reader {
   u8 get_u8() {
     if (!need(1)) return 0;
     return static_cast<u8>(p[pos++]);
-  }
-  u16 get_u16() {
-    if (!need(2)) return 0;
-    u16 v = 0;
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<u16>(static_cast<u8>(p[pos + static_cast<size_t>(i)]))
-           << (8 * i);
-    pos += 2;
-    return v;
   }
   u32 get_u32() {
     if (!need(4)) return 0;
@@ -123,271 +110,13 @@ void write_le64(char* p, u64 v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-// --- record payload encoding/decoding --------------------------------------
+/// An epoch payload opens with one u32 record count per record type, in
+/// schema order; the records follow in the same order.
+constexpr size_t kEpochCountBytes = 8 * sizeof(u32);
 
-void put_counters(std::string& out, const Counters& c) {
-  put_u64(out, c.compute);
-  put_u64(out, c.stall);
-  put_u64(out, c.cache_misses);
-  put_u64(out, c.bytes_accessed);
-}
-
-Counters get_counters(Reader& r) {
-  Counters c;
-  c.compute = r.get_u64();
-  c.stall = r.get_u64();
-  c.cache_misses = r.get_u64();
-  c.bytes_accessed = r.get_u64();
-  return c;
-}
-
-void put_task(std::string& out, const TaskRec& t) {
-  put_u64(out, t.uid);
-  put_u64(out, t.parent);
-  put_u32(out, t.child_index);
-  put_u32(out, t.src);
-  put_u64(out, t.create_time);
-  put_u16(out, t.create_core);
-  put_u64(out, t.creation_cost);
-  put_u8(out, t.inlined ? 1 : 0);
-}
-
-TaskRec get_task(Reader& r) {
-  TaskRec t;
-  t.uid = r.get_u64();
-  t.parent = r.get_u64();
-  t.child_index = r.get_u32();
-  t.src = r.get_u32();
-  t.create_time = r.get_u64();
-  t.create_core = r.get_u16();
-  t.creation_cost = r.get_u64();
-  t.inlined = r.get_u8() != 0;
-  return t;
-}
-
-void put_fragment(std::string& out, const FragmentRec& f) {
-  put_u64(out, f.task);
-  put_u32(out, f.seq);
-  put_u64(out, f.start);
-  put_u64(out, f.end);
-  put_u16(out, f.core);
-  put_counters(out, f.counters);
-  put_u8(out, static_cast<u8>(f.end_reason));
-  put_u64(out, f.end_ref);
-}
-
-FragmentRec get_fragment(Reader& r) {
-  FragmentRec f;
-  f.task = r.get_u64();
-  f.seq = r.get_u32();
-  f.start = r.get_u64();
-  f.end = r.get_u64();
-  f.core = r.get_u16();
-  f.counters = get_counters(r);
-  f.end_reason = static_cast<FragmentEnd>(r.get_u8() & 0x3);
-  f.end_ref = r.get_u64();
-  return f;
-}
-
-void put_join(std::string& out, const JoinRec& j) {
-  put_u64(out, j.task);
-  put_u32(out, j.seq);
-  put_u64(out, j.start);
-  put_u64(out, j.end);
-  put_u16(out, j.core);
-}
-
-JoinRec get_join(Reader& r) {
-  JoinRec j;
-  j.task = r.get_u64();
-  j.seq = r.get_u32();
-  j.start = r.get_u64();
-  j.end = r.get_u64();
-  j.core = r.get_u16();
-  return j;
-}
-
-void put_loop(std::string& out, const LoopRec& l) {
-  put_u64(out, l.uid);
-  put_u64(out, l.enclosing_task);
-  put_u32(out, l.src);
-  put_u8(out, static_cast<u8>(l.sched));
-  put_u64(out, l.chunk_param);
-  put_u64(out, l.iter_begin);
-  put_u64(out, l.iter_end);
-  put_u16(out, l.num_threads);
-  put_u16(out, l.starting_thread);
-  put_u32(out, l.seq);
-  put_u64(out, l.start);
-  put_u64(out, l.end);
-}
-
-LoopRec get_loop(Reader& r) {
-  LoopRec l;
-  l.uid = r.get_u64();
-  l.enclosing_task = r.get_u64();
-  l.src = r.get_u32();
-  l.sched = static_cast<ScheduleKind>(r.get_u8() % 3);
-  l.chunk_param = r.get_u64();
-  l.iter_begin = r.get_u64();
-  l.iter_end = r.get_u64();
-  l.num_threads = r.get_u16();
-  l.starting_thread = r.get_u16();
-  l.seq = r.get_u32();
-  l.start = r.get_u64();
-  l.end = r.get_u64();
-  return l;
-}
-
-void put_chunk(std::string& out, const ChunkRec& c) {
-  put_u64(out, c.loop);
-  put_u16(out, c.thread);
-  put_u16(out, c.core);
-  put_u32(out, c.seq_on_thread);
-  put_u64(out, c.iter_begin);
-  put_u64(out, c.iter_end);
-  put_u64(out, c.start);
-  put_u64(out, c.end);
-  put_counters(out, c.counters);
-}
-
-ChunkRec get_chunk(Reader& r) {
-  ChunkRec c;
-  c.loop = r.get_u64();
-  c.thread = r.get_u16();
-  c.core = r.get_u16();
-  c.seq_on_thread = r.get_u32();
-  c.iter_begin = r.get_u64();
-  c.iter_end = r.get_u64();
-  c.start = r.get_u64();
-  c.end = r.get_u64();
-  c.counters = get_counters(r);
-  return c;
-}
-
-void put_bookkeep(std::string& out, const BookkeepRec& b) {
-  put_u64(out, b.loop);
-  put_u16(out, b.thread);
-  put_u16(out, b.core);
-  put_u32(out, b.seq_on_thread);
-  put_u64(out, b.start);
-  put_u64(out, b.end);
-  put_u8(out, b.got_chunk ? 1 : 0);
-}
-
-BookkeepRec get_bookkeep(Reader& r) {
-  BookkeepRec b;
-  b.loop = r.get_u64();
-  b.thread = r.get_u16();
-  b.core = r.get_u16();
-  b.seq_on_thread = r.get_u32();
-  b.start = r.get_u64();
-  b.end = r.get_u64();
-  b.got_chunk = r.get_u8() != 0;
-  return b;
-}
-
-void put_depend(std::string& out, const DependRec& d) {
-  put_u64(out, d.pred);
-  put_u64(out, d.succ);
-}
-
-DependRec get_depend(Reader& r) {
-  DependRec d;
-  d.pred = r.get_u64();
-  d.succ = r.get_u64();
-  return d;
-}
-
-void put_wstat(std::string& out, const WorkerStatsRec& s) {
-  put_u16(out, s.worker);
-  put_u64(out, s.tasks_spawned);
-  put_u64(out, s.tasks_executed);
-  put_u64(out, s.tasks_inlined);
-  put_u64(out, s.steals);
-  put_u64(out, s.steal_failures);
-  put_u64(out, s.cas_failures);
-  put_u64(out, s.deque_pushes);
-  put_u64(out, s.deque_pops);
-  put_u64(out, s.deque_resizes);
-  put_u64(out, s.taskwait_helps);
-  put_u64(out, s.idle_ns);
-  put_u64(out, s.trace_bytes);
-}
-
-WorkerStatsRec get_wstat(Reader& r) {
-  WorkerStatsRec s;
-  s.worker = r.get_u16();
-  s.tasks_spawned = r.get_u64();
-  s.tasks_executed = r.get_u64();
-  s.tasks_inlined = r.get_u64();
-  s.steals = r.get_u64();
-  s.steal_failures = r.get_u64();
-  s.cas_failures = r.get_u64();
-  s.deque_pushes = r.get_u64();
-  s.deque_pops = r.get_u64();
-  s.deque_resizes = r.get_u64();
-  s.taskwait_helps = r.get_u64();
-  s.idle_ns = r.get_u64();
-  s.trace_bytes = r.get_u64();
-  return s;
-}
-
-// Defined below the anonymous namespace (public: spool.hpp declares it for
-// incremental ingestion); forward-declared here for in-file users.
 }  // namespace
-bool decode_epoch_payload(std::string_view payload, RecordBuffer* out);
-namespace {
 
-/// Minimum encoded byte size of each record kind, in count-header order
-/// (tasks, fragments, joins, loops, chunks, bookkeeps, depends, wstats).
-/// Every field is fixed-width, so these are exact sizes; they bound how
-/// many records a payload can possibly hold.
-constexpr u64 kMinRecordBytes[8] = {43, 71, 30, 69, 80, 33, 16, 98};
-
-bool decode_epoch_payload_impl(std::string_view payload, RecordBuffer* out) {
-  Reader r(payload);
-  u32 counts[8];
-  for (u32& c : counts) c = r.get_u32();
-  if (!r.ok) return false;
-  // Validate the declared counts against the bytes actually present before
-  // any allocation is sized from them: a corrupt count field must fail
-  // here, not in a multi-GB reserve(). u64 arithmetic — 8 u32 counts times
-  // ~100-byte records cannot overflow.
-  u64 declared = 0;
-  for (size_t i = 0; i < 8; ++i) declared += counts[i] * kMinRecordBytes[i];
-  if (declared > payload.size() - r.pos) return false;
-  out->tasks.reserve(counts[0]);
-  for (u32 i = 0; i < counts[0] && r.ok; ++i) out->tasks.push_back(get_task(r));
-  out->fragments.reserve(counts[1]);
-  for (u32 i = 0; i < counts[1] && r.ok; ++i)
-    out->fragments.push_back(get_fragment(r));
-  out->joins.reserve(counts[2]);
-  for (u32 i = 0; i < counts[2] && r.ok; ++i) out->joins.push_back(get_join(r));
-  out->loops.reserve(counts[3]);
-  for (u32 i = 0; i < counts[3] && r.ok; ++i) out->loops.push_back(get_loop(r));
-  out->chunks.reserve(counts[4]);
-  for (u32 i = 0; i < counts[4] && r.ok; ++i)
-    out->chunks.push_back(get_chunk(r));
-  out->bookkeeps.reserve(counts[5]);
-  for (u32 i = 0; i < counts[5] && r.ok; ++i)
-    out->bookkeeps.push_back(get_bookkeep(r));
-  out->depends.reserve(counts[6]);
-  for (u32 i = 0; i < counts[6] && r.ok; ++i)
-    out->depends.push_back(get_depend(r));
-  out->worker_stats.reserve(counts[7]);
-  for (u32 i = 0; i < counts[7] && r.ok; ++i)
-    out->worker_stats.push_back(get_wstat(r));
-  return r.ok && r.pos == payload.size();
-}
-
-// Defined below the anonymous namespace (public: spool.hpp declares it for
-// spool-aware tools); forward-declared here for the decoders that use it.
-}  // namespace
-bool decode_meta_payload(std::string_view payload, TraceMeta* out);
-namespace {
-
-bool decode_meta_payload_impl(std::string_view payload, TraceMeta* out) {
+bool decode_meta_payload(std::string_view payload, TraceMeta* out) {
   Reader r(payload);
   TraceMeta m;
   m.program = r.get_str();
@@ -409,8 +138,6 @@ bool decode_meta_payload_impl(std::string_view payload, TraceMeta* out) {
   *out = std::move(m);
   return true;
 }
-
-}  // namespace
 
 /// Checksum over (type, worker, seq, payload) — the header's self-describing
 /// fields plus the data they frame. Public (spool.hpp): spool-aware tools
@@ -513,12 +240,38 @@ void unregister_sink(SpoolSink* sink) {
 
 // --- public pure helpers ----------------------------------------------------
 
-bool decode_meta_payload(std::string_view payload, TraceMeta* out) {
-  return decode_meta_payload_impl(payload, out);
-}
-
 bool decode_epoch_payload(std::string_view payload, RecordBuffer* out) {
-  return decode_epoch_payload_impl(payload, out);
+  if (payload.size() < kEpochCountBytes) return false;
+  u32 counts[8];
+  std::memcpy(counts, payload.data(), kEpochCountBytes);
+  // Validate the declared counts against the bytes actually present before
+  // any allocation is sized from them: a corrupt count field must fail
+  // here, not in a multi-GB resize(). Every record has a fixed size, so the
+  // counts must account for the payload exactly. u64 arithmetic: 8 u32
+  // counts times ~100-byte records cannot overflow.
+  u64 declared = 0;
+  size_t kind = 0;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    declared += u64{counts[kind++]} * codec::kRecordBytes<codec::Spool, Rec>;
+  });
+  if (declared != payload.size() - kEpochCountBytes) return false;
+  const char* p = payload.data() + kEpochCountBytes;
+  bool ok = true;
+  kind = 0;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    constexpr size_t kStride = codec::kRecordBytes<codec::Spool, Rec>;
+    const size_t n = counts[kind++];
+    if (!ok) return;
+    auto& recs = schema::Record<Rec>::of(*out);
+    const size_t base = recs.size();
+    recs.resize(base + n);
+    for (size_t i = 0; i < n && ok; ++i, p += kStride) {
+      ok = codec::get<codec::Spool>(p, recs[base + i]) == codec::Fault::None;
+    }
+  });
+  return ok;
 }
 
 u64 fnv1a(const void* data, size_t len, u64 seed) noexcept {
@@ -531,24 +284,26 @@ u64 fnv1a(const void* data, size_t len, u64 seed) noexcept {
   return h;
 }
 
-void RecordBuffer::clear() {
-  tasks.clear();
-  fragments.clear();
-  joins.clear();
-  loops.clear();
-  chunks.clear();
-  bookkeeps.clear();
-  depends.clear();
-  worker_stats.clear();
+size_t RecordBuffer::records() const {
+  size_t n = 0;
+  schema::for_each_vector(*this, [&](const auto& v) { n += v.size(); });
+  return n;
 }
 
-u64 RecordBuffer::payload_bytes() const {
-  auto bytes = [](const auto& v) {
-    return static_cast<u64>(v.size() * sizeof(v[0]));
-  };
-  return bytes(tasks) + bytes(fragments) + bytes(joins) + bytes(loops) +
-         bytes(chunks) + bytes(bookkeeps) + bytes(depends) +
-         bytes(worker_stats);
+void RecordBuffer::clear() {
+  schema::for_each_vector(*this, [](auto& v) { v.clear(); });
+}
+
+u64 RecordBuffer::payload_bytes() const { return schema::record_bytes(*this); }
+
+void RecordBuffer::move_into(Trace& trace) {
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    auto& src = schema::Record<Rec>::of(*this);
+    auto& dst = schema::Record<Rec>::of(trace);
+    dst.insert(dst.end(), src.begin(), src.end());
+    src.clear();
+  });
 }
 
 std::string encode_frame(FrameType type, u32 worker, u32 seq,
@@ -596,23 +351,23 @@ std::string encode_strings_payload(u32 first_id,
 }
 
 std::string encode_epoch_payload(const RecordBuffer& buf) {
-  std::string out;
-  put_u32(out, static_cast<u32>(buf.tasks.size()));
-  put_u32(out, static_cast<u32>(buf.fragments.size()));
-  put_u32(out, static_cast<u32>(buf.joins.size()));
-  put_u32(out, static_cast<u32>(buf.loops.size()));
-  put_u32(out, static_cast<u32>(buf.chunks.size()));
-  put_u32(out, static_cast<u32>(buf.bookkeeps.size()));
-  put_u32(out, static_cast<u32>(buf.depends.size()));
-  put_u32(out, static_cast<u32>(buf.worker_stats.size()));
-  for (const auto& r : buf.tasks) put_task(out, r);
-  for (const auto& r : buf.fragments) put_fragment(out, r);
-  for (const auto& r : buf.joins) put_join(out, r);
-  for (const auto& r : buf.loops) put_loop(out, r);
-  for (const auto& r : buf.chunks) put_chunk(out, r);
-  for (const auto& r : buf.bookkeeps) put_bookkeep(out, r);
-  for (const auto& r : buf.depends) put_depend(out, r);
-  for (const auto& r : buf.worker_stats) put_wstat(out, r);
+  size_t total = kEpochCountBytes;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    total += schema::Record<Rec>::of(buf).size() *
+             codec::kRecordBytes<codec::Spool, Rec>;
+  });
+  std::string out(total, '\0');
+  char* counts = out.data();
+  char* p = counts + kEpochCountBytes;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    const auto& recs = schema::Record<Rec>::of(buf);
+    const u32 n = static_cast<u32>(recs.size());
+    std::memcpy(counts, &n, sizeof n);
+    counts += sizeof n;
+    for (const Rec& r : recs) p = codec::put<codec::Spool>(p, r);
+  });
   return out;
 }
 
@@ -745,12 +500,7 @@ void SpoolSink::seal_epoch(u32 worker, RecordBuffer& buf,
   if (buf.empty()) return;
   const std::string payload = encode_epoch_payload(buf);
   payload_bytes_.fetch_add(buf.payload_bytes(), std::memory_order_relaxed);
-  if (m_records_ != nullptr) {
-    m_records_->add(buf.tasks.size() + buf.fragments.size() +
-                    buf.joins.size() + buf.loops.size() + buf.chunks.size() +
-                    buf.bookkeeps.size() + buf.depends.size() +
-                    buf.worker_stats.size());
-  }
+  if (m_records_ != nullptr) m_records_->add(buf.records());
   buf.clear();
   std::lock_guard lock(file_mutex_);
   if (delta) {
@@ -1044,26 +794,18 @@ std::vector<RecordBuffer> slice_buffer(RecordBuffer& b, u64 epoch_bytes) {
   std::vector<RecordBuffer> slices;
   slices.emplace_back();
   u64 bytes = 0;
-  auto drain = [&](auto member) {
-    auto& src = b.*member;
-    for (auto& rec : src) {
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    for (const Rec& rec : schema::Record<Rec>::of(b)) {
       if (bytes >= epoch_bytes && !slices.back().empty()) {
         slices.emplace_back();
         bytes = 0;
       }
-      (slices.back().*member).push_back(rec);
+      schema::Record<Rec>::of(slices.back()).push_back(rec);
       bytes += sizeof rec;
     }
-    src.clear();
-  };
-  drain(&RecordBuffer::tasks);
-  drain(&RecordBuffer::fragments);
-  drain(&RecordBuffer::joins);
-  drain(&RecordBuffer::loops);
-  drain(&RecordBuffer::chunks);
-  drain(&RecordBuffer::bookkeeps);
-  drain(&RecordBuffer::depends);
-  drain(&RecordBuffer::worker_stats);
+  });
+  b.clear();
   if (slices.back().empty()) slices.pop_back();
   return slices;
 }
@@ -1089,6 +831,28 @@ std::vector<RecordBuffer> partition_by_worker(const Trace& trace, u32 nw) {
   return per;
 }
 
+/// Splits the trace into per-worker epochs and hands them to
+/// seal(worker, epoch) the way a live run interleaves workers — one epoch
+/// per worker per round, so recovery sees realistically mixed frame order —
+/// calling round_end() after each round.
+template <class Seal, class RoundEnd>
+void seal_rounds(const Trace& trace, u32 nw, u64 epoch_bytes, Seal&& seal,
+                 RoundEnd&& round_end) {
+  std::vector<RecordBuffer> per = partition_by_worker(trace, nw);
+  std::vector<std::vector<RecordBuffer>> sliced(nw);
+  size_t max_slices = 0;
+  for (u32 w = 0; w < nw; ++w) {
+    sliced[w] = slice_buffer(per[w], epoch_bytes);
+    max_slices = std::max(max_slices, sliced[w].size());
+  }
+  for (size_t s = 0; s < max_slices; ++s) {
+    for (u32 w = 0; w < nw; ++w) {
+      if (s < sliced[w].size()) seal(w, sliced[w][s]);
+    }
+    round_end();
+  }
+}
+
 }  // namespace
 
 bool spool_trace(const Trace& trace, const SpoolOptions& opts,
@@ -1101,23 +865,15 @@ bool spool_trace(const Trace& trace, const SpoolOptions& opts,
       out->push_back(std::string(trace.strings.get(i)));
   };
   sink->flush_strings(delta);
-  std::vector<RecordBuffer> per = partition_by_worker(trace, nw);
-  std::vector<std::vector<RecordBuffer>> sliced(nw);
-  size_t max_slices = 0;
-  for (u32 w = 0; w < nw; ++w) {
-    sliced[w] = slice_buffer(per[w], opts.epoch_bytes);
-    max_slices = std::max(max_slices, sliced[w].size());
-  }
-  // Interleave workers the way a live run would: one epoch per worker per
-  // round, so recovery sees realistically mixed frame order.
-  for (size_t s = 0; s < max_slices; ++s) {
-    for (u32 w = 0; w < nw; ++w) {
-      if (s < sliced[w].size()) sink->seal_epoch(w, sliced[w][s], delta);
-    }
-    // Modeled telemetry: one snapshot per seal round, at a deterministic
-    // point in the frame stream (the threaded sink emits on a timer).
-    if (opts.telemetry_source) sink->append_telemetry(opts.telemetry_source());
-  }
+  seal_rounds(
+      trace, nw, opts.epoch_bytes,
+      [&](u32 w, RecordBuffer& epoch) { sink->seal_epoch(w, epoch, delta); },
+      [&] {
+        // Modeled telemetry: one snapshot per seal round, at a deterministic
+        // point in the frame stream (the threaded sink emits on a timer).
+        if (opts.telemetry_source)
+          sink->append_telemetry(opts.telemetry_source());
+      });
   sink->finish(trace.meta);
   return true;
 }
@@ -1136,27 +892,20 @@ std::string spool_trace_bytes(const Trace& trace, u64 epoch_bytes,
     out += encode_frame(FrameType::Strings, 0, 0,
                         encode_strings_payload(1, all));
   }
-  std::vector<RecordBuffer> per = partition_by_worker(trace, nw);
-  std::vector<std::vector<RecordBuffer>> sliced(nw);
   std::vector<u32> seq(nw, 0);
-  size_t max_slices = 0;
-  for (u32 w = 0; w < nw; ++w) {
-    sliced[w] = slice_buffer(per[w], epoch_bytes);
-    max_slices = std::max(max_slices, sliced[w].size());
-  }
   u32 tseq = 0;
-  for (size_t s = 0; s < max_slices; ++s) {
-    for (u32 w = 0; w < nw; ++w) {
-      if (s < sliced[w].size()) {
+  seal_rounds(
+      trace, nw, epoch_bytes,
+      [&](u32 w, RecordBuffer& epoch) {
         out += encode_frame(FrameType::Epoch, w, seq[w]++,
-                            encode_epoch_payload(sliced[w][s]));
-      }
-    }
-    if (tseq < telemetry.size()) {
-      out += encode_frame(FrameType::Telemetry, 0, tseq, telemetry[tseq]);
-      ++tseq;
-    }
-  }
+                            encode_epoch_payload(epoch));
+      },
+      [&] {
+        if (tseq < telemetry.size()) {
+          out += encode_frame(FrameType::Telemetry, 0, tseq, telemetry[tseq]);
+          ++tseq;
+        }
+      });
   for (; tseq < telemetry.size(); ++tseq)
     out += encode_frame(FrameType::Telemetry, 0, tseq, telemetry[tseq]);
   out += encode_frame(FrameType::CleanFooter, 0, 0,

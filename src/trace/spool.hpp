@@ -143,15 +143,15 @@ struct RecordBuffer {
   std::vector<DependRec> depends;
   std::vector<WorkerStatsRec> worker_stats;
 
-  bool empty() const {
-    return tasks.empty() && fragments.empty() && joins.empty() &&
-           loops.empty() && chunks.empty() && bookkeeps.empty() &&
-           depends.empty() && worker_stats.empty();
-  }
+  bool empty() const { return records() == 0; }
+  /// Records of all kinds.
+  size_t records() const;
   void clear();
   /// In-memory payload footprint (sizeof-based, the recorder's
   /// self-measurement unit).
   u64 payload_bytes() const;
+  /// Appends every record to the trace's vectors and clears the buffer.
+  void move_into(Trace& trace);
 };
 
 // --- pure frame encoding (shared by the sink, spool_trace, and tests) ------

@@ -5,7 +5,7 @@
 // which fork sub-batches), interleaved with worksharing loops whose chunks
 // exactly partition the iteration range and carry per-thread bookkeeping.
 // Fully deterministic for a given options struct — the bench harness and the
-// fast/legacy parser equivalence tests rely on byte-identical re-generation.
+// codec round-trip tests rely on byte-identical re-generation.
 #pragma once
 
 #include "trace/trace.hpp"

@@ -6,6 +6,7 @@
 // job runs.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "fault/fault.hpp"
@@ -500,6 +501,138 @@ TEST(SpoolCorpusTest, CraftedCountsRejectedBeforeAllocation) {
   EXPECT_EQ(records_of(rr.trace), records_of(clean.trace));
   EXPECT_FALSE(rr.trace.meta.notes.empty());
   check_spool_invariants(bytes);
+}
+
+// --- one validity rule per field, the same in every codec -------------------
+//
+// The record schema gives each field a kind, and the kind's rule decides:
+// a stored value outside it is a malformed record in every codec, never a
+// silently truncated or masked one.
+
+/// The one fragment of the corpus trace that task 1 runs.
+const FragmentRec& task1_fragment(const Trace& t) {
+  for (const FragmentRec& f : t.fragments) {
+    if (f.task == 1) return f;
+  }
+  ADD_FAILURE() << "corpus trace lost task 1's fragment";
+  return t.fragments.front();
+}
+
+TEST(FieldRuleTest, GgbinCoreBeyondU16IsMalformed) {
+  // GGTB3 widens a fragment's u16 core to a u32 on disk; 65536 does not fit
+  // the member. The record starts with task u64, seq u32, start u64,
+  // end u64, then core.
+  const FragmentRec f = task1_fragment(make_corpus_trace());
+  std::string head(28, '\0');
+  std::memcpy(&head[0], &f.task, 8);
+  std::memcpy(&head[8], &f.seq, 4);
+  std::memcpy(&head[12], &f.start, 8);
+  std::memcpy(&head[20], &f.end, 8);
+  std::string bin = binary_bytes();
+  const size_t rec = bin.find(head);
+  ASSERT_NE(rec, std::string::npos);
+  ASSERT_EQ(bin.find(head, rec + 1), std::string::npos);
+  const u32 core = 65536;
+  std::memcpy(&bin[rec + 28], &core, sizeof core);
+
+  for (const LoadMode mode : {LoadMode::Strict, LoadMode::Lenient}) {
+    std::istringstream is(bin);
+    const LoadResult lr = load_trace_binary_ex(is, LoadOptions{mode, true});
+    EXPECT_EQ(lr.status, LoadStatus::Failed);
+    const LoadDiagnostic* d = lr.first_error();
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->code, LoadErrorCode::MalformedRecord);
+    EXPECT_EQ(d->offset, rec);
+    EXPECT_FALSE(d->offset_is_line);
+    EXPECT_EQ(d->context, "fragments");
+    EXPECT_EQ(d->message, "malformed fragment record");
+  }
+  // Salvage drops the record (and reports it) instead of keeping core 0.
+  std::istringstream is(bin);
+  const LoadResult lr =
+      load_trace_binary_ex(is, LoadOptions{LoadMode::Salvage, true});
+  ASSERT_FALSE(lr.diagnostics.empty());
+  EXPECT_EQ(lr.diagnostics.front().code, LoadErrorCode::MalformedRecord);
+  EXPECT_EQ(lr.diagnostics.front().offset, rec);
+  EXPECT_NE(lr.status, LoadStatus::Ok);
+  check_invariants(bin, /*binary=*/true);
+
+  // Text rejects the same value in the same field.
+  std::string text = text_bytes();
+  const std::string line = "frag " + std::to_string(f.task) + " " +
+                           std::to_string(f.seq) + " " +
+                           std::to_string(f.start) + " " +
+                           std::to_string(f.end) + " ";
+  const size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  const size_t core_at = at + line.size();
+  text.replace(core_at, text.find(' ', core_at) - core_at, "65536");
+  std::istringstream tis(text);
+  const LoadResult tr = load_trace_ex(tis, LoadOptions{LoadMode::Strict, true});
+  EXPECT_EQ(tr.status, LoadStatus::Failed);
+  ASSERT_NE(tr.first_error(), nullptr);
+  EXPECT_EQ(tr.first_error()->code, LoadErrorCode::MalformedRecord);
+  EXPECT_EQ(tr.first_error()->context, "frag");
+}
+
+/// A checksum-valid epoch frame for `worker` at `seq` carrying `payload`.
+std::string epoch_frame(u32 worker, u32 seq, const std::string& payload) {
+  std::string frame(spool::kFrameMagic, sizeof spool::kFrameMagic);
+  frame.push_back(static_cast<char>(spool::FrameType::Epoch));
+  const u64 len = payload.size();
+  const u64 sum = spool::frame_checksum(spool::FrameType::Epoch, worker, seq,
+                                        payload.data(), payload.size());
+  frame.append(reinterpret_cast<const char*>(&worker), 4);
+  frame.append(reinterpret_cast<const char*>(&seq), 4);
+  frame.append(reinterpret_cast<const char*>(&len), 8);
+  frame.append(reinterpret_cast<const char*>(&sum), 8);
+  return frame + payload;
+}
+
+TEST(FieldRuleTest, SpoolEnumBeyondMaxIsCorruptEpoch) {
+  // An epoch payload is eight u32 counts, then the records at native widths.
+  // A fragment stores task u64, seq u32, start u64, end u64, core u16, the
+  // counters group, then end_reason u8; a loop stores uid u64,
+  // enclosing_task u64, src u32, then sched u8.
+  constexpr size_t kCounts = 32;
+  constexpr size_t kEndReason = kCounts + 8 + 4 + 8 + 8 + 2 + 32;
+  constexpr size_t kSched = kCounts + 8 + 8 + 4;
+  spool::RecordBuffer frag_only;
+  frag_only.fragments.emplace_back();
+  spool::RecordBuffer loop_only;
+  loop_only.loops.emplace_back();
+  struct Case {
+    const char* what;
+    const spool::RecordBuffer* records;
+    size_t at;
+    u8 max;
+  };
+  for (const Case c : {Case{"end_reason", &frag_only, kEndReason, 3},
+                       Case{"sched", &loop_only, kSched, 2}}) {
+    std::string payload = spool::encode_epoch_payload(*c.records);
+    spool::RecordBuffer out;
+    payload[c.at] = static_cast<char>(c.max);
+    EXPECT_TRUE(spool::decode_epoch_payload(payload, &out)) << c.what;
+    for (const u8 bad : {u8(c.max + 1), u8(5), u8(255)}) {
+      payload[c.at] = static_cast<char>(bad);
+      EXPECT_FALSE(spool::decode_epoch_payload(payload, &out))
+          << c.what << " = " << int(bad);
+    }
+
+    // Riding a checksum-valid frame in an otherwise pristine spool, the
+    // epoch is counted corrupt and skipped; every real record survives.
+    payload[c.at] = 5;
+    std::string bytes = spool_bytes();
+    const auto frames = spool::scan_frames(bytes);
+    ASSERT_EQ(frames.back().type, spool::FrameType::CleanFooter);
+    bytes.insert(frames.back().offset, epoch_frame(0, 1000, payload));
+    const spool::RecoverResult rr = spool::recover_spool_bytes(bytes);
+    ASSERT_TRUE(rr.usable) << rr.report.summary();
+    EXPECT_EQ(rr.report.frames_corrupt, 1u) << c.what;
+    EXPECT_EQ(rr.trace.fragments.size(), make_corpus_trace().fragments.size());
+    EXPECT_EQ(rr.trace.loops.size(), make_corpus_trace().loops.size());
+    check_spool_invariants(bytes);
+  }
 }
 
 TEST(SpoolCorpusTest, EmptyAndGarbageSpoolsFailCleanly) {

@@ -1,8 +1,10 @@
-// Fast-path equivalence suite: the buffered parser (ParseEngine::Fast) and
-// the parallel metric passes must be drop-in replacements — every analysis
-// output (report, GraphML, CSV, JSON summary) byte-identical to the legacy
-// istream parser with serial metrics, on the committed golden corpus, on a
-// sweep of generator-seeded traces, and across --threads settings.
+// Fast-path equivalence suite: every codec must hand back the trace it was
+// given, and the parallel metric passes must be drop-in replacements. A
+// save then load through text, .ggbin or a spool must return the in-memory
+// trace record for record, and every analysis output (report, GraphML, CSV,
+// JSON summary) must be byte-identical to the original's with serial
+// metrics — on the committed golden corpus, on a sweep of generator-seeded
+// traces, and across --threads settings.
 #include <sstream>
 #include <string>
 
@@ -12,7 +14,9 @@
 #include "export/grain_csv.hpp"
 #include "export/graphml.hpp"
 #include "export/json_summary.hpp"
+#include "trace/fast_parse.hpp"
 #include "trace/serialize.hpp"
+#include "trace/spool.hpp"
 #include "trace/synth.hpp"
 #include "trace/validate.hpp"
 
@@ -24,7 +28,7 @@ namespace gg {
 namespace {
 
 /// Every deterministic analysis output of one trace as a single byte
-/// string. Any engine- or thread-count-dependent behavior shows up as a
+/// string. Any codec- or thread-count-dependent behavior shows up as a
 /// byte diff here.
 std::string analysis_bytes(const Trace& trace, int threads) {
   AnalysisOptions opts;
@@ -39,37 +43,125 @@ std::string analysis_bytes(const Trace& trace, int threads) {
   return os.str();
 }
 
-Trace load_with(const std::string& path, ParseEngine engine) {
+/// Requires `got` to hold exactly `want`'s metadata, strings and records.
+void expect_same_trace(const Trace& want, const Trace& got,
+                       const std::string& what) {
+  const TraceMeta& a = want.meta;
+  const TraceMeta& b = got.meta;
+  EXPECT_EQ(a.program, b.program) << what;
+  EXPECT_EQ(a.runtime, b.runtime) << what;
+  EXPECT_EQ(a.topology, b.topology) << what;
+  EXPECT_EQ(a.num_workers, b.num_workers) << what;
+  EXPECT_EQ(a.num_cores, b.num_cores) << what;
+  EXPECT_EQ(a.ghz, b.ghz) << what;
+  EXPECT_EQ(a.region_start, b.region_start) << what;
+  EXPECT_EQ(a.region_end, b.region_end) << what;
+  EXPECT_EQ(a.notes, b.notes) << what;
+  EXPECT_EQ(a.profiled, b.profiled) << what;
+  EXPECT_EQ(a.trace_buffer_bytes, b.trace_buffer_bytes) << what;
+  EXPECT_EQ(a.clock_source, b.clock_source) << what;
+  EXPECT_EQ(want.strings.all(), got.strings.all()) << what;
+  EXPECT_TRUE(want.tasks == got.tasks) << what << ": tasks";
+  EXPECT_TRUE(want.fragments == got.fragments) << what << ": fragments";
+  EXPECT_TRUE(want.joins == got.joins) << what << ": joins";
+  EXPECT_TRUE(want.loops == got.loops) << what << ": loops";
+  EXPECT_TRUE(want.chunks == got.chunks) << what << ": chunks";
+  EXPECT_TRUE(want.bookkeeps == got.bookkeeps) << what << ": bookkeeps";
+  EXPECT_TRUE(want.depends == got.depends) << what << ": depends";
+  EXPECT_TRUE(want.worker_stats == got.worker_stats)
+      << what << ": worker stats";
+}
+
+enum class Codec { Text, Binary, Spool };
+constexpr Codec kCodecs[] = {Codec::Text, Codec::Binary, Codec::Spool};
+
+const char* name_of(Codec c) {
+  switch (c) {
+    case Codec::Text: return "text";
+    case Codec::Binary: return "binary";
+    case Codec::Spool: return "spool";
+  }
+  return "?";
+}
+
+/// Spool recovery of `bytes`, which must be a clean, complete spool.
+Trace recover_clean(const std::string& bytes, const std::string& what) {
+  spool::RecoverResult rr = spool::recover_spool_bytes(bytes);
+  EXPECT_TRUE(rr.usable && !rr.report.partial() &&
+              rr.report.frames_corrupt == 0)
+      << what << ": " << rr.report.summary();
+  return std::move(rr.trace);
+}
+
+/// Saves `t` with one codec and loads it back (strict, parallel decode).
+Trace round_trip(const Trace& t, Codec codec) {
+  if (codec == Codec::Spool) {
+    return recover_clean(spool::spool_trace_bytes(t, /*epoch_bytes=*/4096),
+                         "spool round trip");
+  }
+  std::ostringstream os;
   LoadOptions lo;
-  lo.engine = engine;
+  lo.mode = LoadMode::Strict;
+  lo.threads = 0;
+  LoadResult lr;
+  if (codec == Codec::Text) {
+    save_trace(t, os);
+    std::istringstream is(os.str());
+    lr = load_trace_ex(is, lo);
+  } else {
+    save_trace_binary(t, os);
+    std::istringstream is(os.str());
+    lr = load_trace_binary_ex(is, lo);
+  }
+  EXPECT_TRUE(lr.usable()) << name_of(codec) << ": " << lr.describe();
+  return lr.trace.value_or(Trace{});
+}
+
+Trace load_file(const std::string& path) {
+  LoadOptions lo;
   lo.mode = LoadMode::Strict;
   LoadResult lr = load_trace_file_ex(path, lo);
   EXPECT_TRUE(lr.usable()) << path << ": " << lr.describe();
-  return lr.trace.value();
+  return lr.trace.value_or(Trace{});
+}
+
+std::string read_file(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(read_file_contents(path, bytes)) << path;
+  return bytes;
 }
 
 class GoldenFastPathTest : public ::testing::TestWithParam<const char*> {};
 
-// Both serialization formats, both parse engines, serial and parallel
-// metrics: all four paths must agree byte-for-byte on the full output.
-TEST_P(GoldenFastPathTest, EnginesAgreeOnEveryOutput) {
+// The committed .ggtrace is the in-memory reference: the committed .ggbin
+// and .ggspool hold the same trace, every codec hands it back unchanged,
+// and the full output matches the reference's serial output at every
+// thread setting.
+TEST_P(GoldenFastPathTest, CodecsReturnTheInMemoryTrace) {
   const std::string base = std::string(GG_GOLDEN_DIR) + "/" + GetParam();
-  const Trace legacy_text = load_with(base + ".ggtrace", ParseEngine::Legacy);
-  const Trace fast_text = load_with(base + ".ggtrace", ParseEngine::Fast);
-  const Trace fast_bin = load_with(base + ".ggbin", ParseEngine::Fast);
+  const Trace reference = load_file(base + ".ggtrace");
+  const std::string expected = analysis_bytes(reference, /*threads=*/1);
+  EXPECT_EQ(expected, analysis_bytes(reference, /*threads=*/0));
 
-  const std::string expected = analysis_bytes(legacy_text, /*threads=*/1);
-  EXPECT_EQ(expected, analysis_bytes(fast_text, /*threads=*/1));
-  EXPECT_EQ(expected, analysis_bytes(fast_text, /*threads=*/0));
-  EXPECT_EQ(expected, analysis_bytes(fast_bin, /*threads=*/0));
+  expect_same_trace(reference, load_file(base + ".ggbin"), "committed .ggbin");
+  expect_same_trace(reference,
+                    recover_clean(read_file(base + ".ggspool"), base),
+                    "committed .ggspool");
+  for (const Codec codec : kCodecs) {
+    const Trace back = round_trip(reference, codec);
+    expect_same_trace(reference, back, name_of(codec));
+    EXPECT_EQ(expected, analysis_bytes(back, /*threads=*/0))
+        << name_of(codec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenFastPathTest,
                          ::testing::Values("tasks_mir4", "loops_gcc2",
                                            "exact_zero1"));
 
-// 50 generator-seeded traces round-tripped through the text format and
-// loaded by both engines; the full analysis output must match.
+// 50 generator-seeded traces through every codec: each load must return the
+// original record for record, and the full analysis output must match the
+// original's.
 TEST(FastPathSweepTest, FiftySeededTracesAgree) {
   for (u64 seed = 1; seed <= 50; ++seed) {
     SynthOptions sopts;
@@ -80,21 +172,14 @@ TEST(FastPathSweepTest, FiftySeededTracesAgree) {
     const Trace trace = synth_trace(sopts);
     ASSERT_TRUE(validate_trace_structured(trace).violations.empty())
         << "seed " << seed;
-    std::ostringstream text;
-    save_trace(trace, text);
-
-    LoadOptions fast, legacy;
-    fast.engine = ParseEngine::Fast;
-    legacy.engine = ParseEngine::Legacy;
-    fast.mode = legacy.mode = LoadMode::Strict;
-    std::istringstream fis(text.str()), lis(text.str());
-    LoadResult fr = load_trace_ex(fis, fast);
-    LoadResult lr = load_trace_ex(lis, legacy);
-    ASSERT_TRUE(fr.usable()) << "seed " << seed << ": " << fr.describe();
-    ASSERT_TRUE(lr.usable()) << "seed " << seed << ": " << lr.describe();
-    ASSERT_EQ(analysis_bytes(*lr.trace, /*threads=*/1),
-              analysis_bytes(*fr.trace, /*threads=*/0))
-        << "seed " << seed;
+    const std::string expected = analysis_bytes(trace, /*threads=*/1);
+    for (const Codec codec : kCodecs) {
+      const std::string what =
+          std::string(name_of(codec)) + " seed " + std::to_string(seed);
+      const Trace back = round_trip(trace, codec);
+      expect_same_trace(trace, back, what);
+      ASSERT_EQ(expected, analysis_bytes(back, /*threads=*/0)) << what;
+    }
   }
 }
 

@@ -1,10 +1,11 @@
 // mmap ingestion equivalence suite: file-path loads through the zero-copy
-// mmap source and the read()-based stream fallback must be indistinguishable
-// — identical status, identical diagnostics (codes, offsets, contexts,
-// messages), identical salvaged traces — in every load mode, on pristine
-// inputs, on a damaged-file sweep, and on the edge cases where the two io
-// paths genuinely differ underneath (zero-length files, page-boundary
-// truncation, non-regular files that force the fallback).
+// mmap source must be indistinguishable from parsing the same bytes read
+// into a buffer (read_file_contents + parse_trace_*) — identical status,
+// identical diagnostics (codes, offsets, contexts, messages), identical
+// salvaged traces — in every load mode, on pristine inputs, on a
+// damaged-file sweep, and on the edge cases where mapping genuinely differs
+// from reading (zero-length files, page-boundary truncation, non-regular
+// files that force the read() fallback).
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault.hpp"
+#include "trace/fast_parse.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
 #include "trace/synth.hpp"
@@ -50,26 +52,40 @@ std::string fingerprint(const LoadResult& lr) {
   return os.str();
 }
 
-LoadResult load_io(const std::string& path, LoadMode mode, IoSource io,
-                   int threads = 1) {
+LoadOptions options(LoadMode mode, int threads) {
   LoadOptions opts;
   opts.mode = mode;
-  opts.io = io;
   opts.threads = threads;
-  return load_trace_file_ex(path, opts);
+  return opts;
 }
 
-/// The core check: write `bytes` to a file and require the mmap and stream
-/// paths to agree byte-for-byte on the outcome in all three load modes.
+/// A file-path load: mmap for regular files, read() for the rest.
+LoadResult load_file(const std::string& path, LoadMode mode, int threads = 1) {
+  return load_trace_file_ex(path, options(mode, threads));
+}
+
+/// The reference: the file's bytes read into a buffer, then parsed.
+LoadResult parse_buffered(const std::string& path, LoadMode mode,
+                          int threads = 1) {
+  std::string bytes;
+  EXPECT_TRUE(read_file_contents(path, bytes)) << path;
+  const bool binary = path.size() >= 6 &&
+                      path.compare(path.size() - 6, 6, ".ggbin") == 0;
+  return binary ? parse_trace_binary(bytes, options(mode, threads))
+                : parse_trace_text(bytes, options(mode, threads));
+}
+
+/// The core check: write `bytes` to a file and require the file-path load
+/// and the buffered parse to agree byte-for-byte in all three load modes.
 void expect_io_equivalence(const std::string& path, const std::string& bytes) {
   write_file(path, bytes);
   for (const LoadMode mode :
        {LoadMode::Strict, LoadMode::Lenient, LoadMode::Salvage}) {
-    const LoadResult m = load_io(path, mode, IoSource::Mmap);
-    const LoadResult s = load_io(path, mode, IoSource::Stream);
+    const LoadResult m = load_file(path, mode);
+    const LoadResult s = parse_buffered(path, mode);
     ASSERT_EQ(fingerprint(m), fingerprint(s))
-        << "io paths disagree, mode " << static_cast<int>(mode) << ", "
-        << bytes.size() << " bytes, " << path;
+        << "mmap and buffered loads disagree, mode " << static_cast<int>(mode)
+        << ", " << bytes.size() << " bytes, " << path;
   }
 }
 
@@ -100,17 +116,15 @@ TEST(MmapIngestTest, PristineFilesAgreeAndLoadOk) {
   const std::string bin = temp_path("clean.ggbin");
   expect_io_equivalence(text, text_bytes(t));
   expect_io_equivalence(bin, binary_bytes(t));
-  EXPECT_EQ(load_io(text, LoadMode::Strict, IoSource::Mmap).status,
-            LoadStatus::Ok);
-  EXPECT_EQ(load_io(bin, LoadMode::Strict, IoSource::Mmap).status,
-            LoadStatus::Ok);
+  EXPECT_EQ(load_file(text, LoadMode::Strict).status, LoadStatus::Ok);
+  EXPECT_EQ(load_file(bin, LoadMode::Strict).status, LoadStatus::Ok);
 }
 
 TEST(MmapIngestTest, ZeroLengthFilesFailIdentically) {
   for (const char* name : {"empty.ggtrace", "empty.ggbin"}) {
     const std::string path = temp_path(name);
     expect_io_equivalence(path, std::string());
-    const LoadResult lr = load_io(path, LoadMode::Salvage, IoSource::Mmap);
+    const LoadResult lr = load_file(path, LoadMode::Salvage);
     EXPECT_EQ(lr.status, LoadStatus::Failed) << path;
     ASSERT_NE(lr.first_error(), nullptr) << path;
     // Text reports the missing header, binary the missing magic.
@@ -123,14 +137,16 @@ TEST(MmapIngestTest, ZeroLengthFilesFailIdentically) {
 TEST(MmapIngestTest, NonexistentFilesFailIdentically) {
   const std::string path = temp_path("does_not_exist.ggbin");
   ::unlink(path.c_str());
+  std::string unused;
+  EXPECT_FALSE(read_file_contents(path, unused));
   for (const LoadMode mode :
        {LoadMode::Strict, LoadMode::Lenient, LoadMode::Salvage}) {
-    const LoadResult m = load_io(path, mode, IoSource::Mmap);
-    const LoadResult s = load_io(path, mode, IoSource::Stream);
-    EXPECT_EQ(fingerprint(m), fingerprint(s));
+    const LoadResult m = load_file(path, mode);
     EXPECT_EQ(m.status, LoadStatus::Failed);
-    ASSERT_NE(m.first_error(), nullptr);
+    EXPECT_FALSE(m.trace.has_value());
+    ASSERT_EQ(m.diagnostics.size(), 1u);
     EXPECT_EQ(m.first_error()->code, LoadErrorCode::CannotOpen);
+    EXPECT_EQ(m.first_error()->message, "cannot open " + path);
   }
 }
 
@@ -200,14 +216,12 @@ TEST(MmapIngestTest, CorruptedSectionsDecodeIdenticallyAcrossThreadCounts) {
     for (const LoadMode mode :
          {LoadMode::Strict, LoadMode::Lenient, LoadMode::Salvage}) {
       const std::string serial =
-          fingerprint(load_io(path, mode, IoSource::Mmap, /*threads=*/1));
+          fingerprint(load_file(path, mode, /*threads=*/1));
       for (const int threads : {2, 4, 8}) {
-        EXPECT_EQ(serial,
-                  fingerprint(load_io(path, mode, IoSource::Mmap, threads)))
+        EXPECT_EQ(serial, fingerprint(load_file(path, mode, threads)))
             << "threads " << threads << ", mode " << static_cast<int>(mode);
       }
-      EXPECT_EQ(serial,
-                fingerprint(load_io(path, mode, IoSource::Stream, 8)));
+      EXPECT_EQ(serial, fingerprint(parse_buffered(path, mode, 8)));
     }
   }
 }
@@ -231,7 +245,7 @@ TEST(MmapIngestTest, FifoFallsBackToShortReadLoop) {
       pos += n;
     }
   });
-  const LoadResult lr = load_io(path, LoadMode::Strict, IoSource::Mmap);
+  const LoadResult lr = load_file(path, LoadMode::Strict);
   writer.join();
   ::unlink(path.c_str());
   ASSERT_TRUE(lr.usable()) << lr.describe();

@@ -4,6 +4,7 @@
 
 #include "trace/recorder.hpp"
 #include "trace/serialize.hpp"
+#include "trace/spool.hpp"
 #include "trace/trace.hpp"
 #include "trace/validate.hpp"
 
@@ -306,6 +307,107 @@ TEST(TraceSerializeTest, PreV3TextTraceStillLoads) {
   EXPECT_TRUE(loaded->worker_stats.empty());
   EXPECT_EQ(loaded->tasks.size(), t.tasks.size());
   EXPECT_TRUE(validate_trace(*loaded).empty());
+}
+
+TEST(TraceSerializeTest, PreV3BinaryTracesStillLoad) {
+  // GGTB2 is GGTB3 without the trailer (u32 profiled, u64 buffer bytes,
+  // length-prefixed clock source) and the worker-stats section: with no
+  // worker stats and an empty clock source, the last 28 bytes. GGTB1 also
+  // lacks the dependence section: with no dependences, 8 bytes more.
+  Trace t = make_sample_trace();
+  t.worker_stats.clear();
+  t.meta.clock_source.clear();
+  t.depends.push_back(DependRec{1, 2});
+  auto ggbin = [](const Trace& tr) {
+    std::ostringstream os(std::ios::binary);
+    save_trace_binary(tr, os);
+    return os.str();
+  };
+  auto load = [](const std::string& bytes) {
+    std::istringstream is(bytes, std::ios::binary);
+    std::string error;
+    auto loaded = load_trace_binary(is, &error);
+    EXPECT_TRUE(loaded.has_value()) << error;
+    return loaded;
+  };
+
+  std::string v2 = ggbin(t);
+  v2.resize(v2.size() - 28);
+  v2.replace(0, 5, "GGTB2");
+  const auto from_v2 = load(v2);
+  ASSERT_TRUE(from_v2.has_value());
+  EXPECT_EQ(from_v2->depends.size(), t.depends.size());
+  EXPECT_EQ(from_v2->fragments.size(), t.fragments.size());
+  EXPECT_TRUE(from_v2->meta.profiled);
+  EXPECT_TRUE(from_v2->worker_stats.empty());
+  EXPECT_TRUE(validate_trace(*from_v2).empty());
+
+  t.depends.clear();
+  std::string v1 = ggbin(t);
+  v1.resize(v1.size() - 36);
+  v1.replace(0, 5, "GGTB1");
+  const auto from_v1 = load(v1);
+  ASSERT_TRUE(from_v1.has_value());
+  EXPECT_TRUE(from_v1->depends.empty());
+  EXPECT_EQ(from_v1->bookkeeps.size(), t.bookkeeps.size());
+  EXPECT_TRUE(validate_trace(*from_v1).empty());
+}
+
+TEST(TraceSerializeTest, PreV2TextTraceStillLoads) {
+  Trace t = make_sample_trace();
+  t.depends.clear();
+  std::ostringstream os;
+  save_trace(t, os);
+  std::istringstream lines(os.str());
+  std::string line, old;
+  while (std::getline(lines, line)) {
+    if (line.rfind("ggtrace ", 0) == 0) {
+      old += "ggtrace 1\n";
+    } else if (line.rfind("metax", 0) != 0 && line.rfind("wstat", 0) != 0) {
+      old += line + "\n";
+    }
+  }
+  std::istringstream is(old);
+  std::string error;
+  auto loaded = load_trace(is, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->tasks.size(), t.tasks.size());
+  EXPECT_TRUE(validate_trace(*loaded).empty());
+}
+
+// The clock frequency survives every codec: text prints the shortest digits
+// that read back exactly, GGTB3 rounds to its micro-GHz fixed point, and a
+// spool stores the double's bits.
+TEST(TraceSerializeTest, GhzRoundTripsThroughEveryCodec) {
+  struct Case {
+    double ghz;
+    double from_ggbin;  ///< nearest micro-GHz
+  };
+  for (const Case c :
+       {Case{4.1, 4.1}, Case{2.01, 2.01}, Case{8.2, 8.2},
+        Case{2.0123456, 2.012346}}) {
+    Trace t = make_sample_trace();
+    t.meta.ghz = c.ghz;
+
+    std::ostringstream text;
+    save_trace(t, text);
+    std::istringstream tis(text.str());
+    const auto from_text = load_trace(tis);
+    ASSERT_TRUE(from_text.has_value());
+    EXPECT_EQ(from_text->meta.ghz, c.ghz) << "text";
+
+    std::ostringstream bin(std::ios::binary);
+    save_trace_binary(t, bin);
+    std::istringstream bis(bin.str(), std::ios::binary);
+    const auto from_bin = load_trace_binary(bis);
+    ASSERT_TRUE(from_bin.has_value());
+    EXPECT_EQ(from_bin->meta.ghz, c.from_ggbin) << "ggbin";
+
+    const spool::RecoverResult rr =
+        spool::recover_spool_bytes(spool::spool_trace_bytes(t, 4096));
+    ASSERT_TRUE(rr.usable) << rr.report.summary();
+    EXPECT_EQ(rr.trace.meta.ghz, c.ghz) << "spool";
+  }
 }
 
 TEST(TraceTest, WorkerStatsLookup) {

@@ -48,8 +48,6 @@
 //                            grain derivation, and the metric passes
 //                            (0 = auto; results are bit-identical for
 //                            every setting)
-//     --legacy-parse         use the original istream-based text parser
-//                            instead of the buffered fast path
 //
 //   gganalyze --selftest [programs] [schedules]
 //     Runs the built-in differential oracle (src/check): generated programs
@@ -115,7 +113,7 @@ int usage(const char* argv0) {
                "[--chrome f] [--reduced] [--summarize N] [--compare t] "
                "[--topology opteron48|generic4|generic16] [--timeline] "
                "[--strict|--salvage|--recover] [--timing] [--threads N] "
-               "[--legacy-parse] [--telemetry[=prom|json|chrome]]\n"
+               "[--telemetry[=prom|json|chrome]]\n"
                "       %s --selftest [programs] [schedules]\n"
                "  --recover  treat the input as a crash spool (.ggspool is\n"
                "             auto-detected): replay the longest valid frame\n"
@@ -165,10 +163,11 @@ std::string analysis_bytes(const Trace& trace, int threads) {
   return out.str();
 }
 
-/// Fast/legacy parse-engine equivalence: synthetic traces are serialized to
-/// both formats, re-loaded through both engines, and fully analyzed with
-/// serial and parallel metric settings; every output must be byte-identical.
-int run_engine_equivalence(u64 base_seed) {
+/// Codec round-trip equivalence: synthetic traces are saved as text, .ggbin
+/// and a spool and loaded back; every load must equal the in-memory original
+/// record for record (it re-saves to the same text) and give the original's
+/// analysis output under serial and parallel settings.
+int run_codec_equivalence(u64 base_seed) {
   int failures = 0;
   for (int round = 0; round < 3; ++round) {
     SynthOptions sopts;
@@ -179,37 +178,42 @@ int run_engine_equivalence(u64 base_seed) {
     save_trace(trace, text);
     save_trace_binary(trace, bin);
     const std::string expected = analysis_bytes(trace, /*threads=*/1);
-
+    auto load = [](const std::string& bytes, bool binary, int threads) {
+      LoadOptions lo;
+      lo.threads = threads;
+      std::istringstream is(bytes);
+      LoadResult lr =
+          binary ? load_trace_binary_ex(is, lo) : load_trace_ex(is, lo);
+      return lr.usable() ? std::move(lr.trace) : std::nullopt;
+    };
+    spool::RecoverResult rr =
+        spool::recover_spool_bytes(spool::spool_trace_bytes(trace, 4096));
     struct Case {
       const char* name;
-      ParseEngine engine;
-      bool binary;
       int threads;
+      std::optional<Trace> loaded;
     };
-    const Case cases[] = {
-        {"fast/text/parallel", ParseEngine::Fast, false, 0},
-        {"legacy/text/serial", ParseEngine::Legacy, false, 1},
-        {"fast/binary/parallel", ParseEngine::Fast, true, 0},
-        {"fast/text/4-threads", ParseEngine::Fast, false, 4},
+    Case cases[] = {
+        {"text/parallel", 0, load(text.str(), false, 0)},
+        {"text/4-threads", 4, load(text.str(), false, 4)},
+        {"binary/parallel", 0, load(bin.str(), true, 0)},
+        {"spool/parallel", 0,
+         rr.usable && !rr.report.partial() ? std::move(rr.trace)
+                                           : std::optional<Trace>()},
     };
     for (const Case& c : cases) {
-      LoadOptions lo;
-      lo.engine = c.engine;
-      std::istringstream is(c.binary ? bin.str() : text.str());
-      LoadResult lr =
-          c.binary ? load_trace_binary_ex(is, lo) : load_trace_ex(is, lo);
-      if (!lr.usable()) {
-        std::fprintf(stderr, "[selftest] equivalence %s seed %llu: load "
-                     "failed: %s", c.name,
-                     static_cast<unsigned long long>(sopts.seed),
-                     lr.describe().c_str());
-        ++failures;
-        continue;
-      }
-      if (analysis_bytes(*lr.trace, c.threads) != expected) {
-        std::fprintf(stderr, "[selftest] equivalence %s seed %llu: output "
-                     "differs from reference\n", c.name,
-                     static_cast<unsigned long long>(sopts.seed));
+      std::ostringstream again;
+      if (c.loaded) save_trace(*c.loaded, again);
+      const char* why =
+          !c.loaded                   ? "load failed"
+          : again.str() != text.str() ? "records differ from the original"
+          : analysis_bytes(*c.loaded, c.threads) != expected
+              ? "output differs from the original's"
+              : nullptr;
+      if (why != nullptr) {
+        std::fprintf(stderr, "[selftest] equivalence %s seed %llu: %s\n",
+                     c.name, static_cast<unsigned long long>(sopts.seed),
+                     why);
         ++failures;
       }
     }
@@ -344,8 +348,8 @@ int run_selftest(int programs, int schedules) {
     collect(gg::check::check_central_queue(dopts));
   }
 
-  std::fprintf(stderr, "[selftest] parse-engine equivalence sweep\n");
-  const int equiv_failures = run_engine_equivalence(base_seed);
+  std::fprintf(stderr, "[selftest] codec round-trip equivalence sweep\n");
+  const int equiv_failures = run_codec_equivalence(base_seed);
 
   std::fprintf(stderr, "[selftest] crash recovery round-trip\n");
   const int crash_failures = run_crash_recovery_smoke(base_seed);
@@ -356,7 +360,7 @@ int run_selftest(int programs, int schedules) {
   for (size_t i = 0; i < queue_violations.size() && i < 10; ++i) {
     std::fprintf(stderr, "  %s\n", queue_violations[i].c_str());
   }
-  std::fprintf(stderr, "[selftest] engine equivalence: %d failure(s)\n",
+  std::fprintf(stderr, "[selftest] codec equivalence: %d failure(s)\n",
                equiv_failures);
   std::fprintf(stderr, "[selftest] crash recovery: %d failure(s)\n",
                crash_failures);
@@ -383,7 +387,7 @@ int main(int argc, char** argv) {
   std::optional<Problem> view;
   bool reduced = false, timeline = false;
   bool strict = false, salvage = false, recover = false;
-  bool timing = false, legacy_parse = false;
+  bool timing = false;
   std::string telemetry_mode;  // "", "prom", "json", or "chrome"
   if (obs::env_enabled()) telemetry_mode = "prom";
   int threads = 0;
@@ -472,8 +476,6 @@ int main(int argc, char** argv) {
                      telemetry_mode.c_str());
         return 2;
       }
-    } else if (arg == "--legacy-parse") {
-      legacy_parse = true;
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--salvage") {
@@ -551,7 +553,6 @@ int main(int argc, char** argv) {
     LoadOptions lopts;
     lopts.mode = salvage ? LoadMode::Salvage
                          : (strict ? LoadMode::Strict : LoadMode::Lenient);
-    lopts.engine = legacy_parse ? ParseEngine::Legacy : ParseEngine::Fast;
     lopts.threads = threads;
     const i64 load_start = now_ns();
     lr = load_trace_file_ex(trace_path, lopts);
@@ -706,15 +707,14 @@ int main(int argc, char** argv) {
   if (timing) {
     std::error_code ec;
     const auto input_bytes = std::filesystem::file_size(trace_path, ec);
-    const int load_threads = legacy_parse ? 1 : resolve_threads(threads);
+    const int load_threads = resolve_threads(threads);
     std::fprintf(stderr,
-                 "[timing] input %llu bytes (%s engine)\n"
+                 "[timing] input %llu bytes\n"
                  "[timing] load     %10.3f ms (%d thread(s))\n"
                  "[timing] graph    %10.3f ms (%d thread(s))\n"
                  "[timing] grains   %10.3f ms (%d thread(s))\n"
                  "[timing] metrics  %10.3f ms (%d thread(s))\n",
                  ec ? 0ULL : static_cast<unsigned long long>(input_bytes),
-                 legacy_parse ? "legacy" : "fast",
                  static_cast<double>(load_ns) / 1e6, load_threads,
                  static_cast<double>(timings.graph_ns) / 1e6,
                  timings.graph_threads,
