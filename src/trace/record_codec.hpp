@@ -103,7 +103,8 @@ namespace detail {
 
 template <size_t W>
 using Word = std::conditional_t<
-    W == 8, u64, std::conditional_t<W == 4, u32, std::conditional_t<W == 2, u16, u8>>>;
+    W == 8, u64,
+    std::conditional_t<W == 4, u32, std::conditional_t<W == 2, u16, u8>>>;
 
 template <size_t W>
 inline void store(char*& p, u64 v) {
@@ -243,7 +244,7 @@ void append_text(std::string& out, const Rec& r) {
 // read into a 64-bit unsigned target, and the position resting on the first
 // unconsumed character. Once one extraction fails, every later one fails
 // too (failbit behavior), so a whole-record `if (!(c >> a >> b >> ...))`
-// reads exactly like the stream code it replaces.
+// behaves exactly like the same istream extraction.
 
 inline bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' ||

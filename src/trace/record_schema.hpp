@@ -201,7 +201,8 @@ constexpr void for_each_vector(Records& records, F&& f) {
 template <class Records>
 u64 record_bytes(const Records& records) {
   u64 n = 0;
-  for_each_vector(records, [&](const auto& v) { n += v.size() * sizeof(v[0]); });
+  for_each_vector(records,
+                  [&](const auto& v) { n += v.size() * sizeof(v[0]); });
   return n;
 }
 
@@ -227,7 +228,7 @@ constexpr Order<Rec> schema_order() {
 /// spool codec visits fragment fields in this order instead.
 template <class Rec>
 inline constexpr Order<Rec> kSpoolOrder = schema_order<Rec>();
-template <>
+template <>  // task, seq, start, end, core, counters, end_reason, end_ref
 inline constexpr Order<FragmentRec> kSpoolOrder<FragmentRec> = {
     0, 1, 2, 3, 4, 7, 5, 6};
 static_assert(std::tuple_element_t<7, Record<FragmentRec>::Fields>::kind ==

@@ -547,7 +547,7 @@ TEST(FieldRuleTest, GgbinCoreBeyondU16IsMalformed) {
     EXPECT_EQ(d->context, "fragments");
     EXPECT_EQ(d->message, "malformed fragment record");
   }
-  // Salvage drops the record (and reports it) instead of keeping core 0.
+  // Salvage reports the record and drops it.
   std::istringstream is(bin);
   const LoadResult lr =
       load_trace_binary_ex(is, LoadOptions{LoadMode::Salvage, true});
