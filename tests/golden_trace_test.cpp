@@ -119,8 +119,8 @@ TEST_P(GoldenTraceTest, RecoveredSpoolMatchesCommittedExpectation) {
   const spool::RecoverResult rr =
       spool::recover_spool_file(base + ".ggspool");
   ASSERT_TRUE(rr.usable) << rr.report.summary();
-  EXPECT_TRUE(rr.report.clean_footer) << rr.report.summary();
-  EXPECT_EQ(rr.report.frames_corrupt, 0u) << rr.report.summary();
+  ASSERT_TRUE(rr.report.clean_footer) << rr.report.summary();
+  ASSERT_EQ(rr.report.frames_corrupt, 0u) << rr.report.summary();
   // Every worker's records span several epoch frames, so the per-worker
   // epoch sequencing is part of what the committed bytes pin.
   for (const u64 epochs : rr.report.epochs_per_worker) EXPECT_GE(epochs, 2u);
