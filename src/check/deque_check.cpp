@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "rts/central_queue.hpp"
+#include "rts/chase_lev_deque.hpp"
 #include "rts/preempt.hpp"
-#include "rts/work_queue.hpp"
 
 namespace gg::check {
 
@@ -48,13 +48,9 @@ DequeCheckResult check_deque(const DequeCheckOptions& opts) {
   sched.num_threads = n;
   ScheduleController ctrl(sched);
   DequeCheckResult result;
-  result.schedule_desc = std::string(rts::to_string(opts.backend)) + " " +
-                         ctrl.describe();
+  result.schedule_desc = ctrl.describe();
 
-  rts::WorkQueueConfig qcfg;
-  qcfg.initial_capacity = opts.initial_capacity;
-  auto queue = rts::make_work_queue<u64>(opts.backend, qcfg);
-  rts::WorkQueue<u64>& deque = *queue;
+  rts::ChaseLevDeque<u64> deque(opts.initial_capacity);
   std::atomic<bool> done_pushing{false};
   std::vector<std::vector<u64>> got(static_cast<size_t>(n));
   const u64 total =

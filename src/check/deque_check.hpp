@@ -18,15 +18,12 @@
 #include <vector>
 
 #include "check/schedule.hpp"
-#include "rts/work_queue.hpp"
+#include "common/types.hpp"
 
 namespace gg::check {
 
 struct DequeCheckOptions {
   ScheduleOptions schedule;  ///< num_threads is derived; other knobs used
-  /// Which queue implementation to audit (rts/work_queue.hpp); every
-  /// backend runs the identical owner/thief protocol.
-  rts::QueueBackend backend = rts::QueueBackend::ChaseLev;
   int num_thieves = 1;
   /// Values pushed per round, and rounds. Keeping rounds small but many
   /// keeps the size-1 steal-vs-pop window hot.
@@ -49,9 +46,9 @@ struct DequeCheckResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// Work-stealing deque (any opts.backend): one owner (thread 0) doing
-/// push/pop, num_thieves stealing concurrently, fully serialized by a
-/// ScheduleController built from `opts.schedule`.
+/// Chase-Lev deque: one owner (thread 0) doing push/pop, num_thieves
+/// stealing concurrently, fully serialized by a ScheduleController built
+/// from `opts.schedule`.
 DequeCheckResult check_deque(const DequeCheckOptions& opts);
 
 /// Central queue: same accounting; every thread both pushes and pops.

@@ -154,27 +154,22 @@ struct RtsRun {
 };
 
 RtsRun run_rts_schedule(const ProgramSpec& spec, const ScheduleOptions& sopts,
-                        rts::SchedulerKind scheduler,
-                        rts::QueueBackend backend, const Topology& topo,
+                        rts::SchedulerKind scheduler, const Topology& topo,
                         bool check_metrics, std::vector<std::string>& out) {
   ScheduleController ctrl(sopts);
   std::ostringstream who;
   who << "rts[workers=" << sopts.num_threads << " "
-      << (scheduler == rts::SchedulerKind::CentralQueue
-              ? "central"
-              : std::string("ws/") + rts::to_string(backend))
+      << (scheduler == rts::SchedulerKind::CentralQueue ? "central" : "ws")
       << " " << ctrl.describe() << "]";
 
   rts::Options ropts;
   ropts.num_workers = sopts.num_threads;
   ropts.scheduler = scheduler;
-  ropts.queue_backend = backend;
   // The envelope tier asserts wall-clock invariants (critical path <=
   // makespan), which only a globally-truthful clock guarantees: per-core
   // TSC offsets under virtualization can make causally-ordered fragments
   // on different workers overlap by a few thousand ns, and a chain with
-  // many cross-worker hops (flat combining is the worst case) accumulates
-  // the skew past the makespan.
+  // many cross-worker hops accumulates the skew past the makespan.
   ropts.strict_clock = true;
   ctrl.install();
   Trace trace;
@@ -288,9 +283,6 @@ OracleResult check_program(const ProgramSpec& spec,
         {sim::SimPolicy::gcc(), false},
         {sim::SimPolicy::icc(), false},
         {sim::SimPolicy::mir_central(), false},
-        {sim::SimPolicy::mir_of(), false},
-        {sim::SimPolicy::mir_fc(), false},
-        {sim::SimPolicy::mir_ts(), false},
         {sim::SimPolicy::mir(), true},
     };
     for (const PolicyCase& pc : cases) {
@@ -340,17 +332,13 @@ OracleResult check_program(const ProgramSpec& spec,
     sopts.num_threads = 2 + (s % 2);
     sopts.max_preemptions = (s % 4 == 3) ? (s % 7) : -1;
     sopts.timeout_seconds = opts.timeout_seconds;
-    // Queue-backend cycling: schedules rotate through every work-stealing
-    // backend; 5 and 3 are coprime, so 15 schedules cover every backend x
-    // strategy pair. The shared central-queue scheduler (which ignores the
-    // backend) takes every 7th schedule.
+    // The central-queue scheduler takes every 7th schedule.
     const rts::SchedulerKind kind = (s % 7 == 6)
                                         ? rts::SchedulerKind::CentralQueue
                                         : rts::SchedulerKind::WorkStealing;
-    const rts::QueueBackend backend = rts::kAllQueueBackends[s % 5];
 
-    RtsRun run = run_rts_schedule(spec, sopts, kind, backend, topo,
-                                  opts.check_metrics, out);
+    RtsRun run = run_rts_schedule(spec, sopts, kind, topo, opts.check_metrics,
+                                  out);
     ++res.schedules_explored;
     const Analysis& ref = serial_for(sopts.num_threads);
     check_signature_match(ref, run.analysis, who(run.desc), out);
@@ -360,10 +348,9 @@ OracleResult check_program(const ProgramSpec& spec,
 
     if (s < 5) {
       // Replay tier: the same {strategy, seed, bound} must reproduce the
-      // decision trail, the structure, and the worker counters — checked
-      // once per queue backend (schedules 0..4 span all five).
+      // decision trail, the structure, and the worker counters.
       std::vector<std::string> replay_out;
-      RtsRun again = run_rts_schedule(spec, sopts, kind, backend, topo,
+      RtsRun again = run_rts_schedule(spec, sopts, kind, topo,
                                       opts.check_metrics, replay_out);
       out.insert(out.end(), replay_out.begin(), replay_out.end());
       if (again.trail != run.trail) {

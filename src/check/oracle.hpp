@@ -18,9 +18,10 @@
 //               agreement without a memory model (>= with one), critical
 //               path <= makespan, conservative <= optimistic instantaneous
 //               parallelism, finite non-negative scatter.
-//  Replay tier  the first rts schedule re-runs with the same {strategy,
-//               seed, bound} and must reproduce the controller's decision
-//               trail, the structural signature, and the worker counters.
+//  Replay tier  the first five rts schedules re-run with the same
+//               {strategy, seed, bound} and must reproduce the controller's
+//               decision trail, the structural signature, and the worker
+//               counters.
 //
 // Every violation message embeds the program seed and the controller's
 // describe() string, so any failure replays from the log line alone.

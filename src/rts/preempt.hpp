@@ -27,8 +27,6 @@ enum class PreemptPoint : u8 {
   DequePopCas,       ///< owner pop, before the last-element top CAS
   DequeStealLoad,    ///< thief, before loading top/bottom
   DequeStealCas,     ///< thief, after reading the slot, before the top CAS
-  DequeCombine,      ///< flat combining, before trying to become combiner
-  DequeStamp,        ///< timestamped deque, before acquiring a timestamp
   QueuePush,         ///< central queue enqueue, before taking the lock
   QueuePop,          ///< central queue dequeue, before taking the lock
   TaskExec,          ///< a task body is about to run
@@ -87,8 +85,6 @@ inline const char* to_string(PreemptPoint p) {
     case PreemptPoint::DequePopCas: return "deque-pop-cas";
     case PreemptPoint::DequeStealLoad: return "deque-steal-load";
     case PreemptPoint::DequeStealCas: return "deque-steal-cas";
-    case PreemptPoint::DequeCombine: return "deque-combine";
-    case PreemptPoint::DequeStamp: return "deque-stamp";
     case PreemptPoint::QueuePush: return "queue-push";
     case PreemptPoint::QueuePop: return "queue-pop";
     case PreemptPoint::TaskExec: return "task-exec";

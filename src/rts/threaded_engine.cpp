@@ -105,8 +105,13 @@ struct alignas(64) SchedCounters {
 };
 
 struct ThreadedEngine::Worker {
-  int id = 0;
-  std::unique_ptr<WorkQueue<Task*>> queue;  // backend per opts_.queue_backend
+  // The deque and its contention counter are what thieves touch; the
+  // alignment keeps them off the cache lines of the owner-private fields.
+  alignas(64) ChaseLevDeque<Task*> queue;
+  // CAS races lost on this deque (the owner's pops and thieves' steals),
+  // counted while profiling; the telemetry sampler reads it live.
+  std::atomic<u64> queue_contention{0};
+  alignas(64) int id = 0;
   std::thread thread;  // not started for worker 0 (the caller's thread)
   TraceRecorder::Writer writer;
   Xoshiro256 rng;
@@ -122,9 +127,8 @@ struct ThreadedEngine::Worker {
   std::atomic<u8> state{static_cast<u8>(WorkerState::Idle)};
   std::atomic<TaskId> current_task{kNoTask};
 
-  Worker(int id_, std::unique_ptr<WorkQueue<Task*>> q, TraceRecorder::Writer w,
-         u64 seed)
-      : id(id_), queue(std::move(q)), writer(w), rng(seed) {}
+  Worker(int id_, TraceRecorder::Writer w, u64 seed)
+      : id(id_), writer(w), rng(seed) {}
 };
 
 /// Cached metric handles for the engine's self-telemetry. Registry lookups
@@ -269,7 +273,7 @@ class ThreadedEngine::CtxImpl final : public Ctx {
       }
       if (!inline_child && o.inline_queue_limit > 0) {
         const size_t qsize = o.scheduler == SchedulerKind::WorkStealing
-                                 ? w_->queue->size_estimate()
+                                 ? w_->queue.size_estimate()
                                  : eng.central_queue_.size_estimate();
         if (qsize >= o.inline_queue_limit) inline_child = true;
       }
@@ -288,12 +292,11 @@ class ThreadedEngine::CtxImpl final : public Ctx {
     // thieves. The fork graph node spans [create_time, create_time +
     // creation_cost] and carries a Creation edge to the child's first
     // fragment, so the critical path sums both; if the cost included the
-    // enqueue (a flat-combining push can wait descheduled long after the
-    // combiner published the child, and every backend has a preemption
-    // point after its publish), the child could execute entirely inside
-    // the creation window and the summed path would exceed the wall-clock
-    // makespan. The enqueue wait is still in the trace, as the gap
-    // between the fork node and the parent's next fragment.
+    // enqueue (the spawner can wait descheduled at the preemption point
+    // after the deque push publishes the child), the child could execute
+    // entirely inside the creation window and the summed path would exceed
+    // the wall-clock makespan. The enqueue wait is still in the trace, as
+    // the gap between the fork node and the parent's next fragment.
     const TimeNs created = eng.now();
     if (!inline_child) {
       child->parent->refs.fetch_add(1, std::memory_order_relaxed);
@@ -541,9 +544,9 @@ void ThreadedEngine::release_task(Task* task) {
 void ThreadedEngine::push_task(Task* task, Worker& w) {
   if (opts_.profile) ++w.cnt.deque_pushes;
   if (opts_.scheduler == SchedulerKind::WorkStealing) {
-    w.queue->push(task);
+    w.queue.push(task);
     if (telem_ != nullptr)
-      telem_->queue_depth->observe(w.queue->size_estimate());
+      telem_->queue_depth->observe(w.queue.size_estimate());
   } else {
     central_queue_.push(task);
   }
@@ -559,11 +562,14 @@ ThreadedEngine::Task* ThreadedEngine::get_task(Worker& w) {
     return nullptr;
   }
   bool lost = false;
-  if (auto t = w.queue->pop(prof ? &lost : nullptr)) {
+  if (auto t = w.queue.pop(prof ? &lost : nullptr)) {
     if (prof) ++w.cnt.deque_pops;
     return *t;
   }
-  if (prof && lost) ++w.cnt.cas_failures;
+  if (lost) {
+    ++w.cnt.cas_failures;
+    w.queue_contention.fetch_add(1, std::memory_order_relaxed);
+  }
   // Steal: visit every other worker once, starting at a random victim.
   const int n = opts_.num_workers;
   if (n <= 1) return nullptr;
@@ -571,15 +577,18 @@ ThreadedEngine::Task* ThreadedEngine::get_task(Worker& w) {
   for (int i = 0; i < n; ++i) {
     const int victim = (start + i) % n;
     if (victim == w.id) continue;
-    if (auto t = workers_[static_cast<size_t>(victim)]->queue->steal(
-            prof ? &lost : nullptr)) {
+    Worker& v = *workers_[static_cast<size_t>(victim)];
+    if (auto t = v.queue.steal(prof ? &lost : nullptr)) {
       if (prof) ++w.cnt.steals;
       if (telem_ != nullptr) telem_->steals->add();
       return *t;
     }
     if (prof) {
       ++w.cnt.steal_failures;
-      if (lost) ++w.cnt.cas_failures;
+      if (lost) {
+        ++w.cnt.cas_failures;
+        v.queue_contention.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     if (telem_ != nullptr) telem_->steal_failures->add();
   }
@@ -886,7 +895,7 @@ SupervisorReport ThreadedEngine::build_supervisor_report(
     s.heartbeat_stuck = i < window_beats.size() && s.heartbeat == window_beats[i];
     s.current_task = w.current_task.load(std::memory_order_relaxed);
     s.queue_depth = opts_.scheduler == SchedulerKind::WorkStealing
-                        ? w.queue->size_estimate()
+                        ? w.queue.size_estimate()
                         : central_queue_.size_estimate();
     rep.workers.push_back(s);
   }
@@ -1008,16 +1017,9 @@ Trace ThreadedEngine::run(const std::string& program_name,
   auto make_meta = [&](TimeNs region_end) {
     TraceMeta meta;
     meta.program = program_name;
-    if (opts_.scheduler == SchedulerKind::WorkStealing) {
-      // Chase-Lev stays plain "threaded/ws" (bit-compatible with pre-backend
-      // traces); alternatives carry a suffix so analyses can tell them apart.
-      meta.runtime = opts_.queue_backend == QueueBackend::ChaseLev
-                         ? "threaded/ws"
-                         : std::string("threaded/ws-") +
-                               to_string(opts_.queue_backend);
-    } else {
-      meta.runtime = "threaded/central";
-    }
+    meta.runtime = opts_.scheduler == SchedulerKind::WorkStealing
+                       ? "threaded/ws"
+                       : "threaded/central";
     meta.topology = "host";
     meta.num_workers = opts_.num_workers;
     meta.num_cores = opts_.num_workers;
@@ -1063,18 +1065,9 @@ Trace ThreadedEngine::run(const std::string& program_name,
   }
 
   workers_.clear();
-  // One shared stuttering clock per run keeps TSDeque stamps comparable
-  // across worker deques; other backends ignore it.
-  ts_clock_ = opts_.queue_backend == QueueBackend::TSDeque
-                  ? std::make_unique<StutteringStamp>(opts_.num_workers)
-                  : nullptr;
   for (int i = 0; i < opts_.num_workers; ++i) {
-    WorkQueueConfig qcfg;
-    qcfg.clock = ts_clock_.get();
-    qcfg.owner_slot = i;
     workers_.push_back(std::make_unique<Worker>(
-        i, make_work_queue<Task*>(opts_.queue_backend, qcfg),
-        recorder_->writer(i), mix64(0x9e3779b9u + static_cast<u64>(i))));
+        i, recorder_->writer(i), mix64(0x9e3779b9u + static_cast<u64>(i))));
   }
 
   region_start_ = std::chrono::steady_clock::now();
@@ -1202,7 +1195,7 @@ Trace ThreadedEngine::run(const std::string& program_name,
       s.cas_failures = w->cnt.cas_failures;
       s.deque_pushes = w->cnt.deque_pushes;
       s.deque_pops = w->cnt.deque_pops;
-      s.deque_resizes = w->queue->grow_count();
+      s.deque_resizes = w->queue.resize_count();
       s.taskwait_helps = w->cnt.taskwait_helps;
       s.idle_ns = w->cnt.idle_ns;
       s.trace_bytes = w->writer.recorded_bytes();
@@ -1314,11 +1307,10 @@ std::string ThreadedEngine::telemetry_payload() {
     reg.gauge(prefix + ".state")
         ->set(static_cast<double>(w.state.load(std::memory_order_relaxed)));
     reg.gauge(prefix + ".queue_depth")
-        ->set(static_cast<double>(w.queue->size_estimate()));
-    // Per-backend contention signal: lost claim CASes (lock-free backends)
-    // or contended lock acquisitions (locked / flat-combining backends).
+        ->set(static_cast<double>(w.queue.size_estimate()));
     reg.gauge(prefix + ".queue_contention")
-        ->set(static_cast<double>(w.queue->contention_events()));
+        ->set(static_cast<double>(
+            w.queue_contention.load(std::memory_order_relaxed)));
   }
   if (spool_sink_ != nullptr) {
     reg.gauge("spool.payload_bytes")

@@ -33,7 +33,6 @@
 #include "rts/central_queue.hpp"
 #include "rts/chase_lev_deque.hpp"
 #include "rts/supervisor.hpp"
-#include "rts/work_queue.hpp"
 #include "trace/recorder.hpp"
 #include "trace/spool.hpp"
 
@@ -44,11 +43,6 @@ enum class SchedulerKind : u8 { WorkStealing, CentralQueue };
 struct Options {
   int num_workers = 2;
   SchedulerKind scheduler = SchedulerKind::WorkStealing;
-  /// Per-worker queue implementation used by the work-stealing scheduler
-  /// (rts/work_queue.hpp). Ignored by SchedulerKind::CentralQueue, which
-  /// keeps the single shared FIFO. QueueBackend::Central here means
-  /// per-worker mutex-protected deques ("ws-locked"), not the shared queue.
-  QueueBackend queue_backend = QueueBackend::ChaseLev;
   bool profile = true;
   /// Timestamp with steady_clock instead of calibrated rdtsc. The TSC is
   /// what keeps profiling overhead in the paper's couple-percent range,
@@ -145,9 +139,6 @@ class ThreadedEngine final : public front::Engine {
   Options opts_;
   std::vector<std::unique_ptr<Worker>> workers_;
   CentralQueue<Task*> central_queue_;
-  // Shared stuttering clock for the TSDeque backend (one slot per worker so
-  // stamps are comparable across deques). Null for every other backend.
-  std::unique_ptr<StutteringStamp> ts_clock_;
 
   std::unique_ptr<TraceRecorder> recorder_;
   std::atomic<TaskId> next_task_id_{1};

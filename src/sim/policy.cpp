@@ -62,40 +62,6 @@ SimPolicy SimPolicy::zero_overhead() {
   return p;
 }
 
-SimPolicy SimPolicy::mir_of() {
-  SimPolicy p = mir();
-  p.name = "mir-of";
-  // No shared top/bottom counters to ping-pong — claims are per-cell — but
-  // a steal walks the Taken prefix before finding work.
-  p.coherence_serial_cycles = 35;
-  p.steal_cycles = 2900;
-  return p;
-}
-
-SimPolicy SimPolicy::mir_fc() {
-  SimPolicy p = mir();
-  p.name = "mir-fc";
-  // Combining batches amortize the synchronization away almost entirely,
-  // but every operation waits for a combiner pass: dispatch gets slower
-  // while the global coherence cost collapses.
-  p.coherence_serial_cycles = 15;
-  p.task_create_cycles = 1250;
-  p.task_dispatch_cycles = 500;
-  p.steal_cycles = 2200;
-  return p;
-}
-
-SimPolicy SimPolicy::mir_ts() {
-  SimPolicy p = mir();
-  p.name = "mir-ts";
-  // Stuttering clocks replace the contended counter (cheap coherence), at
-  // a fixed stamp-acquisition cost folded into every push.
-  p.coherence_serial_cycles = 40;
-  p.task_create_cycles = 1200;
-  p.steal_cycles = 2700;
-  return p;
-}
-
 SimPolicy SimPolicy::mir_central() {
   SimPolicy p = mir();
   p.name = "mir-central";

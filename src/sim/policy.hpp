@@ -55,17 +55,6 @@ struct SimPolicy {
   static SimPolicy icc();
   /// MIR with the central locked queue (Fig. 11d scatter foil).
   static SimPolicy mir_central();
-  /// MIR on the obstruction-free segmented deque (rts/of_deque.hpp):
-  /// per-cell claims, no shared top/bottom CAS — cheaper coherence, but a
-  /// steal scans the consumed prefix.
-  static SimPolicy mir_of();
-  /// MIR on the flat-combining deque (rts/fc_deque.hpp): combining batches
-  /// amortize synchronization, at a dispatch latency premium.
-  static SimPolicy mir_fc();
-  /// MIR on the timestamped deque (rts/ts_deque.hpp): stuttering per-thread
-  /// clocks replace the contended counter; stamping adds a fixed per-push
-  /// cost.
-  static SimPolicy mir_ts();
   /// All overheads zero: grain times equal annotated compute exactly. The
   /// differential oracle's exact-agreement tier compares the serial
   /// reference elaborator against simulations under this policy.

@@ -1,13 +1,14 @@
-// Cross-backend trace equivalence: the queue backend a run is scheduled on
-// must be invisible in the analysis. For every program — the golden-corpus
-// seeds plus GG_BACKEND_PROGRAMS generated ones (default 8; the deep tier
-// runs 50) — the threaded engine executes under a deterministic controller
-// schedule once per backend, and every run must produce the same canonical
-// structural signature as the serial reference elaborator. Wall-clock
-// timings legitimately differ between runs; the signature is the
+// Cross-scheduler trace equivalence: the scheduler a run is executed on —
+// work stealing over Chase-Lev deques or the central queue — must be
+// invisible in the analysis. For every program — the golden-corpus seeds
+// plus GG_BACKEND_PROGRAMS generated ones (default 8; the deep tier runs
+// 50) — the threaded engine executes under a deterministic controller
+// schedule once per scheduler, and every run must produce the same
+// canonical structural signature as the serial reference elaborator.
+// Wall-clock timings legitimately differ between runs; the signature is the
 // schedule-independent structure (task tree, fragments, joins, chunk
 // decompositions), so equality here is the precise sense in which analysis
-// output is identical regardless of backend.
+// output is identical regardless of scheduler.
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -49,15 +50,15 @@ std::string serial_signature(const ProgramSpec& spec, int team) {
   return check::canonical_signature(run_spec(spec, eng));
 }
 
-/// One threaded-engine run on `backend`, fully serialized by a controller
+/// One threaded-engine run on `scheduler`, fully serialized by a controller
 /// built from `sopts`; returns the canonical structural signature.
-std::string backend_signature(const ProgramSpec& spec,
-                              const ScheduleOptions& sopts,
-                              rts::QueueBackend backend) {
+std::string scheduler_signature(const ProgramSpec& spec,
+                                const ScheduleOptions& sopts,
+                                rts::SchedulerKind scheduler) {
   ScheduleController ctrl(sopts);
   rts::Options ropts;
   ropts.num_workers = sopts.num_threads;
-  ropts.queue_backend = backend;
+  ropts.scheduler = scheduler;
   ctrl.install();
   Trace trace;
   {
@@ -68,24 +69,26 @@ std::string backend_signature(const ProgramSpec& spec,
   return check::canonical_signature(trace);
 }
 
-void expect_backends_equivalent(const ProgramSpec& spec, int workers,
-                                u64 schedule_seed) {
+void expect_schedulers_equivalent(const ProgramSpec& spec, int workers,
+                                  u64 schedule_seed) {
   const std::string ref = serial_signature(spec, workers);
   ASSERT_FALSE(ref.empty());
-  for (const rts::QueueBackend backend : rts::kAllQueueBackends) {
+  for (const rts::SchedulerKind scheduler :
+       {rts::SchedulerKind::WorkStealing, rts::SchedulerKind::CentralQueue}) {
     ScheduleOptions sopts;
     sopts.strategy = Strategy::RandomWalk;
     sopts.seed = schedule_seed;
     sopts.num_threads = workers;
-    const std::string got = backend_signature(spec, sopts, backend);
+    const std::string got = scheduler_signature(spec, sopts, scheduler);
     EXPECT_EQ(got, ref)
-        << spec.name() << " on " << rts::to_string(backend)
+        << spec.name() << " on "
+        << (scheduler == rts::SchedulerKind::WorkStealing ? "ws" : "central")
         << " diverged from the serial reference; first diff: "
         << check::first_signature_diff(ref, got);
   }
 }
 
-TEST(BackendEquivalenceTest, SeededProgramsAgreeAcrossBackends) {
+TEST(SchedulerEquivalenceTest, SeededProgramsAgreeAcrossSchedulers) {
   const int programs = env_int("GG_BACKEND_PROGRAMS", 8);
   const u64 base = test::test_seed();
   GG_SEED_TRACE(base);
@@ -93,16 +96,16 @@ TEST(BackendEquivalenceTest, SeededProgramsAgreeAcrossBackends) {
     const ProgramSpec spec =
         check::generate_program(base + static_cast<u64>(i));
     const int workers = 2 + i % 2;
-    expect_backends_equivalent(
+    expect_schedulers_equivalent(
         spec, workers,
         mix64(base ^ (0x9e3779b97f4a7c15ull * static_cast<u64>(i + 1))));
   }
 }
 
-TEST(BackendEquivalenceTest, GoldenCorpusSeedsAgreeAcrossBackends) {
+TEST(SchedulerEquivalenceTest, GoldenCorpusSeedsAgreeAcrossSchedulers) {
   // The same programs the committed golden corpus was generated from
   // (tools/make_golden.cpp), at the corpus team sizes. Additionally pins
-  // the serial reference to the committed .expect signature, so a backend
+  // the serial reference to the committed .expect signature, so a scheduler
   // bug and a signature-definition drift are distinguishable.
   struct Entry {
     const char* name;
@@ -126,7 +129,7 @@ TEST(BackendEquivalenceTest, GoldenCorpusSeedsAgreeAcrossBackends) {
         << e.name << ": serial-reference signature not found in the "
         << "committed .expect — corpus and generator have drifted";
 
-    expect_backends_equivalent(spec, e.workers, 0x5eedull + e.seed);
+    expect_schedulers_equivalent(spec, e.workers, 0x5eedull + e.seed);
   }
 }
 

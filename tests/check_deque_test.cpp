@@ -1,9 +1,8 @@
-// Work-queue edge cases explored under the schedule controller, across
-// every pluggable backend (rts/work_queue.hpp): steal-vs-pop on a size-1
-// queue, growth during concurrent steals, and an empty-queue steal storm.
-// All runs must account for every value exactly once, on every backend,
-// strategy, and seed tried — the same value-accounting harness the seeded
-// GG_MUT_* mutations must fail.
+// Chase-Lev deque edge cases explored under the schedule controller:
+// steal-vs-pop on a size-1 deque, growth during concurrent steals, and an
+// empty-deque steal storm. All runs must account for every value exactly
+// once, on every strategy and seed tried — the same value-accounting
+// harness the seeded GG_MUT_* mutations must fail.
 #include <gtest/gtest.h>
 
 #include "check/deque_check.hpp"
@@ -27,20 +26,12 @@ void expect_clean(const DequeCheckResult& r) {
                                 "reached [" << r.schedule_desc << "]";
 }
 
-/// Every test in this fixture runs once per queue backend; the matrices
-/// inside sweep strategy x seed on top of that.
-class BackendDequeCheckTest
-    : public ::testing::TestWithParam<rts::QueueBackend> {};
-
-TEST_P(BackendDequeCheckTest, StealVsPopAtSizeOne) {
+TEST(DequeCheckTest, StealVsPopAtSizeOne) {
   // One item in flight per round: every round is a direct owner-pop vs
-  // thief-steal race on the same slot — the classic Chase-Lev CAS window,
-  // the per-cell claim race in the OF/TS deques, and a one-request combining
-  // batch in the FC deque.
+  // thief-steal race on the same slot — the classic Chase-Lev CAS window.
   for (const Strategy s : kStrategies) {
     for (u64 d = 0; d < 6; ++d) {
       DequeCheckOptions opts;
-      opts.backend = GetParam();
       opts.schedule.strategy = s;
       opts.schedule.seed = test::test_seed() + d;
       GG_SEED_TRACE(opts.schedule.seed);
@@ -53,14 +44,12 @@ TEST_P(BackendDequeCheckTest, StealVsPopAtSizeOne) {
   }
 }
 
-TEST_P(BackendDequeCheckTest, GrowthDuringConcurrentSteal) {
-  // Capacity 2 with 16 pushes per round forces several growths (Chase-Lev
-  // buffer doublings; OF/TS segment appends) while thieves hold top indices
-  // into the old storage.
+TEST(DequeCheckTest, GrowthDuringConcurrentSteal) {
+  // Capacity 2 with 16 pushes per round forces several buffer doublings
+  // while thieves hold top indices into the old buffer.
   for (const Strategy s : kStrategies) {
     for (u64 d = 0; d < 4; ++d) {
       DequeCheckOptions opts;
-      opts.backend = GetParam();
       opts.schedule.strategy = s;
       opts.schedule.seed = test::test_seed() + 17 * (d + 1);
       GG_SEED_TRACE(opts.schedule.seed);
@@ -74,13 +63,12 @@ TEST_P(BackendDequeCheckTest, GrowthDuringConcurrentSteal) {
   }
 }
 
-TEST_P(BackendDequeCheckTest, EmptyQueueStealStorm) {
-  // Nothing is ever pushed: three thieves hammer an empty queue while the
+TEST(DequeCheckTest, EmptyQueueStealStorm) {
+  // Nothing is ever pushed: three thieves hammer an empty deque while the
   // owner drains nothing. Terminates (no lost wakeup / livelock under the
   // controller) and delivers the empty set.
   for (const Strategy s : kStrategies) {
     DequeCheckOptions opts;
-    opts.backend = GetParam();
     opts.schedule.strategy = s;
     opts.schedule.seed = test::test_seed();
     GG_SEED_TRACE(opts.schedule.seed);
@@ -93,9 +81,8 @@ TEST_P(BackendDequeCheckTest, EmptyQueueStealStorm) {
   }
 }
 
-TEST_P(BackendDequeCheckTest, RunsAreDeterministic) {
+TEST(DequeCheckTest, RunsAreDeterministic) {
   DequeCheckOptions opts;
-  opts.backend = GetParam();
   opts.schedule.strategy = Strategy::RandomWalk;
   opts.schedule.seed = test::test_seed() + 5;
   GG_SEED_TRACE(opts.schedule.seed);
@@ -109,17 +96,6 @@ TEST_P(BackendDequeCheckTest, RunsAreDeterministic) {
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.schedule_desc, b.schedule_desc);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, BackendDequeCheckTest,
-    ::testing::ValuesIn(rts::kAllQueueBackends),
-    [](const ::testing::TestParamInfo<rts::QueueBackend>& info) {
-      std::string name = rts::to_string(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
 
 TEST(DequeCheckTest, GrowthPreservesAllValues) {
   // Single-threaded growth sanity apart from the controller: push far past

@@ -19,14 +19,6 @@
 //                                  the same value is delivered repeatedly
 //   GG_MUT_RECORDER_DROP_FRAGMENT  recorder drops every task's fragment
 //                                  seq 1 -> validate_trace seq-contiguity
-//   GG_MUT_OF_PUBLISH_BEFORE_WRITE OF deque publishes Ready before the
-//                                  value write -> thieves claim unwritten
-//                                  cells (bogus zero + lost value)
-//   GG_MUT_FC_DROP_COMBINE         FC combiner marks every third push done
-//                                  without applying it -> values vanish
-//   GG_MUT_TS_NONMONOTONIC_STAMP   stuttering clock hands out latest-1 ->
-//                                  stamps collide with the reserved
-//                                  "unpublished" sentinel, values lost
 #include <string>
 #include <vector>
 
@@ -43,15 +35,31 @@ namespace {
 using check::DequeCheckOptions;
 using check::Strategy;
 
-/// Sweeps strategies x seeds until the queue harness reports a violation on
-/// the given backend. Bounded and deterministic: either some schedule in
-/// the sweep exposes the mutant, or the smoke test fails.
-bool deque_sweep_finds_violation(
-    int thieves, int items, int rounds, int owner_pops, size_t capacity,
-    rts::QueueBackend backend = rts::QueueBackend::ChaseLev) {
+// Each helper is compiled only into the builds whose tests call it: a
+// mutation build runs the one scenario that exposes its bug, the control
+// build runs them all.
+#if defined(GG_MUT_DEQUE_POP_SKIP_CAS) || \
+    defined(GG_MUT_DEQUE_PUSH_PUBLISH_EARLY) || \
+    defined(GG_MUT_DEQUE_GROW_DROP_OLDEST)
+#define GG_SMOKE_DEQUE
+#elif defined(GG_MUT_CQ_POP_NO_REMOVE)
+#define GG_SMOKE_CENTRAL_QUEUE
+#elif defined(GG_MUT_RECORDER_DROP_FRAGMENT)
+#define GG_SMOKE_RECORDER
+#else
+#define GG_SMOKE_DEQUE
+#define GG_SMOKE_CENTRAL_QUEUE
+#define GG_SMOKE_RECORDER
+#endif
+
+#ifdef GG_SMOKE_DEQUE
+/// Sweeps strategies x seeds until the Chase-Lev harness reports a
+/// violation. Bounded and deterministic: either some schedule in the sweep
+/// exposes the mutant, or the smoke test fails.
+bool deque_sweep_finds_violation(int thieves, int items, int rounds,
+                                 int owner_pops, size_t capacity) {
   for (int s = 0; s < 48; ++s) {
     DequeCheckOptions opts;
-    opts.backend = backend;
     opts.schedule.strategy = static_cast<Strategy>(s % 3);
     opts.schedule.seed = test::test_seed() + static_cast<u64>(s);
     opts.num_thieves = thieves;
@@ -63,7 +71,9 @@ bool deque_sweep_finds_violation(
   }
   return false;
 }
+#endif
 
+#ifdef GG_SMOKE_CENTRAL_QUEUE
 bool cq_sweep_finds_violation() {
   for (int s = 0; s < 24; ++s) {
     DequeCheckOptions opts;
@@ -76,7 +86,9 @@ bool cq_sweep_finds_violation() {
   }
   return false;
 }
+#endif
 
+#ifdef GG_SMOKE_RECORDER
 /// Records a 3-fragment task through THIS binary's (possibly mutated)
 /// recorder Writer and validates the result. The drop-fragment mutant
 /// creates a seq gap that validate_trace's contiguity check must flag.
@@ -125,6 +137,7 @@ std::vector<std::string> recorder_roundtrip_violations() {
   meta.region_end = 30;
   return validate_trace(rec.finish(std::move(meta)));
 }
+#endif
 
 #if defined(GG_MUT_DEQUE_POP_SKIP_CAS)
 
@@ -167,47 +180,6 @@ TEST(MutationSmoke, DetectsCentralQueuePopWithoutRemove) {
       << "repeated delivery from the central queue went undetected";
 }
 
-#elif defined(GG_MUT_OF_PUBLISH_BEFORE_WRITE)
-
-TEST(MutationSmoke, DetectsOFDequePublishBeforeWrite) {
-  // The mutated push publishes state=Ready (and bumps bottom) before the
-  // value store, with a preemption point in the window: a thief scheduled
-  // there claims the cell and reads the never-written slot — a bogus zero,
-  // plus the owner's late write lands in a Taken cell and is lost.
-  EXPECT_TRUE(deque_sweep_finds_violation(/*thieves=*/2, /*items=*/4,
-                                          /*rounds=*/8, /*owner_pops=*/1,
-                                          /*capacity=*/4,
-                                          rts::QueueBackend::OFDeque))
-      << "no explored schedule exposed the OF early publish";
-}
-
-#elif defined(GG_MUT_FC_DROP_COMBINE)
-
-TEST(MutationSmoke, DetectsFCDequeDroppedCombineSlot) {
-  // The mutated combiner completes every third push request without ever
-  // applying it to the sequential deque: deterministic value loss the
-  // accounting reports on the very first schedule.
-  EXPECT_TRUE(deque_sweep_finds_violation(/*thieves=*/1, /*items=*/4,
-                                          /*rounds=*/6, /*owner_pops=*/1,
-                                          /*capacity=*/64,
-                                          rts::QueueBackend::FCDeque))
-      << "the dropped combine slot went undetected";
-}
-
-#elif defined(GG_MUT_TS_NONMONOTONIC_STAMP)
-
-TEST(MutationSmoke, DetectsTSDequeNonMonotonicStamp) {
-  // The mutated clock hands out latest-1 — i.e. 0 forever, colliding with
-  // the TS deque's "unpublished" sentinel — so pushed nodes never look
-  // ready and every value is reported lost (the bounded steal attempts
-  // keep the run terminating).
-  EXPECT_TRUE(deque_sweep_finds_violation(/*thieves=*/1, /*items=*/2,
-                                          /*rounds=*/4, /*owner_pops=*/1,
-                                          /*capacity=*/64,
-                                          rts::QueueBackend::TSDeque))
-      << "the non-monotonic timestamp went undetected";
-}
-
 #elif defined(GG_MUT_RECORDER_DROP_FRAGMENT)
 
 TEST(MutationSmoke, DetectsDroppedFragmentRecord) {
@@ -224,16 +196,11 @@ TEST(MutationSmoke, DetectsDroppedFragmentRecord) {
 #else  // unmutated control build
 
 TEST(MutationSmoke, CleanDequeScenariosHaveNoFalsePositives) {
-  // Every backend runs the same scenarios the mutation binaries use to
-  // expose their seeded bugs; unmutated, all of them must come back clean.
-  for (const rts::QueueBackend b : rts::kAllQueueBackends) {
-    EXPECT_FALSE(deque_sweep_finds_violation(1, 1, 12, 1, 64, b))
-        << rts::to_string(b);
-    EXPECT_FALSE(deque_sweep_finds_violation(2, 4, 8, 1, 4, b))
-        << rts::to_string(b);
-    EXPECT_FALSE(deque_sweep_finds_violation(1, 16, 4, 2, 2, b))
-        << rts::to_string(b);
-  }
+  // The same scenarios the mutation binaries use to expose their seeded
+  // bugs; unmutated, all of them must come back clean.
+  EXPECT_FALSE(deque_sweep_finds_violation(1, 1, 12, 1, 64));
+  EXPECT_FALSE(deque_sweep_finds_violation(2, 4, 8, 1, 4));
+  EXPECT_FALSE(deque_sweep_finds_violation(1, 16, 4, 2, 2));
 }
 
 TEST(MutationSmoke, CleanCentralQueueHasNoFalsePositives) {

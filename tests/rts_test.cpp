@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/exposition.hpp"
 #include "rts/central_queue.hpp"
 #include "rts/chase_lev_deque.hpp"
 #include "rts/threaded_engine.hpp"
@@ -53,6 +54,7 @@ TEST(ChaseLevTest, GrowsPastInitialCapacity) {
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(**p, i);
   }
+  EXPECT_GT(dq.resize_count(), 0u);
 }
 
 TEST(ChaseLevTest, ConcurrentStealersReceiveEachItemExactlyOnce) {
@@ -118,129 +120,6 @@ TEST(ChaseLevTest, ResizeCountReadableWhileOwnerGrows) {
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_GT(dq.resize_count(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Pluggable work-queue backends (rts/work_queue.hpp)
-
-class WorkQueueBackendTest : public ::testing::TestWithParam<QueueBackend> {
- protected:
-  std::unique_ptr<WorkQueue<u64>> make(size_t capacity = 64) {
-    WorkQueueConfig cfg;
-    cfg.initial_capacity = capacity;
-    return make_work_queue<u64>(GetParam(), cfg);
-  }
-};
-
-TEST_P(WorkQueueBackendTest, OwnerLifoOrder) {
-  auto q = make();
-  EXPECT_EQ(q->backend(), GetParam());
-  for (u64 v = 1; v <= 3; ++v) q->push(v);
-  EXPECT_EQ(q->pop().value(), 3u);
-  EXPECT_EQ(q->pop().value(), 2u);
-  EXPECT_EQ(q->pop().value(), 1u);
-  EXPECT_FALSE(q->pop().has_value());
-}
-
-TEST_P(WorkQueueBackendTest, ThiefFifoOrder) {
-  auto q = make();
-  for (u64 v = 1; v <= 3; ++v) q->push(v);
-  EXPECT_EQ(q->steal().value(), 1u);
-  EXPECT_EQ(q->steal().value(), 2u);
-  EXPECT_EQ(q->steal().value(), 3u);
-  EXPECT_FALSE(q->steal().has_value());
-}
-
-TEST_P(WorkQueueBackendTest, GrowsPastInitialCapacity) {
-  auto q = make(/*capacity=*/4);
-  for (u64 v = 1; v <= 1000; ++v) q->push(v);
-  EXPECT_EQ(q->size_estimate(), 1000u);
-  for (u64 v = 1; v <= 1000; ++v) {
-    auto got = q->steal();
-    ASSERT_TRUE(got.has_value()) << v;
-    EXPECT_EQ(*got, v);
-  }
-  // Segmented/resizing backends must report growth; the flat-combining and
-  // locked deques legitimately report none.
-  if (GetParam() == QueueBackend::ChaseLev ||
-      GetParam() == QueueBackend::OFDeque ||
-      GetParam() == QueueBackend::TSDeque) {
-    EXPECT_GT(q->grow_count(), 0u);
-  }
-}
-
-TEST_P(WorkQueueBackendTest, ConcurrentStealersReceiveEachItemExactlyOnce) {
-  // Free-running (no schedule controller): the real-concurrency cousin of
-  // the check_deque harness, exercised under TSan in the sanitizer job.
-  constexpr u64 kItems = 20000;
-  constexpr int kThieves = 3;
-  auto q = make();
-  std::atomic<bool> go{false};
-  std::atomic<bool> done_pushing{false};
-  std::vector<std::vector<u64>> stolen(kThieves);
-  std::vector<u64> popped;
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&, t] {
-      while (!go.load()) std::this_thread::yield();
-      while (!done_pushing.load() || q->size_estimate() > 0) {
-        if (auto v = q->steal()) stolen[static_cast<size_t>(t)].push_back(*v);
-      }
-    });
-  }
-
-  go.store(true);
-  for (u64 i = 1; i <= kItems; ++i) {
-    q->push(i);
-    if (i % 3 == 0) {
-      if (auto v = q->pop()) popped.push_back(*v);
-    }
-  }
-  while (auto v = q->pop()) popped.push_back(*v);
-  done_pushing.store(true);
-  for (auto& th : thieves) th.join();
-  while (auto v = q->steal()) popped.push_back(*v);
-
-  std::vector<u64> all = popped;
-  for (const auto& s : stolen) all.insert(all.end(), s.begin(), s.end());
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), static_cast<size_t>(kItems));
-  for (u64 i = 1; i <= kItems; ++i) EXPECT_EQ(all[static_cast<size_t>(i - 1)], i);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, WorkQueueBackendTest,
-    ::testing::ValuesIn(kAllQueueBackends),
-    [](const ::testing::TestParamInfo<QueueBackend>& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
-
-TEST(WorkQueueTest, ParseBackendRoundTrips) {
-  for (const QueueBackend b : kAllQueueBackends) {
-    QueueBackend parsed;
-    ASSERT_TRUE(parse_queue_backend(to_string(b), parsed)) << to_string(b);
-    EXPECT_EQ(parsed, b);
-  }
-  QueueBackend parsed;
-  EXPECT_FALSE(parse_queue_backend("nonesuch", parsed));
-}
-
-TEST(WorkQueueTest, SharedStampClockStaysMonotonePerSlot) {
-  StutteringStamp clock(2);
-  u64 prev = 0;
-  for (int i = 0; i < 100; ++i) {
-    const u64 s = clock.acquire(i % 2);
-    EXPECT_GE(s, StutteringStamp::kFirstStamp);
-    EXPECT_GT(s, prev);  // single-threaded: strictly increasing overall
-    prev = s;
-  }
-  EXPECT_EQ(clock.last(1), prev);  // slot 1 took the final stamp
 }
 
 TEST(CentralQueueTest, FifoAndSize) {
@@ -335,24 +214,45 @@ TEST(ThreadedEngineTest, CentralQueueSchedulerWorks) {
   EXPECT_EQ(t.meta.runtime, "threaded/central");
 }
 
-TEST(ThreadedEngineTest, EveryQueueBackendRunsFibAndNamesItsRuntime) {
-  for (const QueueBackend b : kAllQueueBackends) {
-    Options o = ws_opts(3);
-    o.queue_backend = b;
-    ThreadedEngine eng(o);
-    std::atomic<long> result{0};
-    Trace t = eng.run("fib_backend",
-                      [&](Ctx& ctx) { fib_task(ctx, 10, &result); });
-    EXPECT_EQ(result.load(), 55) << to_string(b);
-    const auto errs = validate_trace(t);
-    EXPECT_TRUE(errs.empty())
-        << to_string(b) << ": " << (errs.empty() ? "" : errs.front());
-    const std::string expected =
-        b == QueueBackend::ChaseLev
-            ? "threaded/ws"
-            : std::string("threaded/ws-") + to_string(b);
-    EXPECT_EQ(t.meta.runtime, expected);
+TEST(ThreadedEngineTest, WorkStealingSchedulerNamesItsRuntime) {
+  ThreadedEngine eng(ws_opts(3));
+  std::atomic<long> result{0};
+  Trace t = eng.run("fib_ws", [&](Ctx& ctx) { fib_task(ctx, 10, &result); });
+  EXPECT_EQ(result.load(), 55);
+  EXPECT_TRUE(validate_trace(t).empty());
+  EXPECT_EQ(t.meta.runtime, "threaded/ws");
+}
+
+TEST(ThreadedEngineTest, QueueContentionGaugesSumTheLostCasRaces) {
+  // A worker's gauge counts the CAS races lost on its deque (its own pops
+  // and thieves' steals); each lost race is also a cas_failure of the
+  // worker that lost it. The spool's last 'T' frame is sampled after the
+  // workers joined, so both sums are final.
+  const std::string path = ::testing::TempDir() + "rts_contention.ggspool";
+  obs::Registry reg;
+  Options o = ws_opts(4);
+  o.telemetry = &reg;
+  o.spool.path = path;
+  ThreadedEngine eng(o);
+  std::atomic<long> result{0};
+  Trace t = eng.run("fib_contention",
+                    [&](Ctx& ctx) { fib_task(ctx, 16, &result); });
+  EXPECT_EQ(result.load(), 987);
+  const spool::RecoverResult rr = spool::recover_spool_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(rr.usable);
+  obs::MetricsSnapshot snap;
+  ASSERT_TRUE(obs::decode_telemetry_payload(rr.report.telemetry, &snap));
+  double contention = 0;
+  for (int i = 0; i < o.num_workers; ++i) {
+    const std::string gauge =
+        "engine.worker." + std::to_string(i) + ".queue_contention";
+    ASSERT_EQ(snap.gauges.count(gauge), 1u) << gauge;
+    contention += snap.gauges.at(gauge);
   }
+  u64 cas_failures = 0;
+  for (const WorkerStatsRec& w : t.worker_stats) cas_failures += w.cas_failures;
+  EXPECT_EQ(contention, static_cast<double>(cas_failures));
 }
 
 TEST(ThreadedEngineTest, UnjoinedChildrenDrainAtImplicitBarrier) {

@@ -330,10 +330,8 @@ int run_selftest(int programs, int schedules) {
   int queue_runs = 0;
   std::vector<std::string> queue_violations;
   for (int s = 0; s < 10; ++s) {
+    // 10 configs, each run on the Chase-Lev deque and the central queue.
     gg::check::DequeCheckOptions dopts;
-    // 10 configs: each of the five queue backends under two different
-    // strategies (5 and 3 are coprime, so s%5 and s%3 don't correlate).
-    dopts.backend = gg::rts::kAllQueueBackends[s % 5];
     dopts.schedule.strategy = static_cast<gg::check::Strategy>(s % 3);
     dopts.schedule.seed = base_seed + static_cast<u64>(s);
     dopts.num_thieves = 1 + (s % 2);
