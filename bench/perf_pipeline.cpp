@@ -9,16 +9,19 @@
 // Measures load + graph + grain-table + metrics + problem-view wall time
 // per format/thread-count combination on the same input file, checks every
 // combination produces byte-identical analysis output (including a thread
-// sweep over 1/2/4/8 workers), and writes machine-readable results to
-// BENCH_analyze.json. Exit 1 on any parse error or output mismatch (so CI
-// can gate on correctness without gating on timing). --skip-text drops the
-// text round-trip for very large runs (e.g. --grains 10000000), where it
-// would dominate the wall time and the memory budget.
+// sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
+// and at the auto thread count), and writes machine-readable results to
+// BENCH_analyze.json. Exit 1 on any parse error, recovery failure or output
+// mismatch (so CI can gate on correctness without gating on timing).
+// --skip-text drops the text round-trip and the spool paths for very large
+// runs (e.g. --grains 10000000), where they would dominate the wall time
+// and the memory budget.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +32,7 @@
 #include "export/json_summary.hpp"
 #include "support/bench_support.hpp"
 #include "trace/serialize.hpp"
+#include "trace/spool.hpp"
 #include "trace/synth.hpp"
 
 namespace {
@@ -49,27 +53,39 @@ struct PathResult {
   i64 total_ns() const { return load_ns + stages.total_ns(); }
 };
 
-/// Loads `path` and runs the full pipeline with `threads` workers in every
-/// stage. Returns false on load failure.
+/// Loads `path` (a GGSPOOL1 spool is recovered) and runs the full pipeline
+/// with `threads` workers in every stage. Returns false on load failure or
+/// an incomplete recovery.
 bool run_path(const std::string& path, int threads, PathResult& out) {
-  LoadOptions lo;
-  lo.mode = LoadMode::Strict;
-  lo.threads = threads;
   const i64 t0 = now_ns();
-  LoadResult lr = load_trace_file_ex(path, lo);
-  out.load_ns = now_ns() - t0;
-  if (!lr.usable()) {
-    std::fprintf(stderr, "error: %s", lr.describe().c_str());
-    return false;
+  std::optional<Trace> trace;
+  if (spool::spool_file_magic(path)) {
+    spool::RecoverResult rr = spool::recover_spool_file(path, nullptr, threads);
+    if (!rr.usable || rr.report.partial()) {
+      std::fprintf(stderr, "error: recovery of %s: %s\n", path.c_str(),
+                   rr.report.summary().c_str());
+      return false;
+    }
+    trace = std::move(rr.trace);
+  } else {
+    LoadOptions lo;
+    lo.mode = LoadMode::Strict;
+    lo.threads = threads;
+    LoadResult lr = load_trace_file_ex(path, lo);
+    if (!lr.usable()) {
+      std::fprintf(stderr, "error: %s", lr.describe().c_str());
+      return false;
+    }
+    trace = std::move(lr.trace);
   }
+  out.load_ns = now_ns() - t0;
   AnalysisOptions opts;
   opts.threads = threads;
   opts.metrics.threads = threads;
-  const Analysis a = analyze(*lr.trace, Topology::generic4(), opts,
-                             &out.stages);
-  out.report = render_report(*lr.trace, a);
+  const Analysis a = analyze(*trace, Topology::generic4(), opts, &out.stages);
+  out.report = render_report(*trace, a);
   std::ostringstream js;
-  write_json_summary(js, *lr.trace, a);
+  write_json_summary(js, *trace, a);
   out.summary = js.str();
   return true;
 }
@@ -130,6 +146,7 @@ int main(int argc, char** argv) {
   const std::string dir = bench::out_dir();
   const std::string text_path = dir + "/perf_pipeline.ggtrace";
   const std::string bin_path = dir + "/perf_pipeline.ggbin";
+  const std::string spool_path = dir + "/perf_pipeline.ggspool";
   u64 n_grains = 0;
   int n_workers = 0;
   {
@@ -139,8 +156,17 @@ int main(int argc, char** argv) {
     const Trace trace = synth_trace(sopts);
     n_grains = trace.grain_count();
     n_workers = trace.meta.num_workers;
-    if (!save_trace_file(trace, bin_path) ||
-        (!skip_text && !save_trace_file(trace, text_path))) {
+    bool written = save_trace_file(trace, bin_path);
+    if (!skip_text) {
+      written = written && save_trace_file(trace, text_path);
+      // The recorder's default epoch size, as a profiled run spools it.
+      const std::string spooled =
+          spool::spool_trace_bytes(trace, /*epoch_bytes=*/64 * 1024);
+      std::ofstream os(spool_path, std::ios::binary | std::ios::trunc);
+      os.write(spooled.data(), static_cast<std::streamsize>(spooled.size()));
+      written = written && static_cast<bool>(os);
+    }
+    if (!written) {
       std::fprintf(stderr, "error: cannot write trace files under %s\n",
                    dir.c_str());
       return 1;
@@ -150,13 +176,17 @@ int main(int argc, char** argv) {
   const u64 bin_bytes = std::filesystem::file_size(bin_path, ec);
   const u64 text_bytes =
       skip_text ? 0 : std::filesystem::file_size(text_path, ec);
+  const u64 spool_bytes =
+      skip_text ? 0 : std::filesystem::file_size(spool_path, ec);
   if (skip_text) {
     std::printf("trace file: %s (%.1f MB binary)\n", bin_path.c_str(),
                 static_cast<double>(bin_bytes) / 1e6);
   } else {
-    std::printf("trace files: %s (%.1f MB text), %s (%.1f MB binary)\n",
+    std::printf("trace files: %s (%.1f MB text), %s (%.1f MB binary), "
+                "%s (%.1f MB spool)\n",
                 text_path.c_str(), static_cast<double>(text_bytes) / 1e6,
-                bin_path.c_str(), static_cast<double>(bin_bytes) / 1e6);
+                bin_path.c_str(), static_cast<double>(bin_bytes) / 1e6,
+                spool_path.c_str(), static_cast<double>(spool_bytes) / 1e6);
   }
 
   auto ms = [](i64 ns) { return static_cast<double>(ns) / 1e6; };
@@ -204,11 +234,18 @@ int main(int argc, char** argv) {
     sweep.push_back({t, r.total_ns()});
   }
 
-  PathResult text;
+  PathResult text, serial_spool, parallel_spool;
   if (!skip_text) {
     if (!run_path(text_path, /*threads=*/0, text)) return 1;
     print_path("parallel/text", text);
     gate("parallel/text", text);
+    // Spool recovery finalizes with the path's thread count.
+    if (!run_path(spool_path, /*threads=*/1, serial_spool)) return 1;
+    print_path("serial/spool", serial_spool);
+    gate("serial/spool", serial_spool);
+    if (!run_path(spool_path, /*threads=*/0, parallel_spool)) return 1;
+    print_path("parallel/spool", parallel_spool);
+    gate("parallel/spool", parallel_spool);
   }
 
   const double serial_over_parallel =
@@ -237,14 +274,20 @@ int main(int argc, char** argv) {
      << ",\n  \"workers\": " << n_workers << ",\n  \"seed\": " << sopts.seed
      << ",\n  \"hardware_concurrency\": "
      << std::thread::hardware_concurrency()
+     << ",\n  \"build_type\": \"" << GG_BUILD_TYPE << "\""
      << ",\n  \"text_bytes\": " << text_bytes
-     << ",\n  \"binary_bytes\": " << bin_bytes << ",\n";
+     << ",\n  \"binary_bytes\": " << bin_bytes
+     << ",\n  \"spool_bytes\": " << spool_bytes << ",\n";
   emit_stages(os, "serial_binary", serial);
   os << ",\n";
   emit_stages(os, "parallel_binary", parallel);
   if (!skip_text) {
     os << ",\n";
     emit_stages(os, "parallel_text", text);
+    os << ",\n";
+    emit_stages(os, "serial_spool", serial_spool);
+    os << ",\n";
+    emit_stages(os, "parallel_spool", parallel_spool);
   }
   os << ",\n  \"thread_sweep\": [";
   for (size_t i = 0; i < sweep.size(); ++i) {

@@ -38,17 +38,25 @@ inline int resolve_threads(int requested) {
   return static_cast<int>(std::clamp(hw, 1u, 8u));
 }
 
+/// The number of blocks t that par_for_blocks splits [0, n) into: 1 when
+/// threads <= 1 or n < kParForMinItems, else min(threads, n). Callers that
+/// keep per-block state size it with this.
+inline size_t par_block_count(size_t n, int threads) {
+  if (threads <= 1 || n < kParForMinItems) return 1;
+  return std::min(static_cast<size_t>(threads), n);
+}
+
 /// Runs `fn(block, begin, end)` over a static block partition of [0, n).
-/// Block b covers [n*b/t, n*(b+1)/t); the partition depends only on (n, t),
-/// never on timing. Blocks run concurrently; block 0 runs on the caller.
-/// Serial fallback (threads <= 1 or n < kParForMinItems) is a single
-/// fn(0, 0, n) call, so callers need no separate serial code path.
+/// Block b covers [n*b/t, n*(b+1)/t) with t = par_block_count(n, threads);
+/// the partition depends only on (n, t), never on timing. Blocks run
+/// concurrently; block 0 runs on the caller. The serial fallback (t == 1)
+/// is a single fn(0, 0, n) call, so callers need no separate serial code
+/// path.
 template <class Fn>
 void par_for_blocks(size_t n, int threads, Fn&& fn) {
   if (n == 0) return;
-  size_t t = static_cast<size_t>(std::max(threads, 1));
-  if (t > n) t = n;
-  if (t <= 1 || n < kParForMinItems) {
+  const size_t t = par_block_count(n, threads);
+  if (t == 1) {
     fn(size_t{0}, size_t{0}, n);
     return;
   }

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/check.hpp"
+#include "common/par_for.hpp"
 #include "common/prng.hpp"
 #include "obs/exposition.hpp"
 #include "obs/span.hpp"
@@ -1243,6 +1244,9 @@ Trace ThreadedEngine::run(const std::string& program_name,
     recorder_.reset();
     return t;
   }
+  // The workers have joined, so the end-of-run finalize may use every
+  // hardware thread.
+  const int finalize_threads = resolve_threads(0);
   Trace trace;
   if (recorder_->spool() != nullptr) {
     // Spooled run: seal the tails, write the clean footer, then reconstruct
@@ -1250,8 +1254,8 @@ Trace ThreadedEngine::run(const std::string& program_name,
     // recovery uses, so it is exercised on every clean shutdown too.
     recorder_->finish_to_spool(meta);
     std::string rec_err;
-    spool::RecoverResult rr =
-        spool::recover_spool_file(opts_.spool.path, &rec_err);
+    spool::RecoverResult rr = spool::recover_spool_file(
+        opts_.spool.path, &rec_err, finalize_threads);
     spool_sink_.reset();
     if (rr.usable) {
       trace = std::move(rr.trace);
@@ -1265,7 +1269,7 @@ Trace ThreadedEngine::run(const std::string& program_name,
       trace.finalize();
     }
   } else {
-    trace = recorder_->finish(meta);
+    trace = recorder_->finish(meta, finalize_threads);
   }
   recorder_.reset();
   if (opts_.fault_plan) {

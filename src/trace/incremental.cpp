@@ -252,7 +252,7 @@ void IncrementalTrace::extend_region_to_records(Trace& t) {
   t.meta.region_end = max_end;
 }
 
-bool IncrementalTrace::finish() {
+bool IncrementalTrace::finish(int threads) {
   if (finished_) return usable_;
   finished_ = true;
   Trace& t = trace_;
@@ -287,7 +287,7 @@ bool IncrementalTrace::finish() {
   }
   if (!rep.supervisor_dump.empty())
     t.meta.notes.push_back("supervisor " + collapse_lines(rep.supervisor_dump));
-  t.finalize();
+  t.finalize(threads);
   usable_ = true;
   return true;
 }

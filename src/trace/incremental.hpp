@@ -93,9 +93,10 @@ class IncrementalTrace {
 
   /// End of stream: synthesizes meta defaults when the 'M' frame was lost,
   /// repairs region bounds when the footer is missing, stamps recovered/
-  /// crash/supervisor provenance notes, finalizes. Returns false when
-  /// nothing recoverable was ingested (no meta, no records). Idempotent.
-  bool finish();
+  /// crash/supervisor provenance notes, finalizes with `threads` threads.
+  /// Returns false when nothing recoverable was ingested (no meta, no
+  /// records). Idempotent.
+  bool finish(int threads = 1);
   bool finished() const { return finished_; }
 
   /// Extends meta.region_end over every recovered record — what finish()

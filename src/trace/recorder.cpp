@@ -45,7 +45,7 @@ void TraceRecorder::seal_worker(u32 worker) {
                      });
 }
 
-Trace TraceRecorder::finish(TraceMeta meta) {
+Trace TraceRecorder::finish(TraceMeta meta, int threads) {
   Trace trace;
   trace.meta = std::move(meta);
   // Self-measurement: account the recorder's own buffer footprint before the
@@ -57,7 +57,7 @@ Trace TraceRecorder::finish(TraceMeta meta) {
     std::lock_guard lock(strings_mutex_);
     trace.strings = std::exchange(strings_, StringTable{});
   }
-  trace.finalize();
+  trace.finalize(threads);
   return trace;
 }
 

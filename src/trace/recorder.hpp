@@ -135,9 +135,9 @@ class TraceRecorder {
   StrId intern(std::string_view s);
   StrId intern_source(std::string_view file, int line, std::string_view func);
 
-  /// Merges all worker buffers into a finalized Trace. The recorder is
-  /// empty afterwards and may be reused.
-  Trace finish(TraceMeta meta);
+  /// Merges all worker buffers into a Trace finalized with `threads`
+  /// threads. The recorder is empty afterwards and may be reused.
+  Trace finish(TraceMeta meta, int threads = 1);
 
   /// Spooled finish: seals every worker's remaining buffer, flushes the
   /// string-table tail and writes the clean footer carrying `meta` (with

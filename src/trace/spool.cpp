@@ -10,7 +10,9 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <memory>
 
+#include "common/par_for.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "trace/incremental.hpp"
@@ -714,37 +716,40 @@ bool spool_file_magic(const std::string& path) {
          looks_like_spool(std::string_view(magic, sizeof magic));
 }
 
-RecoverResult recover_spool_bytes(std::string_view bytes) {
-  RecoverResult res;
+namespace {
 
+/// Applies every frame of `bytes` to a new IncrementalTrace. Null, with the
+/// reason in *report, when the stream header is unusable.
+std::unique_ptr<IncrementalTrace> replay_frames(std::string_view bytes,
+                                                RecoverReport* report) {
   if (!looks_like_spool(bytes)) {
-    res.report.diagnostics.push_back("not a spool stream (bad magic)");
-    return res;
+    report->diagnostics.push_back("not a spool stream (bad magic)");
+    return nullptr;
   }
   size_t pos = kSpoolMagic.size();
   if (bytes.size() < pos + 4) {
-    res.report.diagnostics.push_back("torn spool header");
-    return res;
+    report->diagnostics.push_back("torn spool header");
+    return nullptr;
   }
   const u32 num_workers = read_le32(bytes.data() + pos);
   pos += 4;
   if (num_workers == 0 || num_workers > 4096) {
-    res.report.diagnostics.push_back("implausible worker count " +
-                                     std::to_string(num_workers));
-    return res;
+    report->diagnostics.push_back("implausible worker count " +
+                                  std::to_string(num_workers));
+    return nullptr;
   }
 
   // The per-frame keep/skip/degrade decisions live in IncrementalTrace so
   // the live tailer (src/serve/) shares them; this loop only walks headers.
-  IncrementalTrace inc(num_workers);
+  auto inc = std::make_unique<IncrementalTrace>(num_workers);
   while (pos < bytes.size()) {
     if (bytes.size() - pos < kFrameHeaderBytes) {
-      inc.note_torn_header(pos);
+      inc->note_torn_header(pos);
       break;
     }
     const char* h = bytes.data() + pos;
     if (std::memcmp(h, kFrameMagic, sizeof kFrameMagic) != 0) {
-      inc.note_garbled_magic(pos);
+      inc->note_garbled_magic(pos);
       break;
     }
     const auto type = static_cast<FrameType>(static_cast<u8>(h[4]));
@@ -754,34 +759,60 @@ RecoverResult recover_spool_bytes(std::string_view bytes) {
     const u64 checksum = read_le64(h + 21);
     if (payload_len > (1ull << 30) ||
         payload_len > bytes.size() - pos - kFrameHeaderBytes) {
-      inc.note_overrun(pos, payload_len);
+      inc->note_overrun(pos, payload_len);
       break;
     }
     const std::string_view payload(h + kFrameHeaderBytes,
                                    static_cast<size_t>(payload_len));
-    inc.apply_frame(type, worker, seq, payload, checksum, pos);
+    inc->apply_frame(type, worker, seq, payload, checksum, pos);
     pos += kFrameHeaderBytes + static_cast<size_t>(payload_len);
   }
+  return inc;
+}
 
-  res.usable = inc.finish();
-  res.report = std::move(inc.report());
-  res.trace = std::move(inc.trace());
+/// Finishes (and so finalizes) a replayed stream into a result; a null
+/// stream gives an unusable result carrying `report`.
+RecoverResult finish_recovery(std::unique_ptr<IncrementalTrace> inc,
+                              RecoverReport report, int threads) {
+  RecoverResult res;
+  if (inc == nullptr) {
+    res.report = std::move(report);
+    return res;
+  }
+  res.usable = inc->finish(resolve_threads(threads));
+  res.report = std::move(inc->report());
+  res.trace = std::move(inc->trace());
   return res;
 }
 
-RecoverResult recover_spool_file(const std::string& path, std::string* error) {
-  // Zero-copy recovery: the frame walk in recover_spool_bytes is already
-  // view-based, so mapping the spool avoids buffering what can be a
-  // multi-gigabyte crash artifact (MmapSource falls back to a read loop for
-  // non-regular files).
-  MmapSource src;
-  if (!src.open(path)) {
-    if (error != nullptr) *error = "cannot open " + path;
-    RecoverResult res;
-    res.report.diagnostics.push_back("cannot open " + path);
-    return res;
+}  // namespace
+
+RecoverResult recover_spool_bytes(std::string_view bytes, int threads) {
+  RecoverReport report;
+  std::unique_ptr<IncrementalTrace> inc = replay_frames(bytes, &report);
+  return finish_recovery(std::move(inc), std::move(report), threads);
+}
+
+RecoverResult recover_spool_file(const std::string& path, std::string* error,
+                                 int threads) {
+  // Zero-copy recovery: the frame walk is view-based, so mapping the spool
+  // avoids buffering what can be a multi-gigabyte crash artifact
+  // (MmapSource falls back to a read loop for non-regular files). The
+  // replayed trace owns copies of everything it keeps, so the mapping is
+  // released before finalize: the sort's scratch memory then does not
+  // stack on top of the mapped spool.
+  std::unique_ptr<IncrementalTrace> inc;
+  RecoverReport report;
+  {
+    MmapSource src;
+    if (!src.open(path)) {
+      if (error != nullptr) *error = "cannot open " + path;
+      report.diagnostics.push_back("cannot open " + path);
+    } else {
+      inc = replay_frames(src.view(), &report);
+    }
   }
-  return recover_spool_bytes(src.view());
+  return finish_recovery(std::move(inc), std::move(report), threads);
 }
 
 // --- whole-trace spooling ---------------------------------------------------

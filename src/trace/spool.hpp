@@ -331,9 +331,14 @@ struct RecoverResult {
 /// "supervisor ...") that TraceMeta's provenance accessors expose. The
 /// caller is expected to run the salvage pass afterwards — recovered
 /// traces usually miss TaskEnds/joins for in-flight work.
-RecoverResult recover_spool_bytes(std::string_view bytes);
+///
+/// `threads` is the finalize thread count; 0 resolves it with
+/// resolve_threads (GG_THREADS, else the hardware concurrency capped at
+/// 8). The trace and the report are the same for every thread count.
+RecoverResult recover_spool_bytes(std::string_view bytes, int threads = 0);
 RecoverResult recover_spool_file(const std::string& path,
-                                 std::string* error = nullptr);
+                                 std::string* error = nullptr,
+                                 int threads = 0);
 
 /// True if `bytes`/the file starts with the spool magic (cheap sniffing
 /// for tools that accept .ggtrace/.ggbin/.ggspool alike).

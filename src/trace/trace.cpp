@@ -1,8 +1,14 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <utility>
 
-#include "common/par_sort.hpp"
+#include "common/check.hpp"
+#include "common/par_for.hpp"
 
 namespace gg {
 
@@ -15,62 +21,197 @@ const char* to_string(ScheduleKind k) {
   return "?";
 }
 
-void Trace::finalize(int threads) {
-  // Stable sorts throughout: records with equal keys (possible in damaged
-  // inputs) keep their arrival order, and par_stable_sort produces the same
-  // permutation for every thread count — so a salvaged trace serializes
-  // identically whether finalized serial or parallel.
-  par_stable_sort(tasks, threads, [](const TaskRec& a, const TaskRec& b) {
-    return a.uid < b.uid;
-  });
-  par_stable_sort(fragments, threads,
-                  [](const FragmentRec& a, const FragmentRec& b) {
-                    return a.task != b.task ? a.task < b.task : a.seq < b.seq;
-                  });
-  par_stable_sort(joins, threads, [](const JoinRec& a, const JoinRec& b) {
-    return a.task != b.task ? a.task < b.task : a.seq < b.seq;
-  });
-  par_stable_sort(loops, threads, [](const LoopRec& a, const LoopRec& b) {
-    return a.uid < b.uid;
-  });
-  par_stable_sort(chunks, threads, [](const ChunkRec& a, const ChunkRec& b) {
-    if (a.loop != b.loop) return a.loop < b.loop;
-    if (a.thread != b.thread) return a.thread < b.thread;
-    return a.seq_on_thread < b.seq_on_thread;
-  });
-  par_stable_sort(depends, threads,
-                  [](const DependRec& a, const DependRec& b) {
-                    return a.succ != b.succ ? a.succ < b.succ
-                                            : a.pred < b.pred;
-                  });
-  par_stable_sort(bookkeeps, threads,
-                  [](const BookkeepRec& a, const BookkeepRec& b) {
-                    if (a.loop != b.loop) return a.loop < b.loop;
-                    if (a.thread != b.thread) return a.thread < b.thread;
-                    return a.seq_on_thread < b.seq_on_thread;
-                  });
-  par_stable_sort(worker_stats, threads,
-                  [](const WorkerStatsRec& a, const WorkerStatsRec& b) {
-                    return a.worker < b.worker;
-                  });
+namespace {
 
-  task_index_.clear();
-  task_index_.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i)
-    task_index_.emplace_back(tasks[i].uid, i);
-  loop_index_.clear();
-  loop_index_.reserve(loops.size());
-  for (size_t i = 0; i < loops.size(); ++i)
-    loop_index_.emplace_back(loops[i].uid, i);
-  children_index_.clear();
-  children_index_.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) children_index_.push_back(i);
-  par_stable_sort(children_index_, threads, [this](size_t a, size_t b) {
-    const TaskRec& ta = tasks[a];
-    const TaskRec& tb = tasks[b];
-    return ta.parent != tb.parent ? ta.parent < tb.parent
-                                  : ta.child_index < tb.child_index;
+/// A record's sort key, (hi, lo), and its position in the unsorted vector.
+template <class Lo>
+struct SortKey {
+  u64 hi;
+  Lo lo;
+  u32 index;
+};
+
+/// Sorts keys[0, n) by (hi, lo), keeping equal keys in their current
+/// order. The keys start in arrival (index) order, so the result is the
+/// (hi, lo, index) order: the permutation std::stable_sort by (hi, lo)
+/// gives, duplicate keys of a damaged trace included.
+///
+/// A least-significant-digit radix sort, 11 bits a pass, lo's digits then
+/// hi's, skipping every digit in which all keys agree. A pass counts the
+/// digits of each par_for_blocks block in parallel, turns the counts into
+/// one output offset per (block, digit), and scatters every block in
+/// order. Each pass is a stable counting sort whatever the partition, so
+/// every thread count gives the same result. Returns the buffer holding
+/// the sorted keys.
+template <class Key>
+std::unique_ptr<Key[]> radix_sort(std::unique_ptr<Key[]> keys, size_t n,
+                                  int threads) {
+  if (n < 2) return keys;
+  constexpr int kDigitBits = 11;
+  constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
+  const size_t blocks = par_block_count(n, threads);
+
+  // Bits in which some key differs from the first one.
+  std::vector<std::pair<u64, u64>> block_diff(blocks);
+  par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
+    u64 diff_hi = 0, diff_lo = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      diff_hi |= keys[i].hi ^ keys[0].hi;
+      diff_lo |= static_cast<u64>(keys[i].lo ^ keys[0].lo);
+    }
+    block_diff[b] = {diff_hi, diff_lo};
   });
+  u64 diff_hi = 0, diff_lo = 0;
+  for (const auto& [hi, lo] : block_diff) {
+    diff_hi |= hi;
+    diff_lo |= lo;
+  }
+
+  std::unique_ptr<Key[]> scratch;
+  std::vector<std::array<size_t, kDigitMask + 1>> offsets(blocks);
+  auto pass = [&](auto digit) {
+    if (!scratch) scratch = std::make_unique_for_overwrite<Key[]>(n);
+    const Key* src = keys.get();
+    Key* dst = scratch.get();
+    par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
+      offsets[b].fill(0);
+      for (size_t i = lo; i < hi; ++i) ++offsets[b][digit(src[i])];
+    });
+    size_t next = 0;
+    for (size_t d = 0; d <= kDigitMask; ++d) {
+      for (size_t b = 0; b < blocks; ++b) {
+        const size_t count = offsets[b][d];
+        offsets[b][d] = next;
+        next += count;
+      }
+    }
+    par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i)
+        dst[offsets[b][digit(src[i])]++] = src[i];
+    });
+    std::swap(keys, scratch);
+  };
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if ((diff_lo >> shift & kDigitMask) == 0) continue;
+    pass([shift](const Key& k) {
+      return static_cast<size_t>(static_cast<u64>(k.lo) >> shift & kDigitMask);
+    });
+  }
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if ((diff_hi >> shift & kDigitMask) == 0) continue;
+    pass([shift](const Key& k) {
+      return static_cast<size_t>(k.hi >> shift & kDigitMask);
+    });
+  }
+  return keys;
+}
+
+/// True when `recs` is already in key order, i.e. std::stable_sort by the
+/// key would leave it as it is.
+template <class Rec, class KeyFn>
+bool in_key_order(const std::vector<Rec>& recs, int threads, KeyFn key) {
+  std::vector<char> ok(par_block_count(recs.size(), threads), 1);
+  par_for_blocks(recs.size(), threads, [&](size_t b, size_t lo, size_t hi) {
+    for (size_t i = std::max<size_t>(lo, 1); i < hi; ++i) {
+      if (key(recs[i]) < key(recs[i - 1])) {
+        ok[b] = 0;
+        return;
+      }
+    }
+  });
+  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+}
+
+/// The keys of `recs` in sorted order. `key(rec)` returns a (u64, Lo) pair.
+template <class Rec, class KeyFn>
+auto sorted_keys(const std::vector<Rec>& recs, int threads, KeyFn key) {
+  using Lo = decltype(key(recs.front()).second);
+  const size_t n = recs.size();
+  GG_CHECK(n <= std::numeric_limits<u32>::max());
+  auto keys = std::make_unique_for_overwrite<SortKey<Lo>[]>(n);
+  par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const auto [k_hi, k_lo] = key(recs[i]);
+      keys[i] = {k_hi, k_lo, static_cast<u32>(i)};
+    }
+  });
+  return radix_sort(std::move(keys), n, threads);
+}
+
+/// Puts `recs` in key order, equal keys in arrival order: the order
+/// std::stable_sort by the key gives. Input already in that order is left
+/// untouched. Otherwise the records are gathered once, in sorted key
+/// order, into fresh storage that the gather itself touches first (in
+/// parallel), then copied back into the vector's own storage.
+template <class Rec, class KeyFn>
+void sort_records(std::vector<Rec>& recs, int threads, KeyFn key) {
+  if (in_key_order(recs, threads, key)) return;
+  const size_t n = recs.size();
+  const auto keys = sorted_keys(recs, threads, key);
+  std::allocator<Rec> alloc;
+  Rec* sorted = alloc.allocate(n);
+  par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i)
+      std::construct_at(sorted + i, recs[keys[i].index]);
+  });
+  par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
+    std::copy(sorted + lo, sorted + hi,
+              recs.begin() + static_cast<ptrdiff_t>(lo));
+  });
+  alloc.deallocate(sorted, n);
+}
+
+/// (thread, seq_on_thread) packed into one word, thread first.
+u64 thread_seq(u16 thread, u32 seq) {
+  return static_cast<u64>(thread) << 32 | seq;
+}
+
+/// The parent's place in children_index_ order: uid + 1, so the root's
+/// parent kNoTask wraps to 0 and sorts first. That keeps the key as narrow
+/// as the uids for the radix sort; children_of searches by the same rank.
+u64 parent_rank(TaskId parent) { return parent + 1; }
+
+}  // namespace
+
+void Trace::finalize(int threads) {
+  sort_records(tasks, threads, [](const TaskRec& r) {
+    return std::pair{r.uid, u32{0}};
+  });
+  sort_records(fragments, threads, [](const FragmentRec& r) {
+    return std::pair{r.task, r.seq};
+  });
+  sort_records(joins, threads, [](const JoinRec& r) {
+    return std::pair{r.task, r.seq};
+  });
+  sort_records(loops, threads, [](const LoopRec& r) {
+    return std::pair{r.uid, u32{0}};
+  });
+  sort_records(chunks, threads, [](const ChunkRec& r) {
+    return std::pair{r.loop, thread_seq(r.thread, r.seq_on_thread)};
+  });
+  sort_records(depends, threads, [](const DependRec& r) {
+    return std::pair{r.succ, r.pred};
+  });
+  sort_records(bookkeeps, threads, [](const BookkeepRec& r) {
+    return std::pair{r.loop, thread_seq(r.thread, r.seq_on_thread)};
+  });
+  sort_records(worker_stats, threads, [](const WorkerStatsRec& r) {
+    return std::pair{u64{r.worker}, u32{0}};
+  });
+
+  // Task positions in (parent rank, child_index) order.
+  const auto child_key = [](const TaskRec& r) {
+    return std::pair{parent_rank(r.parent), r.child_index};
+  };
+  children_index_.resize(tasks.size());
+  if (in_key_order(tasks, threads, child_key)) {
+    std::iota(children_index_.begin(), children_index_.end(), size_t{0});
+  } else {
+    const auto keys = sorted_keys(tasks, threads, child_key);
+    par_for_blocks(tasks.size(), threads, [&](size_t, size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) children_index_[i] = keys[i].index;
+    });
+  }
   finalized_ = true;
 }
 
@@ -133,19 +274,19 @@ const JoinRec* find_join(std::span<const JoinRec> joins, u64 seq) {
 std::optional<size_t> Trace::task_index(TaskId uid) const {
   if (!finalized_) return std::nullopt;
   auto it = std::lower_bound(
-      task_index_.begin(), task_index_.end(), uid,
-      [](const auto& p, TaskId v) { return p.first < v; });
-  if (it == task_index_.end() || it->first != uid) return std::nullopt;
-  return it->second;
+      tasks.begin(), tasks.end(), uid,
+      [](const TaskRec& t, TaskId v) { return t.uid < v; });
+  if (it == tasks.end() || it->uid != uid) return std::nullopt;
+  return static_cast<size_t>(it - tasks.begin());
 }
 
 std::optional<size_t> Trace::loop_index(LoopId uid) const {
   if (!finalized_) return std::nullopt;
   auto it = std::lower_bound(
-      loop_index_.begin(), loop_index_.end(), uid,
-      [](const auto& p, LoopId v) { return p.first < v; });
-  if (it == loop_index_.end() || it->first != uid) return std::nullopt;
-  return it->second;
+      loops.begin(), loops.end(), uid,
+      [](const LoopRec& l, LoopId v) { return l.uid < v; });
+  if (it == loops.end() || it->uid != uid) return std::nullopt;
+  return static_cast<size_t>(it - loops.begin());
 }
 
 std::vector<const FragmentRec*> Trace::fragments_of(TaskId uid) const {
@@ -193,8 +334,10 @@ std::vector<const BookkeepRec*> Trace::bookkeeps_of(LoopId uid) const {
 std::vector<const TaskRec*> Trace::children_of(TaskId uid) const {
   if (!finalized_) return {};
   auto lo = std::lower_bound(
-      children_index_.begin(), children_index_.end(), uid,
-      [this](size_t i, TaskId v) { return tasks[i].parent < v; });
+      children_index_.begin(), children_index_.end(), parent_rank(uid),
+      [this](size_t i, u64 rank) {
+        return parent_rank(tasks[i].parent) < rank;
+      });
   std::vector<const TaskRec*> out;
   for (auto it = lo; it != children_index_.end() && tasks[*it].parent == uid;
        ++it) {

@@ -77,21 +77,25 @@ class Trace {
   StringTable strings;
 
   /// Sorts all record vectors into canonical order (tasks by uid, fragments
-  /// by (task, seq), ...) and builds the task-uid index. Must be called
+  /// by (task, seq), ...) and builds the children index. Must be called
   /// after recording and after deserialization, before lookups. Lookups on
   /// a not-yet-finalized trace return empty/nullopt instead of aborting, so
   /// partially-ingested traces are safe to probe.
   ///
-  /// `threads` parallelizes the sorts (par_stable_sort). Every sort is
-  /// stable, so the canonical order — including the relative order of
-  /// duplicate-key records a damaged input may contain — is identical for
+  /// Each vector's order is the one std::stable_sort by its key gives:
+  /// records with equal keys, which damaged inputs can contain, keep their
+  /// arrival order. A vector already in that order is left untouched (a
+  /// load of a trace written from a finalized one). Otherwise finalize
+  /// radix-sorts (key, arrival index) pairs with up to `threads` threads
+  /// and gathers the records once, in key order. The order is the same for
   /// every thread count.
   void finalize(int threads = 1);
 
-  /// Index of a task by uid after finalize(); nullopt if absent.
+  /// Index of a task by uid after finalize() (a binary search of the
+  /// uid-sorted tasks; the first one on duplicate uids); nullopt if absent.
   std::optional<size_t> task_index(TaskId uid) const;
 
-  /// Index of a loop by uid after finalize(); nullopt if absent.
+  /// Index of a loop by uid after finalize(), as task_index().
   std::optional<size_t> loop_index(LoopId uid) const;
 
   // Zero-copy range accessors. After finalize() each record vector is sorted
@@ -143,10 +147,8 @@ class Trace {
 
  private:
   bool finalized_ = false;
-  std::vector<std::pair<TaskId, size_t>> task_index_;  // sorted by uid
-  std::vector<std::pair<LoopId, size_t>> loop_index_;  // sorted by uid
   std::vector<size_t> children_index_;  // task indices, sorted by
-                                        // (parent, child_index)
+                                        // (parent + 1, child_index)
 };
 
 /// Join with the given seq in one task's (seq-sorted) span, or nullptr.

@@ -234,6 +234,39 @@ TEST(FastPathThreadsTest, ShardedBuildersDeterministicAtScale) {
     }
   }
 
+  // GGSPOOL1 round trip. 8 workers' epochs interleave in the stream, so
+  // recovery's finalize really sorts. At every thread count the recovered
+  // trace and the report must equal the 1-thread recovery, for the clean
+  // spool (which must also give back the original trace) and a torn copy.
+  const std::string spooled = spool::spool_trace_bytes(synthesized, 16 * 1024);
+  const std::string torn = spooled.substr(0, spooled.size() * 2 / 3);
+  for (const std::string* bytes : {&spooled, &torn}) {
+    const char* what = bytes == &spooled ? "clean spool" : "torn spool";
+    std::string want_trace, want_report;
+    for (const int threads : {1, 2, 4, 8}) {
+      const spool::RecoverResult rr =
+          spool::recover_spool_bytes(*bytes, threads);
+      ASSERT_TRUE(rr.usable) << what << ", threads " << threads << ": "
+                             << rr.report.summary();
+      std::ostringstream rt;
+      save_trace_binary(rr.trace, rt);
+      std::string report = rr.report.summary();
+      for (const std::string& d : rr.report.diagnostics) report += "\n" + d;
+      if (threads == 1) {
+        want_trace = rt.str();
+        want_report = report;
+      } else {
+        EXPECT_EQ(want_trace, rt.str()) << what << ", threads " << threads;
+        EXPECT_EQ(want_report, report) << what << ", threads " << threads;
+      }
+    }
+    if (bytes == &spooled) {
+      EXPECT_EQ(serial_trace_bytes, want_trace);
+    } else {
+      EXPECT_NE(want_report.find("frame"), std::string::npos) << want_report;
+    }
+  }
+
   // Sharded builders: structural identity against the serial build.
   const GrainGraph g1 = GrainGraph::build(synthesized, /*threads=*/1);
   const GrainTable t1 = GrainTable::build(synthesized, /*threads=*/1);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <sstream>
 
+#include "common/prng.hpp"
 #include "trace/recorder.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
@@ -529,6 +533,233 @@ TEST(TraceRecorderTest, ParallelWritersMerge) {
   // Sorted by uid after finalize.
   for (size_t i = 1; i < t.tasks.size(); ++i)
     EXPECT_LT(t.tasks[i - 1].uid, t.tasks[i].uid);
+}
+
+// --- finalize on unsorted input at scale -----------------------------------
+
+// Records per vector before the planted duplicates: above 3 x 4096
+// (kParForMinItems), so every vector takes the parallel path, in several
+// blocks at 8 threads.
+constexpr size_t kScaleRecords = 3 * 4096 + 517;
+
+/// Fisher-Yates with the repository's PRNG: the same input on every
+/// platform.
+template <class Rec>
+void seeded_shuffle(std::vector<Rec>& v, Xoshiro256& rng) {
+  for (size_t i = v.size(); i > 1; --i)
+    std::swap(v[i - 1], v[rng.bounded(i)]);
+}
+
+/// Appends a copy of every 16th record with `tweak` applied: duplicate
+/// keys whose other fields differ, as damaged traces carry.
+template <class Rec, class Tweak>
+void plant_duplicates(std::vector<Rec>& v, Tweak tweak) {
+  const size_t n = v.size();
+  for (size_t i = 0; i < n; i += 16) {
+    Rec r = v[i];
+    tweak(r);
+    v.push_back(r);
+  }
+}
+
+/// Every keyed vector holds duplicate keys and is shuffled, except two:
+/// `loops` is already in key order, and `worker_stats` is two sorted runs
+/// whose seam sits on a block boundary at 2, 4 and 8 threads, so only the
+/// order check across blocks sees it. Keys span several radix digits, some
+/// near the top of their range (kNoTask parents, 2^40 uids, full-width
+/// thread and seq fields, random 64-bit preds).
+Trace unsorted_trace_at_scale(u64 seed) {
+  Xoshiro256 rng(seed);
+  auto wide = [&](u64 bound) {
+    return rng.bounded(8) == 0 ? (u64{1} << 40) + rng.bounded(bound)
+                               : rng.bounded(bound);
+  };
+  Trace t;
+  for (size_t i = 0; i < kScaleRecords; ++i) {
+    TaskRec task;
+    task.uid = wide(20000);
+    task.parent = rng.bounded(64) == 0 ? kNoTask : rng.bounded(5000);
+    task.child_index = static_cast<u32>(rng.bounded(3000));
+    task.create_time = i;
+    t.tasks.push_back(task);
+    FragmentRec f;
+    f.task = wide(8000);
+    f.seq = static_cast<u32>(rng.bounded(4000));
+    f.start = i;
+    t.fragments.push_back(f);
+    JoinRec j;
+    j.task = rng.bounded(8000);
+    j.seq = static_cast<u32>(rng.bounded(70000));
+    j.start = i;
+    t.joins.push_back(j);
+    LoopRec l;
+    l.uid = rng.bounded(9000);
+    l.start = i;
+    t.loops.push_back(l);
+    ChunkRec c;
+    c.loop = rng.bounded(3000);
+    c.thread = static_cast<u16>(rng.next());
+    c.seq_on_thread = static_cast<u32>(rng.next());
+    c.start = i;
+    t.chunks.push_back(c);
+    DependRec d;
+    d.succ = rng.bounded(6000);
+    d.pred = rng.next();
+    t.depends.push_back(d);
+    BookkeepRec b;
+    b.loop = rng.bounded(3000);
+    b.thread = static_cast<u16>(rng.bounded(64));
+    b.seq_on_thread = static_cast<u32>(rng.bounded(500));
+    b.start = i;
+    t.bookkeeps.push_back(b);
+    WorkerStatsRec w;
+    w.worker = static_cast<u16>(rng.next());
+    w.steals = i;
+    t.worker_stats.push_back(w);
+  }
+  constexpr u64 kLater = 1'000'000;
+  plant_duplicates(t.tasks, [](TaskRec& r) { r.create_time += kLater; });
+  plant_duplicates(t.fragments, [](FragmentRec& r) { r.start += kLater; });
+  plant_duplicates(t.joins, [](JoinRec& r) { r.start += kLater; });
+  plant_duplicates(t.loops, [](LoopRec& r) { r.start += kLater; });
+  plant_duplicates(t.chunks, [](ChunkRec& r) { r.start += kLater; });
+  // A DependRec is all key: its duplicates are whole-record copies.
+  plant_duplicates(t.depends, [](DependRec&) {});
+  plant_duplicates(t.bookkeeps, [](BookkeepRec& r) { r.start += kLater; });
+  plant_duplicates(t.worker_stats,
+                   [](WorkerStatsRec& r) { r.steals += kLater; });
+  seeded_shuffle(t.tasks, rng);
+  seeded_shuffle(t.fragments, rng);
+  seeded_shuffle(t.joins, rng);
+  seeded_shuffle(t.chunks, rng);
+  seeded_shuffle(t.depends, rng);
+  seeded_shuffle(t.bookkeeps, rng);
+  std::stable_sort(t.loops.begin(), t.loops.end(),
+                   [](const LoopRec& a, const LoopRec& b) {
+                     return a.uid < b.uid;
+                   });
+  // Block b of n items starts at n * b / t: the seam lands on n / 2.
+  std::stable_sort(t.worker_stats.begin(), t.worker_stats.end(),
+                   [](const WorkerStatsRec& a, const WorkerStatsRec& b) {
+                     return a.worker < b.worker;
+                   });
+  const size_t n = t.worker_stats.size();
+  std::rotate(t.worker_stats.begin(),
+              t.worker_stats.begin() + static_cast<ptrdiff_t>(n - n / 2),
+              t.worker_stats.end());
+  return t;
+}
+
+/// The reference: each vector std::stable_sort-ed by the comparators
+/// finalize used before its key sort.
+Trace stable_sorted_reference(Trace t) {
+  auto sort = [](auto& v, auto less) {
+    std::stable_sort(v.begin(), v.end(), less);
+  };
+  sort(t.tasks, [](const TaskRec& a, const TaskRec& b) {
+    return a.uid < b.uid;
+  });
+  sort(t.fragments, [](const FragmentRec& a, const FragmentRec& b) {
+    return a.task != b.task ? a.task < b.task : a.seq < b.seq;
+  });
+  sort(t.joins, [](const JoinRec& a, const JoinRec& b) {
+    return a.task != b.task ? a.task < b.task : a.seq < b.seq;
+  });
+  sort(t.loops, [](const LoopRec& a, const LoopRec& b) {
+    return a.uid < b.uid;
+  });
+  sort(t.chunks, [](const ChunkRec& a, const ChunkRec& b) {
+    if (a.loop != b.loop) return a.loop < b.loop;
+    if (a.thread != b.thread) return a.thread < b.thread;
+    return a.seq_on_thread < b.seq_on_thread;
+  });
+  sort(t.depends, [](const DependRec& a, const DependRec& b) {
+    return a.succ != b.succ ? a.succ < b.succ : a.pred < b.pred;
+  });
+  sort(t.bookkeeps, [](const BookkeepRec& a, const BookkeepRec& b) {
+    if (a.loop != b.loop) return a.loop < b.loop;
+    if (a.thread != b.thread) return a.thread < b.thread;
+    return a.seq_on_thread < b.seq_on_thread;
+  });
+  sort(t.worker_stats, [](const WorkerStatsRec& a, const WorkerStatsRec& b) {
+    return a.worker < b.worker;
+  });
+  return t;
+}
+
+TEST(TraceTest, FinalizeMatchesStableSortAtScale) {
+  const Trace input = unsorted_trace_at_scale(17);
+  const Trace ref = stable_sorted_reference(input);
+  ASSERT_TRUE(input.loops == ref.loops) << "loops must arrive sorted";
+  ASSERT_FALSE(input.fragments == ref.fragments);
+
+  // Children per parent in the order the stable (parent, child_index)
+  // index gave them: uid-sorted tasks, stable-sorted by child_index.
+  std::map<TaskId, std::vector<TaskRec>> ref_children;
+  for (const TaskRec& r : ref.tasks) ref_children[r.parent].push_back(r);
+  for (auto& [parent, kids] : ref_children) {
+    std::stable_sort(kids.begin(), kids.end(),
+                     [](const TaskRec& a, const TaskRec& b) {
+                       return a.child_index < b.child_index;
+                     });
+  }
+  // Present uids, their neighbours (mostly absent), and the extremes.
+  std::vector<u64> probes = {0, 1, kNoTask, kNoTask - 1, u64{1} << 40};
+  for (const TaskRec& r : ref.tasks) {
+    probes.push_back(r.uid);
+    probes.push_back(r.uid + 1);
+    probes.push_back(r.parent);
+  }
+  for (const LoopRec& l : ref.loops) probes.push_back(l.uid + 1);
+
+  for (const int threads : {1, 2, 4, 8}) {
+    Trace t = input;
+    t.finalize(threads);
+    ASSERT_TRUE(t.finalized());
+    EXPECT_TRUE(t.tasks == ref.tasks) << "tasks, threads " << threads;
+    EXPECT_TRUE(t.fragments == ref.fragments)
+        << "fragments, threads " << threads;
+    EXPECT_TRUE(t.joins == ref.joins) << "joins, threads " << threads;
+    EXPECT_TRUE(t.loops == ref.loops) << "loops, threads " << threads;
+    EXPECT_TRUE(t.chunks == ref.chunks) << "chunks, threads " << threads;
+    EXPECT_TRUE(t.depends == ref.depends) << "depends, threads " << threads;
+    EXPECT_TRUE(t.bookkeeps == ref.bookkeeps)
+        << "bookkeeps, threads " << threads;
+    EXPECT_TRUE(t.worker_stats == ref.worker_stats)
+        << "worker_stats, threads " << threads;
+
+    size_t mismatches = 0;
+    for (const u64 uid : probes) {
+      // Positions are compared as size_t, SIZE_MAX for "absent".
+      const auto task_at = std::lower_bound(
+          ref.tasks.begin(), ref.tasks.end(), uid,
+          [](const TaskRec& r, u64 v) { return r.uid < v; });
+      const size_t want_task =
+          task_at != ref.tasks.end() && task_at->uid == uid
+              ? static_cast<size_t>(task_at - ref.tasks.begin())
+              : SIZE_MAX;
+      const auto loop_at = std::lower_bound(
+          ref.loops.begin(), ref.loops.end(), uid,
+          [](const LoopRec& l, u64 v) { return l.uid < v; });
+      const size_t want_loop =
+          loop_at != ref.loops.end() && loop_at->uid == uid
+              ? static_cast<size_t>(loop_at - ref.loops.begin())
+              : SIZE_MAX;
+      std::vector<TaskRec> got_children;
+      for (const TaskRec* c : t.children_of(uid)) got_children.push_back(*c);
+      const auto kids = ref_children.find(uid);
+      const std::vector<TaskRec> want_children =
+          kids != ref_children.end() ? kids->second : std::vector<TaskRec>{};
+      if (t.task_index(uid).value_or(SIZE_MAX) != want_task ||
+          t.loop_index(uid).value_or(SIZE_MAX) != want_loop ||
+          got_children != want_children) {
+        ++mismatches;
+        ADD_FAILURE() << "lookups of uid " << uid << " differ at threads "
+                      << threads;
+        if (mismatches >= 5) break;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -44,10 +44,10 @@
 //                            JSON to stderr, chrome writes span timeline to
 //                            gganalyze.telemetry.json. GG_TELEMETRY=1 in
 //                            the environment implies --telemetry=prom.
-//     --threads <N>          worker threads for trace load, graph build,
-//                            grain derivation, and the metric passes
-//                            (0 = auto; results are bit-identical for
-//                            every setting)
+//     --threads <N>          worker threads for trace load (spool
+//                            recovery included), graph build, grain
+//                            derivation, and the metric passes (0 = auto;
+//                            results are bit-identical for every setting)
 //
 //   gganalyze --selftest [programs] [schedules]
 //     Runs the built-in differential oracle (src/check): generated programs
@@ -512,7 +512,8 @@ int main(int argc, char** argv) {
   if (spool_input) {
     const i64 load_start = now_ns();
     std::string rec_err;
-    spool::RecoverResult rr = spool::recover_spool_file(trace_path, &rec_err);
+    spool::RecoverResult rr =
+        spool::recover_spool_file(trace_path, &rec_err, threads);
     load_ns = now_ns() - load_start;
     load_span.end();
     if (!rr.usable) {
