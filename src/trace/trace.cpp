@@ -149,16 +149,17 @@ void sort_records(std::vector<Rec>& recs, int threads, KeyFn key) {
   const size_t n = recs.size();
   const auto keys = sorted_keys(recs, threads, key);
   std::allocator<Rec> alloc;
-  Rec* sorted = alloc.allocate(n);
+  const auto release = [&alloc, n](Rec* p) { alloc.deallocate(p, n); };
+  const std::unique_ptr<Rec, decltype(release)> sorted(alloc.allocate(n),
+                                                       release);
   par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i)
-      std::construct_at(sorted + i, recs[keys[i].index]);
+      std::construct_at(sorted.get() + i, recs[keys[i].index]);
   });
   par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
-    std::copy(sorted + lo, sorted + hi,
+    std::copy(sorted.get() + lo, sorted.get() + hi,
               recs.begin() + static_cast<ptrdiff_t>(lo));
   });
-  alloc.deallocate(sorted, n);
 }
 
 /// (thread, seq_on_thread) packed into one word, thread first.
