@@ -73,7 +73,7 @@ std::string make_spool_bytes(u64 seed, u64 grains) {
 std::string batch_report(const std::string& bytes) {
   spool::RecoverResult rr = spool::recover_spool_bytes(bytes);
   if (!rr.usable) return {};
-  if (serve::recovery_degraded(rr.report)) salvage_trace(rr.trace);
+  if (rr.report.degraded()) salvage_trace(rr.trace);
   if (!validate_trace(rr.trace).empty()) return {};
   return serve::analysis_report_text(rr.trace);
 }
@@ -224,12 +224,7 @@ AckLatencyResult run_ack_latency(u64 grains) {
   AckLatencyResult res;
   std::string err;
   std::vector<i64> rtts;
-  u32 num_workers = 0;
-  for (int i = 0; i < 4; ++i)
-    num_workers |= static_cast<u32>(static_cast<u8>(
-                       bytes[spool::kSpoolMagic.size() + i]))
-                   << (8 * i);
-  if (!client.begin(num_workers, &err)) {
+  if (!client.begin(spool::read_stream_header(bytes).num_workers, &err)) {
     std::fprintf(stderr, "error: ack-latency begin: %s\n", err.c_str());
     res.ok = false;
   }

@@ -20,20 +20,6 @@ namespace gg::serve {
 
 namespace {
 
-u32 le32_at(const char* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<u32>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
-u64 le64_at(const char* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<u64>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
 bool send_all(int fd, const char* data, size_t len) {
   while (len > 0) {
     // MSG_NOSIGNAL: a peer that vanished mid-ACK must surface as EPIPE,
@@ -119,37 +105,26 @@ IngestStream::Apply IngestStream::apply_epoch(u32 seq,
                 std::to_string(acked_seq_)};
   }
   if (footer_seen_) {
-    // Batch recovery stops its scan at the footer; bytes after it never
-    // reach the trace, so accepting them here would break parity.
+    // The walker ends every stream at its verified footer; bytes after it
+    // never reach the trace, so accepting them here would break parity.
     return {wire::Status::SessionErr, acked_seq_, "EPOCH after footer"};
   }
-  const std::string_view f = msg.spool_frame;
-  if (std::memcmp(f.data(), spool::kFrameMagic,
-                  sizeof spool::kFrameMagic) != 0) {
+  spool::FrameStep f = spool::next_frame(msg.spool_frame, 0);
+  if (f.step == spool::Step::Garbled) {
     return {wire::Status::SessionErr, acked_seq_,
             "EPOCH does not carry a spool frame (bad inner magic)"};
   }
-  const auto type = static_cast<spool::FrameType>(static_cast<u8>(f[4]));
-  const u32 worker = le32_at(f.data() + 5);
-  const u32 inner_seq = le32_at(f.data() + 9);
-  const u64 payload_len = le64_at(f.data() + 13);
-  const u64 stored_checksum = le64_at(f.data() + 21);
-  if (payload_len != f.size() - spool::kFrameHeaderBytes) {
+  if (f.step != spool::Step::Frame || f.size() != msg.spool_frame.size()) {
     // Exactly one complete frame per EPOCH; a length that disagrees with
     // the carried bytes is a client bug, not stream damage (damage with a
     // lying length is an overrun tail, expressed via SEAL).
     return {wire::Status::SessionErr, acked_seq_,
-            "inner frame length " + std::to_string(payload_len) +
+            "inner frame length " + std::to_string(f.payload_len) +
                 " does not match carried bytes"};
   }
-  const std::string_view payload(f.data() + spool::kFrameHeaderBytes,
-                                 static_cast<size_t>(payload_len));
-  const spool::FrameOutcome outcome = inc_->apply_frame(
-      type, worker, inner_seq, payload, stored_checksum, msg.spool_offset);
-  if (outcome == spool::FrameOutcome::Footer ||
-      outcome == spool::FrameOutcome::CrashFooter) {
-    footer_seen_ = true;
-  }
+  f.offset = msg.spool_offset;  // diagnostics name the source offset
+  inc_->apply_frame(f);
+  footer_seen_ = f.footer;
   acked_seq_ = seq;
   return {wire::Status::Ok, acked_seq_, {}};
 }
@@ -188,19 +163,7 @@ IngestStream::Apply IngestStream::finalize_locked(wire::EndKind end,
   last_activity_ns_ = now_ns;
   // Stamp the tail note batch recovery would stamp for the same final
   // bytes (wording pinned by the parity tests).
-  switch (end) {
-    case wire::EndKind::Clean:
-      break;
-    case wire::EndKind::TornHeader:
-      inc_->note_torn_header(end_offset);
-      break;
-    case wire::EndKind::Garbled:
-      inc_->note_garbled_magic(end_offset);
-      break;
-    case wire::EndKind::Overrun:
-      inc_->note_overrun(end_offset, end_len);
-      break;
-  }
+  inc_->note_tail(wire::tail_step(end), end_offset, end_len);
   usable_ = inc_->finish();
   report_ = inc_->report();
   if (!usable_) {
@@ -212,7 +175,7 @@ IngestStream::Apply IngestStream::finalize_locked(wire::EndKind end,
   inc_.reset();
   // The batch `gganalyze --recover` hand-off: degraded streams run the
   // salvage pass before analysis, clean ones are used as-is.
-  if (recovery_degraded(report_)) salvage_trace(trace_);
+  if (report_.degraded()) salvage_trace(trace_);
   if (!validate_trace(trace_).empty()) {
     usable_ = false;
     state_ = IngestState::Failed;

@@ -32,8 +32,7 @@ const char* session_state_name(SessionState s) {
 }
 
 bool recovery_degraded(const spool::RecoverReport& rep) {
-  return rep.partial() || rep.frames_corrupt > 0 ||
-         rep.frames_out_of_order > 0 || rep.epoch_gaps > 0 || rep.torn_tail;
+  return rep.degraded();
 }
 
 std::string analysis_report_text(const Trace& trace) {
@@ -136,7 +135,7 @@ void Session::run_finalize(u64 now_ns, SessionState end_state) {
   trace_ = std::move(tailer_.trace()->trace());
   // The batch `gganalyze --recover` hand-off: degraded streams run the
   // salvage pass before analysis, clean ones are used as-is.
-  if (recovery_degraded(report_)) salvage_trace(trace_);
+  if (report_.degraded()) salvage_trace(trace_);
   if (!validate_trace(trace_).empty()) {
     usable_ = false;
     state_ = SessionState::Failed;

@@ -117,9 +117,7 @@ class Session {
   bool usable_ = false;
 };
 
-/// The `gganalyze --recover` degradation rule: a recovered stream needs the
-/// salvage pass when anything was lost or repaired. Shared with tools so
-/// live and batch ingestion stay in lockstep.
+/// RecoverReport::degraded(), kept as a free function for existing callers.
 bool recovery_degraded(const spool::RecoverReport& rep);
 
 /// The analysis half of the query path: topology from the trace's own

@@ -6,30 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 namespace gg::serve {
-
-namespace {
-
-u32 le32_at(const char* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<u32>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
-u64 le64_at(const char* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<u64>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
-constexpr u64 kMaxPayload = 1ull << 30;
-constexpr size_t kSpoolHeaderBytes = 9 + 4;  // magic + num_workers
-
-}  // namespace
 
 const char* tail_state_name(TailState s) {
   switch (s) {
@@ -61,7 +39,7 @@ bool SpoolTailer::ensure_open() {
   return fd_ >= 0;
 }
 
-void SpoolTailer::set_stuck(Stuck kind, u64 offset, u64 len, u64 now_ns) {
+void SpoolTailer::set_stuck(spool::Step kind, u64 offset, u64 len, u64 now_ns) {
   if (stuck_ != kind || stuck_off_ != offset) {
     // A *new* stuck condition restarts the torn-tail deadline; the same
     // frame still stuck keeps its original clock so it cannot dodge the
@@ -74,71 +52,43 @@ void SpoolTailer::set_stuck(Stuck kind, u64 offset, u64 len, u64 now_ns) {
 }
 
 size_t SpoolTailer::drain(u64 now_ns) {
-  size_t cur = 0;
+  u64 cur = 0;
   size_t applied = 0;
   if (!header_done_) {
-    if (pending_.size() < kSpoolHeaderBytes) {
+    // The header may still be arriving; judge it only once it is whole.
+    if (pending_.size() < spool::kStreamHeaderBytes) {
       state_ = TailState::Header;
       return 0;
     }
-    if (!spool::looks_like_spool(pending_)) {
+    const spool::StreamHeader header = spool::read_stream_header(pending_);
+    if (!header.ok()) {
       state_ = TailState::Failed;
-      fail_reason_ = "not a spool stream (bad magic)";
+      fail_reason_ = header.error;
       return 0;
     }
-    const u32 nw = le32_at(pending_.data() + spool::kSpoolMagic.size());
-    if (nw == 0 || nw > 4096) {
-      state_ = TailState::Failed;
-      fail_reason_ = "implausible worker count " + std::to_string(nw);
-      return 0;
-    }
-    inc_ = std::make_unique<spool::IncrementalTrace>(nw);
-    cur = kSpoolHeaderBytes;
+    inc_ = std::make_unique<spool::IncrementalTrace>(header.num_workers);
+    cur = spool::kStreamHeaderBytes;
     header_done_ = true;
     state_ = TailState::Streaming;
   }
   bool stuck_now = false;
-  while (cur < pending_.size()) {
-    const size_t rem = pending_.size() - cur;
-    if (rem < spool::kFrameHeaderBytes) {
-      set_stuck(Stuck::TornHeader, base_ + cur, 0, now_ns);
-      stuck_now = true;
+  for (;;) {
+    spool::FrameStep f = spool::next_frame(pending_, cur);
+    f.offset += base_;  // stream coordinates, as batch recovery reports them
+    if (f.step != spool::Step::Frame) {
+      if (f.step != spool::Step::End) {
+        set_stuck(f.step, f.offset, f.payload_len, now_ns);
+        stuck_now = true;
+      }
       break;
     }
-    const char* h = pending_.data() + cur;
-    if (std::memcmp(h, spool::kFrameMagic, sizeof spool::kFrameMagic) != 0) {
-      set_stuck(Stuck::Garbled, base_ + cur, 0, now_ns);
-      stuck_now = true;
-      break;
-    }
-    const auto type = static_cast<spool::FrameType>(static_cast<u8>(h[4]));
-    const u32 worker = le32_at(h + 5);
-    const u32 seq = le32_at(h + 9);
-    const u64 payload_len = le64_at(h + 13);
-    const u64 checksum = le64_at(h + 21);
-    if (payload_len > kMaxPayload) {
-      set_stuck(Stuck::Overrun, base_ + cur, payload_len, now_ns);
-      stuck_now = true;
-      break;
-    }
-    if (rem - spool::kFrameHeaderBytes < payload_len) {
-      set_stuck(Stuck::TornPayload, base_ + cur, payload_len, now_ns);
-      stuck_now = true;
-      break;
-    }
-    const std::string_view payload(h + spool::kFrameHeaderBytes,
-                                   static_cast<size_t>(payload_len));
-    const spool::FrameOutcome outcome =
-        inc_->apply_frame(type, worker, seq, payload, checksum, base_ + cur);
-    cur += spool::kFrameHeaderBytes + static_cast<size_t>(payload_len);
+    inc_->apply_frame(f);
+    cur += f.size();
     ++applied;
     ++stats_.frames_applied;
-    if (outcome == spool::FrameOutcome::Footer) {
-      state_ = TailState::Sealed;
-      break;
-    }
-    if (outcome == spool::FrameOutcome::CrashFooter) {
-      state_ = TailState::Crashed;
+    if (f.footer) {
+      state_ = f.type == spool::FrameType::CleanFooter ? TailState::Sealed
+                                                       : TailState::Crashed;
       break;
     }
   }
@@ -146,7 +96,7 @@ size_t SpoolTailer::drain(u64 now_ns) {
   // completed the frame we were waiting on (or we sealed past it) — a stale
   // stuck_ left behind here would surface at finalize() as a phantom
   // torn-tail note on a clean stream.
-  if (!stuck_now) stuck_ = Stuck::None;
+  if (!stuck_now) stuck_ = spool::Step::End;
   if (cur > 0) {
     pending_.erase(0, cur);
     base_ += cur;
@@ -157,35 +107,19 @@ size_t SpoolTailer::drain(u64 now_ns) {
 
 bool SpoolTailer::try_resync() {
   // Only abandon the stuck span for a later frame that is *provably* good:
-  // full header present, plausible length, payload complete, checksum
-  // valid. Anything weaker could resync into the middle of an in-flight
-  // write and lose more than the one bad frame.
+  // a whole frame whose checksum verifies. Anything weaker could resync
+  // into the middle of an in-flight write and lose more than the one bad
+  // frame.
   if (stuck_off_ < base_) return false;
-  const size_t start = static_cast<size_t>(stuck_off_ - base_) + 1;
-  for (size_t i = start;
-       i + spool::kFrameHeaderBytes <= pending_.size(); ++i) {
-    const char* h = pending_.data() + i;
-    if (std::memcmp(h, spool::kFrameMagic, sizeof spool::kFrameMagic) != 0)
-      continue;
-    const auto type = static_cast<spool::FrameType>(static_cast<u8>(h[4]));
-    const u32 worker = le32_at(h + 5);
-    const u32 seq = le32_at(h + 9);
-    const u64 payload_len = le64_at(h + 13);
-    if (payload_len > kMaxPayload) continue;
-    if (pending_.size() - i - spool::kFrameHeaderBytes < payload_len)
-      continue;
-    const char* payload = h + spool::kFrameHeaderBytes;
-    if (spool::frame_checksum(type, worker, seq, payload,
-                              static_cast<size_t>(payload_len)) !=
-        le64_at(h + 21)) {
-      continue;
-    }
+  for (u64 i = stuck_off_ - base_ + 1; i < pending_.size(); ++i) {
+    const spool::FrameStep f = spool::next_frame(pending_, i);
+    if (f.step != spool::Step::Frame || !f.verifies()) continue;
     inc_->note_abandoned(stuck_off_, base_ + i);
     ++stats_.resyncs;
     pending_.erase(0, i);
     base_ += i;
     stats_.bytes_consumed = base_;
-    stuck_ = Stuck::None;
+    stuck_ = spool::Step::End;
     return true;
   }
   return false;
@@ -258,7 +192,7 @@ size_t SpoolTailer::poll(u64 now_ns) {
       state_ == TailState::Failed) {
     return applied;
   }
-  if (stuck_ != Stuck::None &&
+  if (tail_stuck() &&
       now_ns - stuck_since_ns_ >= opts_.torn_deadline_ns) {
     if (try_resync()) {
       applied += drain(now_ns);
@@ -266,7 +200,7 @@ size_t SpoolTailer::poll(u64 now_ns) {
         return applied;
     }
   }
-  if (stuck_ != Stuck::None) {
+  if (tail_stuck()) {
     state_ = TailState::Waiting;
   } else if (header_done_) {
     state_ = TailState::Streaming;
@@ -284,13 +218,9 @@ bool SpoolTailer::finalize() {
   }
   if (!header_done_) {
     if (fail_reason_.empty()) {
-      if (pending_.empty()) {
-        fail_reason_ = "spool never appeared";
-      } else if (!spool::looks_like_spool(pending_)) {
-        fail_reason_ = "not a spool stream (bad magic)";
-      } else {
-        fail_reason_ = "torn spool header";
-      }
+      fail_reason_ = pending_.empty()
+                         ? "spool never appeared"
+                         : spool::read_stream_header(pending_).error;
     }
     state_ = TailState::Failed;
     usable_ = false;
@@ -298,20 +228,7 @@ bool SpoolTailer::finalize() {
   }
   // Map the unresolved tail to exactly what batch recovery would say about
   // the same final bytes (wording and counters are pinned by tests).
-  switch (stuck_) {
-    case Stuck::None:
-      break;
-    case Stuck::TornHeader:
-      inc_->note_torn_header(stuck_off_);
-      break;
-    case Stuck::Garbled:
-      inc_->note_garbled_magic(stuck_off_);
-      break;
-    case Stuck::Overrun:
-    case Stuck::TornPayload:
-      inc_->note_overrun(stuck_off_, stuck_len_);
-      break;
-  }
+  inc_->note_tail(stuck_, stuck_off_, stuck_len_);
   usable_ = inc_->finish();
   if (!usable_ && state_ != TailState::Failed) {
     state_ = TailState::Failed;

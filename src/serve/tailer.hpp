@@ -1,10 +1,11 @@
 // Polling spool tailer: the serve layer's ingestion edge.
 //
 // One SpoolTailer follows one live .ggspool file, reading newly appended
-// bytes and folding every complete frame into an IncrementalTrace
-// (trace/incremental.hpp) — the exact applier batch recovery uses, so the
-// tail converges on the same trace a post-mortem `gganalyze --recover`
-// would build from the final file.
+// bytes, delimiting them with the walker batch recovery uses
+// (spool::next_frame) and folding every complete frame into an
+// IncrementalTrace (trace/incremental.hpp) — the exact applier batch
+// recovery uses, so the tail converges on the same trace a post-mortem
+// `gganalyze --recover` would build from the final file.
 //
 // The robustness contract:
 //  * A partially written frame at EOF is "in progress", not corrupt. The
@@ -92,8 +93,8 @@ class SpoolTailer {
   u64 file_size() const { return file_size_; }
 
   /// True once the file ends in a frame the backoff machinery is waiting
-  /// out (torn payload, short header, or garbled magic).
-  bool tail_stuck() const { return stuck_ != Stuck::None; }
+  /// out (torn payload, short header, garbled magic or overrun length).
+  bool tail_stuck() const { return stuck_ != spool::Step::End; }
 
   /// Buffered-but-unapplied bytes plus the accumulated trace footprint —
   /// what the admission budget charges for this stream.
@@ -111,17 +112,9 @@ class SpoolTailer {
   bool finalized() const { return finalized_; }
 
  private:
-  enum class Stuck : u8 {
-    None,
-    TornHeader,   ///< < kFrameHeaderBytes remain after the last frame
-    Garbled,      ///< bytes at the tail are not a frame header
-    Overrun,      ///< declared payload length is implausible (> 1 GiB)
-    TornPayload,  ///< header complete, payload (partially) missing
-  };
-
   bool ensure_open();
   size_t drain(u64 now_ns);
-  void set_stuck(Stuck kind, u64 offset, u64 len, u64 now_ns);
+  void set_stuck(spool::Step kind, u64 offset, u64 len, u64 now_ns);
   bool try_resync();
   void schedule_retry(u64 now_ns, bool made_progress);
 
@@ -133,7 +126,9 @@ class SpoolTailer {
   u64 base_ = 0;         ///< file offset of pending_[0]
   u64 file_size_ = 0;
   TailState state_ = TailState::Opening;
-  Stuck stuck_ = Stuck::None;
+  /// Where the last walk stopped short of the pending bytes' end; End
+  /// while the tail sits on a frame boundary.
+  spool::Step stuck_ = spool::Step::End;
   u64 stuck_off_ = 0;
   u64 stuck_len_ = 0;
   u64 stuck_since_ns_ = 0;

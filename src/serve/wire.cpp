@@ -142,6 +142,28 @@ std::string encode_epoch(u32 seq, u64 spool_offset,
   return encode(Type::Epoch, seq, p);
 }
 
+EndKind end_kind(spool::Step stop) {
+  switch (stop) {
+    case spool::Step::Frame:
+    case spool::Step::End: return EndKind::Clean;
+    case spool::Step::TornHeader: return EndKind::TornHeader;
+    case spool::Step::Garbled: return EndKind::Garbled;
+    case spool::Step::Overrun:
+    case spool::Step::TornPayload: return EndKind::Overrun;
+  }
+  return EndKind::Clean;
+}
+
+spool::Step tail_step(EndKind end) {
+  switch (end) {
+    case EndKind::Clean: return spool::Step::End;
+    case EndKind::TornHeader: return spool::Step::TornHeader;
+    case EndKind::Garbled: return spool::Step::Garbled;
+    case EndKind::Overrun: return spool::Step::Overrun;
+  }
+  return spool::Step::End;
+}
+
 std::string encode_seal(u32 seq, EndKind end, u64 end_offset, u64 end_len) {
   std::string p;
   p.push_back(static_cast<char>(end));

@@ -76,14 +76,18 @@ enum class Status : u8 {
   SessionErr = 3, ///< the stream itself failed (cap exceeded, not a spool)
 };
 
-/// How the source stream ended (SEAL payload); mirrors the tailer's
-/// end-of-stream Stuck mapping so note_* diagnostics match batch recovery.
+/// How the source stream ended (SEAL payload): where the frame walker
+/// stopped, so IncrementalTrace::note_tail matches batch recovery.
 enum class EndKind : u8 {
   Clean = 0,
   TornHeader = 1,
   Garbled = 2,
-  Overrun = 3,
+  Overrun = 3,  ///< an overrun length or a torn payload
 };
+
+/// The SEAL end kind for a walk's stop, and the stop a SEAL stands for.
+EndKind end_kind(spool::Step stop);
+spool::Step tail_step(EndKind end);
 
 /// 128-bit client-generated session identity. Zero means "no token".
 struct Token {

@@ -19,23 +19,6 @@ namespace gg::serve {
 
 namespace {
 
-u32 le32_at(const char* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<u32>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
-u64 le64_at(const char* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<u64>(static_cast<u8>(p[i])) << (8 * i);
-  return v;
-}
-
-constexpr u64 kMaxSpoolPayload = 1ull << 30;
-constexpr size_t kSpoolHeaderBytes = 9 + 4;  // magic + num_workers
-
 bool raw_send_all(int fd, const char* data, size_t len) {
   while (len > 0) {
     const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
@@ -440,63 +423,37 @@ void WireClient::reset_stream() {
   offer_done_ = false;
 }
 
+bool push_frames(WireClient& client, std::string_view bytes, u64* offset,
+                 spool::FrameStep* tail, std::string* error) {
+  for (;;) {
+    *tail = spool::next_frame(bytes, *offset);
+    if (tail->step != spool::Step::Frame) return true;
+    if (!client.send_frame(bytes.substr(tail->offset, tail->size()),
+                           tail->offset, error))
+      return false;
+    *offset += tail->size();
+    if (tail->footer) return true;
+  }
+}
+
+bool seal_at(WireClient& client, const spool::FrameStep& tail,
+             std::string* error) {
+  return client.seal(wire::end_kind(tail.step), tail.offset,
+                     tail.payload_len, error);
+}
+
 bool push_spool_stream(WireClient& client, std::string_view bytes,
                        std::string* error) {
-  if (bytes.size() < kSpoolHeaderBytes ||
-      !spool::looks_like_spool(bytes)) {
-    if (error != nullptr) *error = "not a spool stream (bad magic)";
+  const spool::StreamHeader header = spool::read_stream_header(bytes);
+  if (!header.ok()) {
+    if (error != nullptr) *error = header.error;
     return false;
   }
-  const u32 nw = le32_at(bytes.data() + spool::kSpoolMagic.size());
-  if (nw == 0 || nw > 4096) {
-    if (error != nullptr)
-      *error = "implausible worker count " + std::to_string(nw);
-    return false;
-  }
-  if (!client.begin(nw, error)) return false;
-
-  // Walk the stream exactly like the tailer's drain loop: intact frames
-  // ship as EPOCHs; the first non-delimitable damage ends the walk and
-  // becomes the SEAL's end kind, so the server stamps batch-identical
-  // tail diagnostics.
-  size_t cur = kSpoolHeaderBytes;
-  wire::EndKind end = wire::EndKind::Clean;
-  u64 end_offset = 0;
-  u64 end_len = 0;
-  while (cur < bytes.size()) {
-    const size_t rem = bytes.size() - cur;
-    if (rem < spool::kFrameHeaderBytes) {
-      end = wire::EndKind::TornHeader;
-      end_offset = cur;
-      break;
-    }
-    const char* h = bytes.data() + cur;
-    if (std::memcmp(h, spool::kFrameMagic, sizeof spool::kFrameMagic) != 0) {
-      end = wire::EndKind::Garbled;
-      end_offset = cur;
-      break;
-    }
-    const auto type = static_cast<spool::FrameType>(static_cast<u8>(h[4]));
-    const u64 payload_len = le64_at(h + 13);
-    if (payload_len > kMaxSpoolPayload ||
-        rem - spool::kFrameHeaderBytes < payload_len) {
-      end = wire::EndKind::Overrun;
-      end_offset = cur;
-      end_len = payload_len;
-      break;
-    }
-    const size_t frame_len =
-        spool::kFrameHeaderBytes + static_cast<size_t>(payload_len);
-    if (!client.send_frame(std::string_view(h, frame_len), cur, error))
-      return false;
-    cur += frame_len;
-    if (type == spool::FrameType::CleanFooter ||
-        type == spool::FrameType::CrashFooter) {
-      // Batch recovery stops its scan at the footer; so do we.
-      break;
-    }
-  }
-  return client.seal(end, end_offset, end_len, error);
+  if (!client.begin(header.num_workers, error)) return false;
+  u64 offset = spool::kStreamHeaderBytes;
+  spool::FrameStep tail;
+  return push_frames(client, bytes, &offset, &tail, error) &&
+         seal_at(client, tail, error);
 }
 
 bool WireClient::push_bytes(std::string_view spool_bytes,

@@ -64,8 +64,9 @@ class WireClient {
   WireClient& operator=(const WireClient&) = delete;
 
   /// Pushes one complete spool byte stream (header + frames) and seals.
-  /// Walks the stream exactly like the tailer: intact frames ship as
-  /// EPOCHs, the first non-delimitable damage becomes the SEAL's end kind.
+  /// Walks the stream with spool::next_frame, as the tailer does: intact
+  /// frames ship as EPOCHs, the walk ends after the verified footer, and
+  /// the first non-delimitable damage becomes the SEAL's end kind.
   /// Restarts from scratch automatically when the server lost session
   /// state mid-push. False with *error on exhausted retries.
   bool push_bytes(std::string_view spool_bytes, std::string* error);
@@ -140,9 +141,23 @@ class WireClient {
   u64 faults_injected_ = 0;
 };
 
-/// Walks a finished spool byte stream the way the tailer would and pushes
-/// it through `client`: shared by push_bytes and ggspool-push --follow.
-/// Returns false with *error on exhausted retries.
+/// The push step push_spool_stream and ggspool-push --follow share: sends
+/// each whole frame of `bytes` from *offset on as one EPOCH, advancing
+/// *offset past it, until the walker (spool::next_frame) stops. *tail gets
+/// the stop: the verified footer frame, Step::End when the bytes end on a
+/// frame boundary, or the damaged tail. False with *error on exhausted
+/// retries.
+bool push_frames(WireClient& client, std::string_view bytes, u64* offset,
+                 spool::FrameStep* tail, std::string* error);
+
+/// Seals the stream with the end kind of where a push walk stopped, so the
+/// server stamps the tail notes batch recovery stamps.
+bool seal_at(WireClient& client, const spool::FrameStep& tail,
+             std::string* error);
+
+/// Pushes one finished spool byte stream (header, frames, seal) through
+/// `client`; push_bytes wraps it with the restart loop. Returns false with
+/// *error on exhausted retries.
 bool push_spool_stream(WireClient& client, std::string_view bytes,
                        std::string* error);
 

@@ -47,14 +47,16 @@ u64 IncrementalTrace::epochs_applied() const {
   return n;
 }
 
-FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
-                                           u32 seq, std::string_view payload,
-                                           u64 stored_checksum, u64 offset) {
+void IncrementalTrace::apply_frame(const FrameStep& frame) {
   RecoverReport& rep = report_;
   Trace& t = trace_;
+  const FrameType type = frame.type;
+  const u32 worker = frame.worker;
+  const u32 seq = frame.seq;
+  const std::string_view payload = frame.payload;
+  const u64 offset = frame.offset;
   ++rep.frames_total;
-  if (frame_checksum(type, worker, seq, payload.data(), payload.size()) !=
-      stored_checksum) {
+  if (!frame.verifies()) {
     if (type == FrameType::Telemetry) {
       // Telemetry is advisory: a corrupt snapshot degrades to "telemetry
       // unavailable" without damaging the recovered trace.
@@ -62,12 +64,12 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
       rep.diagnostics.push_back("corrupt telemetry frame at offset " +
                                 std::to_string(offset) +
                                 ", telemetry degraded");
-      return FrameOutcome::TelemetryCorrupt;
+      return;
     }
     ++rep.frames_corrupt;
     rep.diagnostics.push_back("checksum mismatch in frame at offset " +
                               std::to_string(offset) + ", skipped");
-    return FrameOutcome::CorruptSkipped;
+    return;
   }
   switch (type) {
     case FrameType::Meta:
@@ -77,16 +79,13 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
         ++rep.frames_corrupt;
         rep.diagnostics.push_back("undecodable meta frame at offset " +
                                   std::to_string(offset));
-        return FrameOutcome::CorruptSkipped;
+        return;
       }
       t.meta = std::move(m);
       have_meta_ = true;
       ++rep.frames_kept;
-      if (type == FrameType::CleanFooter) {
-        rep.clean_footer = true;
-        return FrameOutcome::Footer;
-      }
-      return FrameOutcome::Applied;
+      if (type == FrameType::CleanFooter) rep.clean_footer = true;
+      return;
     }
     case FrameType::Strings: {
       if (payload.size() < 8) {
@@ -94,7 +93,7 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
         rep.diagnostics.push_back("string delta at offset " +
                                   std::to_string(offset) +
                                   " does not extend the table, skipped");
-        return FrameOutcome::OutOfOrderSkipped;
+        return;
       }
       const u32 first_id = read_le32_at(payload, 0);
       const u32 count = read_le32_at(payload, 4);
@@ -103,7 +102,7 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
         rep.diagnostics.push_back("string delta at offset " +
                                   std::to_string(offset) +
                                   " does not extend the table, skipped");
-        return FrameOutcome::OutOfOrderSkipped;
+        return;
       }
       // Intern as we decode (the valid prefix of a half-garbled delta is
       // still worth keeping — its ids are referenced by sealed epochs).
@@ -128,17 +127,17 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
         ++rep.frames_corrupt;
         rep.diagnostics.push_back("undecodable string delta at offset " +
                                   std::to_string(offset));
-        return FrameOutcome::CorruptSkipped;
+        return;
       }
       ++rep.frames_kept;
-      return FrameOutcome::Applied;
+      return;
     }
     case FrameType::Epoch: {
       if (worker >= num_workers_) {
         ++rep.frames_corrupt;
         rep.diagnostics.push_back("epoch for unknown worker " +
                                   std::to_string(worker) + ", skipped");
-        return FrameOutcome::CorruptSkipped;
+        return;
       }
       if (seq < next_seq_[worker]) {
         ++rep.frames_out_of_order;
@@ -146,14 +145,14 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
             "worker " + std::to_string(worker) + " epoch seq " +
             std::to_string(seq) + " breaks the contiguous prefix (want " +
             std::to_string(next_seq_[worker]) + "), skipped");
-        return FrameOutcome::OutOfOrderSkipped;
+        return;
       }
       RecordBuffer buf;
       if (!decode_epoch_payload(payload, &buf)) {
         ++rep.frames_corrupt;
         rep.diagnostics.push_back("undecodable epoch at offset " +
                                   std::to_string(offset));
-        return FrameOutcome::CorruptSkipped;
+        return;
       }
       if (seq > next_seq_[worker]) {
         // The epochs in between rode frames that were skipped as corrupt.
@@ -170,14 +169,14 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
       next_seq_[worker] = seq + 1;
       ++rep.epochs_per_worker[worker];
       ++rep.frames_kept;
-      return FrameOutcome::Applied;
+      return;
     }
     case FrameType::Dump: {
       if (!rep.supervisor_dump.empty()) rep.supervisor_dump += "\n";
       rep.supervisor_dump.append(payload);
       resident_bytes_ += payload.size();
       ++rep.frames_kept;
-      return FrameOutcome::Applied;
+      return;
     }
     case FrameType::CrashFooter: {
       u32 sig = 0;
@@ -193,7 +192,7 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
       rep.crash_reason =
           !reason.empty() ? reason : "signal=" + std::to_string(sig);
       ++rep.frames_kept;
-      return FrameOutcome::CrashFooter;
+      return;
     }
     case FrameType::Telemetry: {
       // Keep the last valid snapshot: a crashed run's final 'T' frame is
@@ -203,34 +202,37 @@ FrameOutcome IncrementalTrace::apply_frame(FrameType type, u32 worker,
       resident_bytes_ += rep.telemetry.size();
       ++rep.telemetry_frames;
       ++rep.frames_kept;
-      return FrameOutcome::Telemetry;
+      return;
     }
     default:
       ++rep.frames_corrupt;
       rep.diagnostics.push_back("unknown frame type at offset " +
                                 std::to_string(offset) + ", skipped");
-      return FrameOutcome::CorruptSkipped;
+      return;
   }
 }
 
-void IncrementalTrace::note_torn_header(u64 offset) {
+void IncrementalTrace::note_tail(Step step, u64 offset, u64 payload_len) {
+  const std::string at = std::to_string(offset);
+  switch (step) {
+    case Step::Frame:
+    case Step::End:
+      return;
+    case Step::TornHeader:
+      report_.diagnostics.push_back("torn frame header at offset " + at);
+      break;
+    case Step::Garbled:
+      report_.diagnostics.push_back("garbled frame magic at offset " + at);
+      break;
+    case Step::Overrun:
+    case Step::TornPayload:
+      ++report_.frames_total;
+      report_.diagnostics.push_back("frame at offset " + at +
+                                    " overruns the file (len=" +
+                                    std::to_string(payload_len) + ")");
+      break;
+  }
   report_.torn_tail = true;
-  report_.diagnostics.push_back("torn frame header at offset " +
-                                std::to_string(offset));
-}
-
-void IncrementalTrace::note_garbled_magic(u64 offset) {
-  report_.torn_tail = true;
-  report_.diagnostics.push_back("garbled frame magic at offset " +
-                                std::to_string(offset));
-}
-
-void IncrementalTrace::note_overrun(u64 offset, u64 payload_len) {
-  ++report_.frames_total;
-  report_.torn_tail = true;
-  report_.diagnostics.push_back("frame at offset " + std::to_string(offset) +
-                                " overruns the file (len=" +
-                                std::to_string(payload_len) + ")");
 }
 
 void IncrementalTrace::note_abandoned(u64 offset, u64 resume_offset) {
@@ -277,10 +279,7 @@ bool IncrementalTrace::finish(int threads) {
     // region to cover everything that was recovered.
     extend_region_to_records(t);
   }
-  const bool damaged = rep.partial() || rep.frames_corrupt > 0 ||
-                       rep.frames_out_of_order > 0 || rep.epoch_gaps > 0 ||
-                       rep.torn_tail;
-  if (damaged) {
+  if (rep.degraded()) {
     t.meta.notes.push_back("recovered " + rep.summary());
     if (!rep.crash_reason.empty())
       t.meta.notes.push_back("crash " + rep.crash_reason);

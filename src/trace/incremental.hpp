@@ -2,11 +2,13 @@
 // one frame at a time, without re-parsing the stream from byte 0.
 //
 // This is the refactor that turns batch spool recovery into a streaming
-// primitive. recover_spool_bytes() (trace/spool.hpp) and the live tailer
-// (src/serve/tailer.hpp) both drive this class, so a long-running ingestion
-// daemon makes byte-for-byte the same keep/skip/degrade decisions as a
-// post-mortem `gganalyze --recover` over the same stream — the equivalence
-// the serve chaos test pins.
+// primitive. Three drivers feed it the frames the one walker
+// (spool::next_frame) delimits: recover_spool_bytes() (trace/spool.hpp),
+// the live tailer (src/serve/tailer.hpp) and the GGWIRE1 ingest
+// (src/serve/ingest.hpp). So a long-running ingestion daemon makes
+// byte-for-byte the same keep/skip/degrade decisions as a post-mortem
+// `gganalyze --recover` over the same stream — the equivalence the serve
+// chaos and wire parity tests pin.
 //
 // Contract (identical to batch recovery):
 //  * a frame whose checksum fails is skipped and counted in frames_corrupt
@@ -17,6 +19,8 @@
 //    epoch_gaps, so one bad frame loses one epoch, not the rest of the
 //    worker's stream; a backward/duplicate seq is skipped as out-of-order;
 //  * string deltas must extend the table contiguously;
+//  * the driver stops at the walker's footer (FrameStep::footer) and
+//    applies nothing after it;
 //  * finish() stamps the same provenance notes and region repair that
 //    batch recovery stamps, then finalizes the trace.
 #pragma once
@@ -28,18 +32,6 @@
 
 namespace gg::spool {
 
-/// What apply_frame() did with a frame — the tailer's signal for epoch
-/// accounting, session sealing, and crash detection.
-enum class FrameOutcome : u8 {
-  Applied,            ///< folded into the trace (meta/strings/epoch/dump)
-  Footer,             ///< clean footer applied: the writer shut down cleanly
-  CrashFooter,        ///< crash provenance recorded: the writer died flushing
-  Telemetry,          ///< telemetry snapshot kept (advisory)
-  CorruptSkipped,     ///< checksum/decode failure, counted in frames_corrupt
-  OutOfOrderSkipped,  ///< backward epoch seq / non-extending strings delta
-  TelemetryCorrupt,   ///< corrupt 'T' frame: telemetry degraded, trace intact
-};
-
 /// One stream's accumulating recovery state. Construct once per spool,
 /// apply frames in file order as they seal, call finish() at end-of-stream
 /// (clean footer, crashed writer, or session eviction).
@@ -47,21 +39,20 @@ class IncrementalTrace {
  public:
   explicit IncrementalTrace(u32 num_workers);
 
-  /// Applies one frame whose header was readable and whose payload is fully
-  /// present. Verifies the checksum, then dispatches on type with exactly
-  /// the batch-recovery semantics. `offset` is the frame's position in the
-  /// stream, used verbatim in diagnostics so live and batch reports match.
-  FrameOutcome apply_frame(FrameType type, u32 worker, u32 seq,
-                           std::string_view payload, u64 stored_checksum,
-                           u64 offset);
+  /// Applies one whole frame (Step::Frame). Verifies the checksum, then
+  /// dispatches on type with exactly the batch-recovery semantics. The
+  /// frame's offset is its position in the stream, used verbatim in
+  /// diagnostics so live and batch reports match.
+  void apply_frame(const FrameStep& frame);
 
-  // End-of-stream tail accounting, batch-identical wording. The batch scan
-  // calls these the moment it hits the condition; a live tailer calls them
-  // only once the condition is final (writer dead / session evicted),
-  // because a live tail in the same state may legitimately still grow.
-  void note_torn_header(u64 offset);   ///< < kFrameHeaderBytes remain
-  void note_garbled_magic(u64 offset); ///< bytes at offset are not "GGSF"
-  void note_overrun(u64 offset, u64 payload_len);  ///< len exceeds the file
+  /// End-of-stream tail accounting, batch-identical wording, for where the
+  /// walk stopped: nothing for Step::End or the footer frame, else a
+  /// torn-header, garbled-magic or overrun note (a torn payload reads as an
+  /// overrun of the file). The
+  /// batch walk calls this the moment it stops; a live tailer calls it only
+  /// once the tail is final (writer dead / session evicted), because a live
+  /// tail in the same state may legitimately still grow.
+  void note_tail(Step step, u64 offset, u64 payload_len);
 
   /// Live-tail escalation (no batch equivalent): a frame stuck at `offset`
   /// past the torn-tail deadline while later valid frames already exist in

@@ -716,56 +716,87 @@ bool spool_file_magic(const std::string& path) {
          looks_like_spool(std::string_view(magic, sizeof magic));
 }
 
+// --- the frame walker -------------------------------------------------------
+
+StreamHeader read_stream_header(std::string_view bytes) {
+  StreamHeader h;
+  if (!looks_like_spool(bytes)) {
+    h.error = "not a spool stream (bad magic)";
+  } else if (bytes.size() < kStreamHeaderBytes) {
+    h.error = "torn spool header";
+  } else {
+    h.num_workers = read_le32(bytes.data() + kSpoolMagic.size());
+    if (h.num_workers == 0 || h.num_workers > 4096) {
+      h.error = "implausible worker count " + std::to_string(h.num_workers);
+    }
+  }
+  return h;
+}
+
+bool FrameStep::verifies() const {
+  return frame_checksum(type, worker, seq, payload.data(), payload.size()) ==
+         checksum;
+}
+
+FrameStep next_frame(std::string_view bytes, u64 offset) {
+  FrameStep f;
+  f.offset = offset;
+  if (offset >= bytes.size()) return f;  // Step::End
+  const u64 rem = bytes.size() - offset;
+  if (rem < kFrameHeaderBytes) {
+    f.step = Step::TornHeader;
+    return f;
+  }
+  const char* h = bytes.data() + offset;
+  if (std::memcmp(h, kFrameMagic, sizeof kFrameMagic) != 0) {
+    f.step = Step::Garbled;
+    return f;
+  }
+  f.type = static_cast<FrameType>(static_cast<u8>(h[4]));
+  f.worker = read_le32(h + 5);
+  f.seq = read_le32(h + 9);
+  f.payload_len = read_le64(h + 13);
+  f.checksum = read_le64(h + 21);
+  if (f.payload_len > kMaxFramePayload) {
+    f.step = Step::Overrun;
+    return f;
+  }
+  if (f.payload_len > rem - kFrameHeaderBytes) {
+    f.step = Step::TornPayload;
+    return f;
+  }
+  f.step = Step::Frame;
+  f.payload = std::string_view(h + kFrameHeaderBytes,
+                               static_cast<size_t>(f.payload_len));
+  f.footer = (f.type == FrameType::CleanFooter ||
+              f.type == FrameType::CrashFooter) &&
+             f.verifies();
+  return f;
+}
+
 namespace {
 
 /// Applies every frame of `bytes` to a new IncrementalTrace. Null, with the
 /// reason in *report, when the stream header is unusable.
 std::unique_ptr<IncrementalTrace> replay_frames(std::string_view bytes,
                                                 RecoverReport* report) {
-  if (!looks_like_spool(bytes)) {
-    report->diagnostics.push_back("not a spool stream (bad magic)");
+  const StreamHeader header = read_stream_header(bytes);
+  if (!header.ok()) {
+    report->diagnostics.push_back(header.error);
     return nullptr;
   }
-  size_t pos = kSpoolMagic.size();
-  if (bytes.size() < pos + 4) {
-    report->diagnostics.push_back("torn spool header");
-    return nullptr;
-  }
-  const u32 num_workers = read_le32(bytes.data() + pos);
-  pos += 4;
-  if (num_workers == 0 || num_workers > 4096) {
-    report->diagnostics.push_back("implausible worker count " +
-                                  std::to_string(num_workers));
-    return nullptr;
-  }
-
   // The per-frame keep/skip/degrade decisions live in IncrementalTrace so
-  // the live tailer (src/serve/) shares them; this loop only walks headers.
-  auto inc = std::make_unique<IncrementalTrace>(num_workers);
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      inc->note_torn_header(pos);
+  // the live tailer and the wire ingest (src/serve/) share them.
+  auto inc = std::make_unique<IncrementalTrace>(header.num_workers);
+  for (u64 pos = kStreamHeaderBytes;;) {
+    const FrameStep f = next_frame(bytes, pos);
+    if (f.step != Step::Frame) {
+      inc->note_tail(f.step, f.offset, f.payload_len);
       break;
     }
-    const char* h = bytes.data() + pos;
-    if (std::memcmp(h, kFrameMagic, sizeof kFrameMagic) != 0) {
-      inc->note_garbled_magic(pos);
-      break;
-    }
-    const auto type = static_cast<FrameType>(static_cast<u8>(h[4]));
-    const u32 worker = read_le32(h + 5);
-    const u32 seq = read_le32(h + 9);
-    const u64 payload_len = read_le64(h + 13);
-    const u64 checksum = read_le64(h + 21);
-    if (payload_len > (1ull << 30) ||
-        payload_len > bytes.size() - pos - kFrameHeaderBytes) {
-      inc->note_overrun(pos, payload_len);
-      break;
-    }
-    const std::string_view payload(h + kFrameHeaderBytes,
-                                   static_cast<size_t>(payload_len));
-    inc->apply_frame(type, worker, seq, payload, checksum, pos);
-    pos += kFrameHeaderBytes + static_cast<size_t>(payload_len);
+    inc->apply_frame(f);
+    if (f.footer) break;
+    pos += f.size();
   }
   return inc;
 }
@@ -947,23 +978,12 @@ std::string spool_trace_bytes(const Trace& trace, u64 epoch_bytes,
 std::vector<FrameSpan> scan_frames(std::string_view bytes) {
   std::vector<FrameSpan> spans;
   if (!looks_like_spool(bytes)) return spans;
-  size_t pos = kSpoolMagic.size() + 4;
-  while (pos + kFrameHeaderBytes <= bytes.size()) {
-    const char* h = bytes.data() + pos;
-    if (std::memcmp(h, kFrameMagic, sizeof kFrameMagic) != 0) break;
-    const u64 payload_len = read_le64(h + 13);
-    if (payload_len > (1ull << 30) ||
-        payload_len > bytes.size() - pos - kFrameHeaderBytes) {
-      break;
-    }
-    FrameSpan span;
-    span.offset = pos;
-    span.size = kFrameHeaderBytes + static_cast<size_t>(payload_len);
-    span.type = static_cast<FrameType>(static_cast<u8>(h[4]));
-    span.worker = read_le32(h + 5);
-    span.seq = read_le32(h + 9);
-    spans.push_back(span);
-    pos += span.size;
+  for (u64 pos = kStreamHeaderBytes;;) {
+    const FrameStep f = next_frame(bytes, pos);
+    if (f.step != Step::Frame) break;
+    spans.push_back({f.offset, f.size(), f.type, f.worker, f.seq});
+    if (f.footer) break;
+    pos += f.size();
   }
   return spans;
 }

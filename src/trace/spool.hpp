@@ -39,9 +39,11 @@
 // duplicate seq is skipped as out-of-order). A missing 'F' footer marks the
 // trace as recovered/partial and stamps crash provenance into
 // TraceMeta::notes, which reports surface (TraceMeta::recovered()).
-// The per-frame decisions live in trace/incremental.hpp (IncrementalTrace),
-// which the batch path here and the live tailer (src/serve/) both drive —
-// streaming ingestion and post-mortem recovery agree by construction.
+// Every reader delimits frames with one walker (next_frame below), and
+// the per-frame decisions live in trace/incremental.hpp
+// (IncrementalTrace), which batch recovery here, the live tailer and the
+// GGWIRE1 ingest (src/serve/) all drive — streaming ingestion, network
+// ingestion and post-mortem recovery agree by construction.
 #pragma once
 
 #include <atomic>
@@ -66,8 +68,12 @@ namespace gg::spool {
 // --- format constants -------------------------------------------------------
 
 inline constexpr std::string_view kSpoolMagic = "GGSPOOL1\n";
+/// The stream header: the magic, then the u32 worker count.
+inline constexpr size_t kStreamHeaderBytes = kSpoolMagic.size() + 4;
 inline constexpr char kFrameMagic[4] = {'G', 'G', 'S', 'F'};
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4 + 8 + 8;
+/// A header declaring a longer payload is an overrun, never a frame.
+inline constexpr u64 kMaxFramePayload = 1ull << 30;
 
 enum class FrameType : u8 {
   Meta = 'M',
@@ -316,6 +322,12 @@ struct RecoverReport {
   std::vector<std::string> diagnostics;  ///< human-readable skip reasons
 
   bool partial() const { return !clean_footer; }
+  /// Something was lost or skipped: the recovered trace is stamped
+  /// "recovered ..." and needs the salvage pass before analysis.
+  bool degraded() const {
+    return partial() || frames_corrupt > 0 || frames_out_of_order > 0 ||
+           epoch_gaps > 0 || torn_tail;
+  }
   std::string summary() const;
 };
 
@@ -372,6 +384,62 @@ bool decode_meta_payload(std::string_view payload, TraceMeta* meta);
 /// (trace/incremental.hpp) applies exactly the batch decoder.
 bool decode_epoch_payload(std::string_view payload, RecordBuffer* out);
 
+// --- the frame walker -------------------------------------------------------
+//
+// Every GGSPOOL1 reader delimits frames with these two functions: batch
+// recovery and scan_frames here, the ggserved tailer and its resync scan,
+// the GGWIRE1 push and ingest, ggspool-push --follow and ggstat. So they
+// agree on where each frame lies, on what a damaged tail is, and on where
+// the stream ends: after the first 'F' or 'C' frame whose checksum
+// verifies. Bytes after that footer are not read, so a frame that a worker
+// wrote after the crash footer, racing the emergency flush, is not
+// recovered.
+
+/// A stream header. Usable when it holds the magic and a worker count of
+/// 1..4096; otherwise `error` says why, in recovery's wording.
+struct StreamHeader {
+  u32 num_workers = 0;
+  std::string error;
+  bool ok() const { return error.empty(); }
+};
+StreamHeader read_stream_header(std::string_view bytes);
+
+/// What the walk found at an offset: a frame, or where and how it stops.
+enum class Step : u8 {
+  Frame,        ///< a whole frame
+  End,          ///< no bytes left: the stream ends on a frame boundary
+  TornHeader,   ///< fewer than kFrameHeaderBytes remain
+  Garbled,      ///< the bytes there are not a frame magic
+  Overrun,      ///< the header declares more than kMaxFramePayload bytes
+  TornPayload,  ///< the header is whole, the payload is cut short
+};
+
+/// One step of the walk. A Frame sets every field; Overrun and TornPayload
+/// set the header fields but leave `payload` empty; the rest set only
+/// `step` and `offset`.
+struct FrameStep {
+  Step step = Step::End;
+  u64 offset = 0;  ///< where the frame, or the damage, starts
+  FrameType type = FrameType::Epoch;
+  u32 worker = 0;
+  u32 seq = 0;
+  u64 payload_len = 0;  ///< as the header declares it
+  u64 checksum = 0;     ///< as the header stores it
+  std::string_view payload;
+  /// An 'F' or 'C' frame whose checksum verifies: the walk ends after it.
+  bool footer = false;
+
+  /// Header plus payload: how far a Frame advances the walk.
+  size_t size() const { return kFrameHeaderBytes + payload.size(); }
+  /// Recomputes the checksum over (type, worker, seq, payload).
+  bool verifies() const;
+};
+
+/// Decodes the frame header at `offset` in `bytes`. Only 'F' and 'C'
+/// payloads are hashed here (to decide `footer`); every other frame's
+/// checksum is left to the caller.
+FrameStep next_frame(std::string_view bytes, u64 offset);
+
 // --- frame scanning (fault injection + diagnostics) -------------------------
 
 struct FrameSpan {
@@ -382,13 +450,13 @@ struct FrameSpan {
   u32 seq = 0;
 };
 
-/// Walks frame headers without verifying checksums; stops at the first
-/// torn/garbled header. The fault layer uses this to aim corruption at
+/// The frames next_frame() walks, up to the first damaged header or the
+/// verified footer. The fault layer uses this to aim corruption at
 /// specific frames.
 std::vector<FrameSpan> scan_frames(std::string_view bytes);
 
 /// The frame checksum (FNV-1a over type, worker, seq, payload). Public so
-/// spool-aware tools (ggstat) can verify an individual frame in place.
+/// tests can assemble frames by hand.
 u64 frame_checksum(FrameType type, u32 worker, u32 seq, const void* payload,
                    size_t len) noexcept;
 

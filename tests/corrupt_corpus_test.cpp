@@ -289,11 +289,7 @@ std::string spool_bytes() {
 void check_spool_invariants(const std::string& bytes) {
   spool::RecoverResult rr = spool::recover_spool_bytes(bytes);
   if (!rr.usable) return;  // nothing recoverable is a legal outcome
-  if (rr.report.partial() || rr.report.frames_corrupt > 0 ||
-      rr.report.torn_tail || rr.report.frames_out_of_order > 0 ||
-      rr.report.epoch_gaps > 0) {
-    salvage_trace(rr.trace);
-  }
+  if (rr.report.degraded()) salvage_trace(rr.trace);
   EXPECT_TRUE(validate_trace(rr.trace).empty())
       << "usable recovery failed validation: " << rr.report.summary();
 }
@@ -379,6 +375,79 @@ TEST(SpoolCorpusTest, ChecksumRotSkipsTheRottedFrame) {
     EXPECT_EQ(rr.report.frames_total, frames.size());
     EXPECT_FALSE(rr.report.torn_tail);
   }
+}
+
+TEST(SpoolCorpusTest, DroppedEpochFrameIsDegraded) {
+  // An epoch frame cut out of an otherwise clean spool: the footer is
+  // intact and no frame is corrupt, but the worker's next epoch jumps its
+  // seq. The recovery must read as degraded, so every tool salvages it.
+  const std::string bytes = spool_bytes();
+  const auto frames = spool::scan_frames(bytes);
+  size_t dropped = 0;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].type != spool::FrameType::Epoch) continue;
+    bool later_epoch = false;  // a loss with no later epoch leaves no gap
+    for (size_t j = i + 1; j < frames.size(); ++j) {
+      later_epoch = later_epoch ||
+                    (frames[j].type == spool::FrameType::Epoch &&
+                     frames[j].worker == frames[i].worker);
+    }
+    if (!later_epoch) continue;
+    std::string cut = bytes;
+    cut.erase(frames[i].offset, frames[i].size);
+    spool::RecoverResult rr = spool::recover_spool_bytes(cut);
+    ASSERT_TRUE(rr.usable) << "epoch frame " << i;
+    EXPECT_TRUE(rr.report.clean_footer) << "epoch frame " << i;
+    EXPECT_EQ(rr.report.frames_corrupt, 0u) << "epoch frame " << i;
+    EXPECT_EQ(rr.report.epoch_gaps, 1u) << "epoch frame " << i;
+    EXPECT_TRUE(rr.report.degraded()) << "epoch frame " << i;
+    salvage_trace(rr.trace);
+    EXPECT_TRUE(validate_trace(rr.trace).empty()) << "epoch frame " << i;
+    ++dropped;
+  }
+  EXPECT_GT(dropped, 4u);
+}
+
+TEST(SpoolCorpusTest, WalkerNamesEveryStop) {
+  const std::string bytes = spool_bytes();
+  const auto frames = spool::scan_frames(bytes);
+  ASSERT_GT(frames.size(), 3u);
+  const spool::FrameSpan& first = frames.front();
+  const spool::FrameSpan& last = frames.back();
+  const u64 at = first.offset;
+  EXPECT_TRUE(spool::read_stream_header(bytes).ok());
+
+  spool::FrameStep f = spool::next_frame(bytes, at);
+  EXPECT_EQ(f.step, spool::Step::Frame);
+  EXPECT_EQ(f.size(), first.size);
+  EXPECT_TRUE(f.verifies());
+  EXPECT_FALSE(f.footer);
+  f = spool::next_frame(bytes, last.offset);
+  EXPECT_EQ(last.type, spool::FrameType::CleanFooter);
+  EXPECT_TRUE(f.footer);
+  EXPECT_EQ(spool::next_frame(bytes, bytes.size()).step, spool::Step::End);
+  EXPECT_EQ(spool::next_frame(bytes.substr(0, at + 10), at).step,
+            spool::Step::TornHeader);
+  EXPECT_EQ(spool::next_frame(bytes.substr(0, first.offset + first.size - 1),
+                              at)
+                .step,
+            spool::Step::TornPayload);
+  std::string garbled = bytes;
+  garbled[at] = 'X';
+  EXPECT_EQ(spool::next_frame(garbled, at).step, spool::Step::Garbled);
+  std::string overrun = bytes;
+  overrun[at + 13 + 4] = 0x40;  // payload_len byte 4: far past 1 GiB
+  f = spool::next_frame(overrun, at);
+  EXPECT_EQ(f.step, spool::Step::Overrun);
+  EXPECT_GT(f.payload_len, spool::kMaxFramePayload);
+
+  // A footer-typed frame whose checksum fails does not end the walk.
+  std::string fake = bytes;
+  fake[frames[2].offset + 4] = static_cast<char>(spool::FrameType::CleanFooter);
+  f = spool::next_frame(fake, frames[2].offset);
+  EXPECT_EQ(f.step, spool::Step::Frame);
+  EXPECT_FALSE(f.footer);
+  EXPECT_EQ(spool::scan_frames(fake).size(), frames.size());
 }
 
 TEST(SpoolCorpusTest, TelemetryDamageDegradesWithoutHurtingRecords) {

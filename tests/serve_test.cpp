@@ -219,6 +219,44 @@ TEST(ServeTailerTest, ValidFramesThenGarbageMatchesBatch) {
   fs::remove(path);
 }
 
+TEST(ServeTailerTest, CorruptFrameTypedCrashFooterDoesNotEndTheTail) {
+  // Only a footer whose checksum verifies ends a stream. Frame 44 of the
+  // seed-22 spool is an epoch; typed 'C' its checksum fails, so batch and
+  // live both skip it as corrupt and read on to the clean footer.
+  const std::string path = temp_path("fakecrash") + ".ggspool";
+  std::string bytes = spool::spool_trace_bytes(make_trace(22, 4, 200), 512);
+  const std::vector<spool::FrameSpan> frames = spool::scan_frames(bytes);
+  ASSERT_GT(frames.size(), 45u);
+  ASSERT_EQ(frames[44].type, spool::FrameType::Epoch);
+  bytes[frames[44].offset + 4] = static_cast<char>(spool::FrameType::CrashFooter);
+  fault::LiveSpoolWriter writer(path, bytes, {});
+  serve::SpoolTailer tailer(path);
+  interleave(tailer, writer);
+  EXPECT_EQ(tailer.state(), serve::TailState::Sealed);
+  expect_parity(tailer, path, "corrupt frame typed C");
+  EXPECT_EQ(tailer.trace()->report().frames_corrupt, 1u);
+  EXPECT_TRUE(tailer.trace()->report().clean_footer);
+  fs::remove(path);
+}
+
+TEST(ServeTailerTest, FrameAfterTheFooterIsNotRead) {
+  // The verified footer ends the stream for batch and live alike: a dump
+  // frame appended after it reaches neither the report nor the notes.
+  const std::string path = temp_path("afterfooter") + ".ggspool";
+  const std::string clean = make_spool_bytes(1);
+  const std::string bytes =
+      clean + spool::encode_frame(spool::FrameType::Dump, 0, 0, "late dump");
+  fault::LiveSpoolWriter writer(path, bytes, {});
+  serve::SpoolTailer tailer(path);
+  interleave(tailer, writer);
+  EXPECT_EQ(tailer.state(), serve::TailState::Sealed);
+  expect_parity(tailer, path, "frame after the footer");
+  const spool::RecoverResult whole = spool::recover_spool_bytes(clean);
+  EXPECT_EQ(tailer.trace()->report().summary(), whole.report.summary());
+  EXPECT_TRUE(tailer.trace()->report().supervisor_dump.empty());
+  fs::remove(path);
+}
+
 TEST(ServeTailerTest, FooterlessCrashLosesNothingBeforeTheTail) {
   const std::string path = temp_path("nofooter") + ".ggspool";
   fault::LiveWriterPlan plan;

@@ -76,12 +76,7 @@ std::string batch_report(const std::string& bytes) {
 }
 
 u32 spool_num_workers(const std::string& bytes) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<u32>(
-             static_cast<u8>(bytes[spool::kSpoolMagic.size() + i]))
-         << (8 * i);
-  return v;
+  return spool::read_stream_header(bytes).num_workers;
 }
 
 std::vector<serve::wire::AckMsg> parse_acks(std::string_view out) {
@@ -697,6 +692,94 @@ TEST(WireClientTest, DamagedSourceSpoolSealsWithBatchIdenticalTail) {
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
   EXPECT_EQ(stream->report_text(), batch);
+}
+
+/// Batch recovery's report summary over the source bytes.
+std::string batch_summary(const std::string& bytes) {
+  return spool::recover_spool_bytes(bytes).report.summary();
+}
+
+TEST(WireClientTest, PushEndsOnlyAtAVerifiedFooter) {
+  // Two shapes on which the push once disagreed with batch recovery: an
+  // epoch frame whose type byte reads 'C' (a corrupt frame, not a crash
+  // footer: its checksum fails), and a frame appended after the clean
+  // footer (never read: the verified footer ends the stream).
+  std::string fake_crash = make_spool_bytes(22);
+  const auto frames = spool::scan_frames(fake_crash);
+  ASSERT_GT(frames.size(), 45u);
+  ASSERT_EQ(frames[44].type, spool::FrameType::Epoch);
+  fake_crash[frames[44].offset + 4] =
+      static_cast<char>(spool::FrameType::CrashFooter);
+  const std::string after_footer =
+      make_spool_bytes(1) +
+      spool::encode_frame(spool::FrameType::Dump, 0, 0, "late dump");
+  struct Shape {
+    const char* what;
+    std::string bytes;
+  };
+  const Shape shapes[] = {{"corrupt frame typed C", fake_crash},
+                          {"frame after the footer", after_footer}};
+  u64 seed = 300;
+  for (const Shape& sh : shapes) {
+    LiveServer srv;
+    serve::WireClient client(client_opts(srv.socket_path, ++seed));
+    std::string err;
+    ASSERT_TRUE(client.push_bytes(sh.bytes, &err)) << sh.what << ": " << err;
+    auto stream = srv.registry->find(client.token());
+    ASSERT_NE(stream, nullptr) << sh.what;
+    EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << sh.what;
+    ASSERT_NE(stream->report(), nullptr) << sh.what;
+    EXPECT_EQ(stream->report()->summary(), batch_summary(sh.bytes))
+        << sh.what;
+    EXPECT_EQ(stream->report_text(), batch_report(sh.bytes)) << sh.what;
+  }
+  // Batch recovery stops at the footer too, and the corrupt frame costs
+  // exactly one frame.
+  EXPECT_EQ(batch_summary(after_footer), batch_summary(make_spool_bytes(1)));
+  // The corrupt frame costs exactly one frame against the clean spool.
+  const spool::RecoverResult rr = spool::recover_spool_bytes(fake_crash);
+  EXPECT_TRUE(rr.report.clean_footer);
+  EXPECT_EQ(rr.report.frames_corrupt, 1u);
+  EXPECT_EQ(rr.report.frames_total, frames.size());
+}
+
+TEST(WireClientTest, FollowIdleSealClassifiesATornPayloadLikeBatch) {
+  // ggspool-push --follow on a spool whose writer died 3 bytes into frame
+  // 44's payload: at the idle seal the tail must read as batch recovery
+  // reads it (an overrun that counts the torn frame), not as a torn header.
+  std::string bytes = make_spool_bytes(22);
+  const auto frames = spool::scan_frames(bytes);
+  ASSERT_GT(frames.size(), 45u);
+  bytes.resize(frames[44].offset + spool::kFrameHeaderBytes + 3);
+  const std::string path = temp_path("follow") + ".ggspool";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  LiveServer srv;
+  constexpr u64 kSeed = 401;
+  const std::string seed_arg = std::to_string(kSeed);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl(GG_SPOOL_PUSH, GG_SPOOL_PUSH, path.c_str(), "--socket",
+            srv.socket_path.c_str(), "--follow", "--idle-ms", "300",
+            "--seed", seed_arg.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+
+  auto stream = srv.registry->find(
+      serve::WireClient(client_opts(srv.socket_path, kSeed)).token());
+  ASSERT_NE(stream, nullptr);
+  ASSERT_NE(stream->report(), nullptr);
+  const std::string batch = batch_summary(bytes);
+  EXPECT_NE(batch.find("frames=44/45"), std::string::npos) << batch;
+  EXPECT_EQ(stream->report()->summary(), batch);
+  EXPECT_EQ(stream->report_text(), batch_report(bytes));
+  fs::remove(path);
 }
 
 struct FaultCase {

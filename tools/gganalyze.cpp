@@ -531,9 +531,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "supervisor diagnostic:\n%s",
                    rr.report.supervisor_dump.c_str());
     }
-    bool degraded = rr.report.partial() || rr.report.frames_corrupt > 0 ||
-                    rr.report.frames_out_of_order > 0 ||
-                    rr.report.epoch_gaps > 0 || rr.report.torn_tail;
+    const bool degraded = rr.report.degraded();
     if (degraded) {
       // Recovered traces usually miss closing records for in-flight work;
       // the salvage pass synthesizes them and quarantines the rest.

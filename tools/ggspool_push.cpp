@@ -14,8 +14,9 @@
 // Connection failures (daemon still starting, daemon restarting) retry
 // with capped exponential backoff; mid-push disconnects resume on the
 // client's session token with the server deduplicating acked epochs. If
-// the daemon lost the session (restart), the push restarts from the file
-// — the source of truth is always the spool on disk.
+// the daemon lost the session (restart), a batch push restarts from the
+// file (WireClient::push_file) — the source of truth is always the spool
+// on disk.
 //
 // --fault arms a deterministic client-side fault plan (chaos scripting):
 //   reset | mid-frame-reset | partial-write | duplicate | bit-flip |
@@ -24,9 +25,7 @@
 // Exit: 0 pushed + sealed, 1 push failed, 2 usage.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -68,30 +67,23 @@ bool parse_fault_kind(const std::string& s, gg::fault::WireFaultPlan* plan) {
   return true;
 }
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
 /// Live-follow: tail the growing spool, pushing every complete frame the
 /// writer seals, until the footer arrives or the file goes silent for
-/// idle_ms. The delimiting walk is the tailer's: header magic, bounded
-/// payload length, complete-frame-or-wait.
+/// idle_ms. Frames are delimited by push_frames, the step batch pushes
+/// use, so an idle seal classifies the tail as batch recovery would.
 int follow_push(gg::serve::WireClient& client, const std::string& path,
                 gg::u64 idle_ms) {
   using namespace gg;
-  constexpr u64 kMaxPayload = 1ull << 30;
-  const size_t kHeaderBytes = spool::kSpoolMagic.size() + 4;
-
   std::string buf;
-  size_t pos = 0;          // consumed offset into buf == stream offset
+  u64 pos = 0;  // consumed offset into buf == stream offset
   bool begun = false;
+  spool::FrameStep tail;  // where the last walk stopped
   u64 quiet_ms = 0;
   std::string error;
+  const auto fail = [&error] {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  };
 
   while (true) {
     // Pull whatever the writer appended since the last look.
@@ -108,66 +100,29 @@ int follow_push(gg::serve::WireClient& client, const std::string& path,
     }
 
     bool progressed = false;
-    if (!begun && buf.size() >= kHeaderBytes) {
-      if (buf.compare(0, spool::kSpoolMagic.size(), spool::kSpoolMagic) !=
-          0) {
-        std::fprintf(stderr, "error: %s is not a GGSPOOL1 spool\n",
-                     path.c_str());
+    if (!begun && buf.size() >= spool::kStreamHeaderBytes) {
+      const spool::StreamHeader header = spool::read_stream_header(buf);
+      if (!header.ok()) {
+        std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
+                     header.error.c_str());
         return 1;
       }
-      u32 num_workers = 0;
-      for (int i = 0; i < 4; ++i)
-        num_workers |= static_cast<u32>(static_cast<u8>(
-                           buf[spool::kSpoolMagic.size() + i]))
-                       << (8 * i);
-      if (!client.begin(num_workers, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      pos = kHeaderBytes;
+      if (!client.begin(header.num_workers, &error)) return fail();
+      pos = spool::kStreamHeaderBytes;
       begun = true;
       progressed = true;
     }
-
-    while (begun && buf.size() - pos >= spool::kFrameHeaderBytes) {
-      if (std::memcmp(buf.data() + pos, spool::kFrameMagic, 4) != 0) {
-        // Garbled magic mid-stream: a live writer never produces this, so
-        // the source is damaged — seal what we have and stop.
-        if (!client.seal(serve::wire::EndKind::Garbled, pos,
-                         buf.size() - pos, &error)) {
-          std::fprintf(stderr, "error: %s\n", error.c_str());
-          return 1;
-        }
-        return 0;
-      }
-      u64 payload_len = 0;
-      for (int i = 0; i < 8; ++i)
-        payload_len |= static_cast<u64>(static_cast<u8>(buf[pos + 13 + i]))
-                       << (8 * i);
-      if (payload_len > kMaxPayload) {
-        if (!client.seal(serve::wire::EndKind::Overrun, pos,
-                         buf.size() - pos, &error)) {
-          std::fprintf(stderr, "error: %s\n", error.c_str());
-          return 1;
-        }
-        return 0;
-      }
-      const u64 frame_len = spool::kFrameHeaderBytes + payload_len;
-      if (buf.size() - pos < frame_len) break;  // wait for the rest
-      const char type = buf[pos + 4];
-      if (!client.send_frame(
-              std::string_view(buf.data() + pos, frame_len), pos, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      pos += frame_len;
-      progressed = true;
-      if (type == 'F' || type == 'C') {
-        if (!client.seal(serve::wire::EndKind::Clean, pos, 0, &error)) {
-          std::fprintf(stderr, "error: %s\n", error.c_str());
-          return 1;
-        }
-        return 0;
+    if (begun) {
+      const u64 before = pos;
+      if (!serve::push_frames(client, buf, &pos, &tail, &error))
+        return fail();
+      progressed = progressed || pos > before;
+      // The footer ends the stream. A garbled magic or an overrun length
+      // never comes from a live writer: the source is damaged, so seal
+      // what we have rather than wait.
+      if (tail.footer || tail.step == spool::Step::Garbled ||
+          tail.step == spool::Step::Overrun) {
+        return serve::seal_at(client, tail, &error) ? 0 : fail();
       }
     }
 
@@ -178,21 +133,8 @@ int follow_push(gg::serve::WireClient& client, const std::string& path,
     if (quiet_ms >= idle_ms) {
       // Writer went silent with no footer: seal with what the tail shows,
       // exactly how the daemon's own tailer classifies a stale spool.
-      const u64 tail = buf.size() - pos;
-      const auto end = !begun || tail == 0
-                           ? serve::wire::EndKind::Clean
-                           : serve::wire::EndKind::TornHeader;
-      if (!begun) {
-        if (!client.begin(1, &error)) {
-          std::fprintf(stderr, "error: %s\n", error.c_str());
-          return 1;
-        }
-      }
-      if (!client.seal(end, pos, tail, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      return 0;
+      if (!begun && !client.begin(1, &error)) return fail();
+      return serve::seal_at(client, tail, &error) ? 0 : fail();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     quiet_ms += 20;
@@ -264,12 +206,7 @@ int main(int argc, char** argv) {
   if (follow) {
     rc = follow_push(client, path, idle_ms);
   } else {
-    std::string bytes;
-    if (!read_file(path, &bytes)) {
-      std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-      return 1;
-    }
-    rc = serve::push_spool_stream(client, bytes, &error) ? 0 : 1;
+    rc = client.push_file(path, &error) ? 0 : 1;
     if (rc != 0) std::fprintf(stderr, "error: %s\n", error.c_str());
   }
   client.bye();

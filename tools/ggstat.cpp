@@ -83,58 +83,34 @@ struct SpoolView {
   bool crash_footer = false;
 };
 
-/// Reads the frame payload and verifies the stored checksum. `bytes` must
-/// cover the whole frame (scan_frames guarantees it).
-bool frame_valid(std::string_view bytes, const spool::FrameSpan& f,
-                 std::string_view* payload_out) {
-  const char* p = bytes.data() + f.offset;
-  // Header: magic(4) type(1) worker(4) seq(4) payload_len(8) checksum(8);
-  // all fields little-endian.
-  u64 stored = 0;
-  for (int i = 7; i >= 0; --i) {
-    stored = (stored << 8) | static_cast<unsigned char>(p[21 + i]);
-  }
-  const size_t plen = f.size - spool::kFrameHeaderBytes;
-  std::string_view payload(p + spool::kFrameHeaderBytes, plen);
-  if (spool::frame_checksum(f.type, f.worker, f.seq, payload.data(),
-                            payload.size()) != stored) {
-    return false;
-  }
-  *payload_out = payload;
-  return true;
-}
-
+/// Walks the frames with spool::next_frame, so the scan stops where
+/// recovery does: at a damaged header or after the verified footer.
 SpoolView scan(std::string_view bytes) {
   SpoolView v;
   if (!spool::looks_like_spool(bytes)) return v;
   v.is_spool = true;
-  for (const spool::FrameSpan& f : spool::scan_frames(bytes)) {
+  for (u64 pos = spool::kStreamHeaderBytes;;) {
+    const spool::FrameStep f = spool::next_frame(bytes, pos);
+    if (f.step != spool::Step::Frame) break;
+    pos += f.size();
     ++v.frames_total;
-    std::string_view payload;
     switch (f.type) {
       case spool::FrameType::Meta:
       case spool::FrameType::CleanFooter: {
-        if (f.type == spool::FrameType::CleanFooter) v.clean_footer = true;
-        if (!frame_valid(bytes, f, &payload)) break;
+        if (!f.verifies()) break;
         TraceMeta meta;
-        if (spool::decode_meta_payload(payload, &meta)) {
+        if (spool::decode_meta_payload(f.payload, &meta)) {
           v.meta = std::move(meta);  // footer meta supersedes the header's
         }
         break;
       }
-      case spool::FrameType::CrashFooter:
-        v.crash_footer = true;
-        break;
       case spool::FrameType::Epoch:
         ++v.epoch_frames;
         break;
       case spool::FrameType::Telemetry: {
-        if (!frame_valid(bytes, f, &payload)) {
-          ++v.telemetry_corrupt;
-          break;
-        }
         obs::MetricsSnapshot snap;
-        if (obs::decode_telemetry_payload(payload, &snap)) {
+        if (f.verifies() &&
+            obs::decode_telemetry_payload(f.payload, &snap)) {
           v.telemetry = std::move(snap);  // keep the latest
           ++v.telemetry_frames;
         } else {
@@ -144,6 +120,11 @@ SpoolView scan(std::string_view bytes) {
       }
       default:
         break;  // strings/dump frames carry nothing ggstat reports
+    }
+    if (f.footer) {
+      v.clean_footer = f.type == spool::FrameType::CleanFooter;
+      v.crash_footer = !v.clean_footer;
+      break;
     }
   }
   return v;

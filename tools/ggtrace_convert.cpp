@@ -11,8 +11,9 @@
 // invalid trace fails (exit 1) naming the first bad record. With --salvage
 // a damaged trace is repaired first (exit 3 when anything was repaired) and
 // only an unsalvageable input fails (exit 4). A .ggspool input always takes
-// the recovery path (as if --salvage were given); a partial spool that
-// recovers converts with exit 3.
+// the recovery path (as if --salvage were given): the recovery report, any
+// crash provenance and supervisor diagnostic go to stderr, and a spool
+// that recovers degraded converts with exit 3.
 #include <cstdio>
 #include <string>
 
@@ -59,8 +60,15 @@ int main(int argc, char** argv) {
       return 4;
     }
     std::fprintf(stderr, "%s\n", rr.report.summary().c_str());
-    degraded = rr.report.partial() || rr.report.frames_corrupt > 0 ||
-               rr.report.frames_out_of_order > 0 || rr.report.torn_tail;
+    if (!rr.report.crash_reason.empty()) {
+      std::fprintf(stderr, "crash provenance: %s\n",
+                   rr.report.crash_reason.c_str());
+    }
+    if (!rr.report.supervisor_dump.empty()) {
+      std::fprintf(stderr, "supervisor diagnostic:\n%s",
+                   rr.report.supervisor_dump.c_str());
+    }
+    degraded = rr.report.degraded();
     if (degraded) {
       const SalvageReport srep = salvage_trace(rr.trace);
       if (srep.any()) std::fprintf(stderr, "%s\n", srep.summary().c_str());
