@@ -41,12 +41,6 @@ IncrementalTrace::IncrementalTrace(u32 num_workers)
   next_seq_.assign(num_workers, 0);
 }
 
-u64 IncrementalTrace::epochs_applied() const {
-  u64 n = 0;
-  for (u64 e : report_.epochs_per_worker) n += e;
-  return n;
-}
-
 void IncrementalTrace::apply_frame(const FrameStep& frame) {
   RecoverReport& rep = report_;
   Trace& t = trace_;

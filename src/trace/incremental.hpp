@@ -63,12 +63,6 @@ class IncrementalTrace {
   /// only claims batch parity for streams whose damage sits at EOF.
   void note_abandoned(u64 offset, u64 resume_offset);
 
-  bool have_meta() const { return have_meta_; }
-  u32 num_workers() const { return num_workers_; }
-  bool clean_footer() const { return report_.clean_footer; }
-  bool crashed() const { return !report_.crash_reason.empty(); }
-  u64 epochs_applied() const;
-
   /// Approximate heap footprint of the accumulated records and strings —
   /// the unit the serve admission budget charges per session.
   u64 resident_bytes() const { return resident_bytes_; }
