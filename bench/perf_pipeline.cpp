@@ -11,12 +11,14 @@
 // combination produces byte-identical analysis output (including a thread
 // sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
 // and at the auto thread count), and writes machine-readable results to
-// BENCH_analyze.json. Exit 1 on any parse error, recovery failure or output
-// mismatch (so CI can gate on correctness without gating on timing).
+// BENCH_analyze.json. The stage times are each path's phase spans, as
+// `gganalyze --timing` reads them; every load, the spool's included,
+// validates the trace. Exit 1 on any parse error, recovery failure, invalid
+// trace or output mismatch (so CI can gate on correctness without gating on
+// timing).
 // --skip-text drops the text round-trip and the spool paths for very large
 // runs (e.g. --grains 10000000), where they would dominate the wall time
 // and the memory budget.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -30,74 +32,91 @@
 #include "export/grain_csv.hpp"
 #include "export/graphml.hpp"
 #include "export/json_summary.hpp"
+#include "obs/telemetry.hpp"
 #include "support/bench_support.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
 #include "trace/synth.hpp"
+#include "trace/validate.hpp"
 
 namespace {
 
 using namespace gg;
 
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct PathResult {
-  i64 load_ns = 0;
-  AnalysisTimings stages;
+  std::vector<obs::SpanRec> spans;  ///< the load span and analyze()'s stages
   std::string report;     ///< rendered textual report
   std::string summary;    ///< JSON summary bytes
-  i64 total_ns() const { return load_ns + stages.total_ns(); }
+  u64 load_ns() const { return obs::span_ns(spans, kLoadSpan); }
+  u64 stage_ns(const char* stage) const {
+    return obs::span_ns(spans, std::string("analysis.") + stage);
+  }
+  u64 total_ns() const {
+    u64 total = load_ns();
+    for (const char* stage : kAnalysisStages) total += stage_ns(stage);
+    return total;
+  }
 };
 
-/// Loads `path` (a GGSPOOL1 spool is recovered) and runs the full pipeline
-/// with `threads` workers in every stage. Returns false on load failure or
-/// an incomplete recovery.
-bool run_path(const std::string& path, int threads, PathResult& out) {
-  const i64 t0 = now_ns();
-  std::optional<Trace> trace;
-  if (spool::spool_file_magic(path)) {
-    spool::RecoverResult rr = spool::recover_spool_file(path, nullptr, threads);
-    if (!rr.usable || rr.report.partial()) {
-      std::fprintf(stderr, "error: recovery of %s: %s\n", path.c_str(),
-                   rr.report.summary().c_str());
-      return false;
-    }
-    trace = std::move(rr.trace);
-  } else {
+/// Loads `path` inside the load span. A GGSPOOL1 spool is recovered and then
+/// validated, as a file load validates, so every path's load does the same
+/// work. nullopt after an error line on a load failure, an incomplete
+/// recovery or an invalid trace.
+std::optional<Trace> load(const std::string& path, int threads) {
+  obs::PhaseSpan span(kLoadSpan);
+  if (!spool::spool_file_magic(path)) {
     LoadOptions lo;
     lo.mode = LoadMode::Strict;
     lo.threads = threads;
     LoadResult lr = load_trace_file_ex(path, lo);
-    if (!lr.usable()) {
-      std::fprintf(stderr, "error: %s", lr.describe().c_str());
-      return false;
-    }
-    trace = std::move(lr.trace);
+    if (lr.usable()) return std::move(lr.trace);
+    std::fprintf(stderr, "error: %s", lr.describe().c_str());
+    return std::nullopt;
   }
-  out.load_ns = now_ns() - t0;
-  AnalysisOptions opts;
-  opts.threads = threads;
-  opts.metrics.threads = threads;
-  const Analysis a = analyze(*trace, Topology::generic4(), opts, &out.stages);
-  out.report = render_report(*trace, a);
-  std::ostringstream js;
-  write_json_summary(js, *trace, a);
-  out.summary = js.str();
-  return true;
+  spool::RecoverResult rr = spool::recover_spool_file(path, nullptr, threads);
+  if (!rr.usable || rr.report.partial()) {
+    std::fprintf(stderr, "error: recovery of %s: %s\n", path.c_str(),
+                 rr.report.summary().c_str());
+    return std::nullopt;
+  }
+  const std::vector<std::string> violations = validate_trace(rr.trace);
+  if (!violations.empty()) {
+    std::fprintf(stderr, "error: recovered %s is invalid: %s\n", path.c_str(),
+                 violations.front().c_str());
+    return std::nullopt;
+  }
+  return std::move(rr.trace);
+}
+
+/// Loads `path` and runs the full pipeline with `threads` workers in every
+/// stage, under a telemetry context of its own: the stage times are this
+/// path's phase spans. Returns false when the load fails.
+bool run_path(const std::string& path, int threads, PathResult& out) {
+  obs::Telemetry telemetry;
+  obs::install(&telemetry);
+  const std::optional<Trace> trace = load(path, threads);
+  if (trace) {
+    AnalysisOptions opts;
+    opts.threads = threads;
+    opts.metrics.threads = threads;
+    const Analysis a = analyze(*trace, Topology::generic4(), opts);
+    out.report = render_report(*trace, a);
+    std::ostringstream js;
+    write_json_summary(js, *trace, a);
+    out.summary = js.str();
+  }
+  obs::install(nullptr);
+  out.spans = telemetry.tracer.spans();
+  return trace.has_value();
 }
 
 void emit_stages(std::ofstream& os, const std::string& name,
                  const PathResult& r) {
-  os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns
-     << ", \"graph_ns\": " << r.stages.graph_ns
-     << ", \"grains_ns\": " << r.stages.grains_ns
-     << ", \"metrics_ns\": " << r.stages.metrics_ns
-     << ", \"problems_ns\": " << r.stages.problems_ns
-     << ", \"total_ns\": " << r.total_ns() << "}";
+  os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns();
+  for (const char* stage : kAnalysisStages) {
+    os << ", \"" << stage << "_ns\": " << r.stage_ns(stage);
+  }
+  os << ", \"total_ns\": " << r.total_ns() << "}";
 }
 
 }  // namespace
@@ -189,13 +208,13 @@ int main(int argc, char** argv) {
                 spool_path.c_str(), static_cast<double>(spool_bytes) / 1e6);
   }
 
-  auto ms = [](i64 ns) { return static_cast<double>(ns) / 1e6; };
+  auto ms = [](u64 ns) { return static_cast<double>(ns) / 1e6; };
   auto print_path = [&](const std::string& name, const PathResult& r) {
     std::printf("%-18s load %9.1f ms, graph %9.1f ms, grains %9.1f ms, "
                 "metrics %9.1f ms, problems %9.1f ms => total %9.1f ms\n",
-                name.c_str(), ms(r.load_ns), ms(r.stages.graph_ns),
-                ms(r.stages.grains_ns), ms(r.stages.metrics_ns),
-                ms(r.stages.problems_ns), ms(r.total_ns()));
+                name.c_str(), ms(r.load_ns()), ms(r.stage_ns("graph")),
+                ms(r.stage_ns("grains")), ms(r.stage_ns("metrics")),
+                ms(r.stage_ns("problems")), ms(r.total_ns()));
   };
 
   // The serial binary run is the correctness reference every other
@@ -223,7 +242,7 @@ int main(int argc, char** argv) {
   // worker count, not just serial-vs-auto.
   struct SweepPoint {
     int threads = 0;
-    i64 total_ns = 0;
+    u64 total_ns = 0;
   };
   std::vector<SweepPoint> sweep;
   for (const int t : {2, 4, 8}) {

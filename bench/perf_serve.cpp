@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "serve/endpoint.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -45,12 +46,6 @@
 namespace {
 
 using namespace gg;
-
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string temp_path(const char* tag) {
   static int counter = 0;
@@ -90,7 +85,7 @@ serve::WireClientOptions client_opts(const std::string& socket,
   return o;
 }
 
-i64 percentile(std::vector<i64> v, int p) {
+u64 percentile(std::vector<u64> v, int p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
   size_t idx = v.size() * static_cast<size_t>(p) / 100;
@@ -110,7 +105,7 @@ std::string status_level(const std::string& status) {
 struct ThroughputResult {
   bool pushes_ok = true;
   bool parity_ok = true;
-  i64 wall_ns = 0;
+  u64 wall_ns = 0;
   u64 epochs = 0;
   u64 queries_served = 0;
 };
@@ -154,7 +149,7 @@ ThroughputResult run_throughput(int clients, int queries, u64 grains) {
   std::vector<std::thread> pool;
   std::atomic<int> failures{0};
   std::atomic<u64> epochs{0};
-  const i64 t0 = now_ns();
+  const u64 t0 = obs::mono_ns();
   for (int c = 0; c < clients; ++c) {
     pool.emplace_back([&, c] {
       serve::WireClient client(client_opts(
@@ -171,7 +166,7 @@ ThroughputResult run_throughput(int clients, int queries, u64 grains) {
     });
   }
   for (auto& t : pool) t.join();
-  res.wall_ns = now_ns() - t0;
+  res.wall_ns = obs::mono_ns() - t0;
   pushing.store(false, std::memory_order_release);
   for (auto& t : query_pool) t.join();
   res.pushes_ok = failures.load() == 0;
@@ -202,9 +197,9 @@ ThroughputResult run_throughput(int clients, int queries, u64 grains) {
 struct AckLatencyResult {
   bool ok = true;
   u64 frames = 0;
-  i64 p50_ns = 0;
-  i64 p95_ns = 0;
-  i64 p99_ns = 0;
+  u64 p50_ns = 0;
+  u64 p95_ns = 0;
+  u64 p99_ns = 0;
 };
 
 AckLatencyResult run_ack_latency(u64 grains) {
@@ -223,14 +218,14 @@ AckLatencyResult run_ack_latency(u64 grains) {
 
   AckLatencyResult res;
   std::string err;
-  std::vector<i64> rtts;
+  std::vector<u64> rtts;
   if (!client.begin(spool::read_stream_header(bytes).num_workers, &err)) {
     std::fprintf(stderr, "error: ack-latency begin: %s\n", err.c_str());
     res.ok = false;
   }
   for (const auto& f : frames) {
     if (!res.ok) break;
-    const i64 t0 = now_ns();
+    const u64 t0 = obs::mono_ns();
     if (!client.send_frame(
             std::string_view(bytes.data() + f.offset, f.size), f.offset,
             &err)) {
@@ -238,7 +233,7 @@ AckLatencyResult run_ack_latency(u64 grains) {
       res.ok = false;
       break;
     }
-    rtts.push_back(now_ns() - t0);
+    rtts.push_back(obs::mono_ns() - t0);
   }
   if (res.ok &&
       !client.seal(serve::wire::EndKind::Clean, bytes.size(), 0, &err)) {

@@ -24,7 +24,6 @@
 // must produce byte-identical report and JSON bytes. Machine-readable
 // results go to BENCH_telemetry.json; exit 1 when the gate or the
 // byte-identity check fails.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -43,18 +42,12 @@ namespace {
 
 using namespace gg;
 
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Obs call sites executed by one pipeline run: four analysis stage spans,
 /// five metric pass spans, and three registry probes in analyze().
 constexpr double kSitesPerRun = 12.0;
 
 struct RunResult {
-  i64 wall_ns = 0;
+  u64 wall_ns = 0;
   std::string report;
   std::string summary;
 };
@@ -65,7 +58,7 @@ struct RunResult {
 bool run_once(const std::string& path, obs::Telemetry* telemetry,
               RunResult& out) {
   obs::install(telemetry);
-  const i64 t0 = now_ns();
+  const u64 t0 = obs::mono_ns();
   LoadOptions lo;
   lo.mode = LoadMode::Strict;
   LoadResult lr = load_trace_file_ex(path, lo);
@@ -79,12 +72,12 @@ bool run_once(const std::string& path, obs::Telemetry* telemetry,
   std::ostringstream js;
   write_json_summary(js, *lr.trace, a);
   out.summary = js.str();
-  out.wall_ns = now_ns() - t0;
+  out.wall_ns = obs::mono_ns() - t0;
   obs::install(nullptr);
   return true;
 }
 
-i64 median(std::vector<i64> v) {
+u64 median(std::vector<u64> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
@@ -94,12 +87,12 @@ i64 median(std::vector<i64> v) {
 double disabled_site_ns() {
   constexpr int kIters = 1000000;
   u64 sink = 0;
-  const i64 t0 = now_ns();
+  const u64 t0 = obs::mono_ns();
   for (int i = 0; i < kIters; ++i) {
     obs::PhaseSpan span("bench.site");
     sink += obs::current_registry() != nullptr ? 1u : 0u;
   }
-  const i64 t1 = now_ns();
+  const u64 t1 = obs::mono_ns();
   if (sink != 0) std::fprintf(stderr, "error: registry unexpectedly set\n");
   return static_cast<double>(t1 - t0) / kIters;
 }
@@ -159,7 +152,7 @@ int main(int argc, char** argv) {
   RunResult reference;
   if (!run_once(path, nullptr, reference)) return 1;
 
-  std::vector<i64> baseline_ns, disabled_ns, enabled_ns;
+  std::vector<u64> baseline_ns, disabled_ns, enabled_ns;
   bool identical = true;
   for (int r = 0; r < reps; ++r) {
     RunResult a, b, c;
@@ -177,9 +170,9 @@ int main(int argc, char** argv) {
   if (!identical)
     std::fprintf(stderr, "error: telemetry arms changed output bytes\n");
 
-  const i64 base = median(baseline_ns);
-  const i64 off = median(disabled_ns);
-  const i64 on = median(enabled_ns);
+  const u64 base = median(baseline_ns);
+  const u64 off = median(disabled_ns);
+  const u64 on = median(enabled_ns);
   const double off_pct =
       base > 0 ? (static_cast<double>(off) / static_cast<double>(base) - 1.0) *
                      100.0
@@ -195,7 +188,7 @@ int main(int argc, char** argv) {
   const double gate_pct = 1.0;
   const bool gate_ok = off_pct <= gate_pct && site_pct <= gate_pct;
 
-  auto ms = [](i64 ns) { return static_cast<double>(ns) / 1e6; };
+  auto ms = [](u64 ns) { return static_cast<double>(ns) / 1e6; };
   std::printf("pipeline medians over %d reps (interleaved):\n", reps);
   std::printf("  baseline (telemetry off)   %9.2f ms\n", ms(base));
   std::printf("  disabled (off, arm 2)      %9.2f ms  (%+.3f%%)\n", ms(off),

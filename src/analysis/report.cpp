@@ -1,6 +1,6 @@
 #include "analysis/report.hpp"
 
-#include <chrono>
+#include <cstdio>
 #include <sstream>
 
 #include "common/par_for.hpp"
@@ -11,37 +11,27 @@
 
 namespace gg {
 
-namespace {
-
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 Analysis analyze(const Trace& trace, const Topology& topo,
-                 const AnalysisOptions& opts, AnalysisTimings* timings) {
+                 const AnalysisOptions& opts) {
+  // The throughput gauge is the only clock read here, and only with a
+  // registry installed; the stage times are the phase spans.
+  obs::Registry* const reg = obs::current_registry();
+  const u64 start_ns = reg != nullptr ? obs::mono_ns() : 0;
   Analysis a;
   const int build_threads = resolve_threads(opts.threads);
-  i64 t0 = now_ns();
   {
     obs::PhaseSpan span("analysis.graph");
     a.graph = GrainGraph::build(trace, build_threads);
   }
-  const i64 t1 = now_ns();
   {
     obs::PhaseSpan span("analysis.grains");
     a.grains = GrainTable::build(trace, build_threads);
   }
-  const i64 t2 = now_ns();
   {
     obs::PhaseSpan span("analysis.metrics");
     a.metrics = compute_metrics(trace, a.graph, a.grains, topo, opts.metrics,
                                 opts.baseline);
   }
-  const i64 t3 = now_ns();
   {
     obs::PhaseSpan span("analysis.problems");
     a.thresholds = opts.thresholds.value_or(
@@ -50,21 +40,10 @@ Analysis analyze(const Trace& trace, const Topology& topo,
     a.sources = source_profile(trace, a.grains, a.metrics, a.thresholds,
                                SourceSort::ByCount);
   }
-  const i64 t4 = now_ns();
-  if (timings != nullptr) {
-    timings->graph_ns = t1 - t0;
-    timings->grains_ns = t2 - t1;
-    timings->metrics_ns = t3 - t2;
-    timings->problems_ns = t4 - t3;
-    timings->graph_threads = build_threads;
-    timings->grains_threads = build_threads;
-    timings->metrics_threads = resolve_threads(opts.metrics.threads);
-    timings->metric_passes = a.metrics.pass_timings;
-  }
-  if (obs::Registry* reg = obs::current_registry()) {
+  if (reg != nullptr) {
     reg->counter("analyze.runs")->add();
     reg->gauge("analyze.grains")->set(static_cast<double>(a.grains.size()));
-    const i64 total = t4 - t0;
+    const u64 total = obs::mono_ns() - start_ns;
     if (total > 0) {
       reg->gauge("analyze.grains_per_sec")
           ->set(static_cast<double>(a.grains.size()) * 1e9 /
@@ -72,6 +51,90 @@ Analysis analyze(const Trace& trace, const Topology& topo,
     }
   }
   return a;
+}
+
+namespace {
+
+constexpr std::array<const char*, 5> kMetricPasses = {
+    "benefit", "load_balance", "parallelism", "scatter", "critical_path"};
+
+u64 stage_ns(const std::vector<obs::SpanRec>& spans, const char* scope,
+             const char* stage) {
+  return obs::span_ns(spans, std::string(scope) + "." + stage);
+}
+
+bool is_export(const obs::SpanRec& s) {
+  return s.name.rfind("export.", 0) == 0;
+}
+
+}  // namespace
+
+std::string render_timing(const std::vector<obs::SpanRec>& spans,
+                          u64 input_bytes, int threads) {
+  std::string out;
+  auto line = [&out](const char* fmt, auto... args) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, fmt, args...);
+    out += buf;
+  };
+  auto ms = [](u64 ns) { return static_cast<double>(ns) / 1e6; };
+  line("[timing] input %llu bytes\n",
+       static_cast<unsigned long long>(input_bytes));
+  u64 total = obs::span_ns(spans, kLoadSpan);
+  line("[timing] %-8s %10.3f ms (%d thread(s))\n", "load", ms(total),
+       threads);
+  for (const char* stage : {"graph", "grains", "metrics"}) {
+    line("[timing] %-8s %10.3f ms (%d thread(s))\n", stage,
+         ms(stage_ns(spans, "analysis", stage)), threads);
+  }
+  for (const char* pass : kMetricPasses) {
+    line("[timing]   %-13s %10.3f ms\n", pass,
+         ms(stage_ns(spans, "metrics", pass)));
+  }
+  line("[timing] %-8s %10.3f ms\n", "problems",
+       ms(stage_ns(spans, "analysis", "problems")));
+  for (const char* stage : kAnalysisStages) {
+    total += stage_ns(spans, "analysis", stage);
+  }
+  for (const obs::SpanRec& s : spans) {
+    if (!is_export(s)) continue;
+    total += s.end_ns - s.start_ns;
+    line("[timing] %-8s %10.3f ms (%s)\n", "export",
+         ms(s.end_ns - s.start_ns), s.name.c_str());
+  }
+  line("[timing] %-8s %10.3f ms\n", "total", ms(total));
+  return out;
+}
+
+std::string render_timings_json(const std::vector<obs::SpanRec>& spans) {
+  std::ostringstream os;
+  os << "  \"timings\": {\n";
+  os << "    \"load_ns\": " << obs::span_ns(spans, kLoadSpan) << ",\n";
+  os << "    \"analysis\": {";
+  u64 total = 0;
+  for (const char* stage : kAnalysisStages) {
+    const u64 ns = stage_ns(spans, "analysis", stage);
+    total += ns;
+    os << "\"" << stage << "_ns\": " << ns << ", ";
+  }
+  os << "\"total_ns\": " << total << "},\n";
+  os << "    \"metric_passes\": {";
+  const char* sep = "";
+  for (const char* pass : kMetricPasses) {
+    os << sep << "\"" << pass << "_ns\": " << stage_ns(spans, "metrics", pass);
+    sep = ", ";
+  }
+  os << "},\n";
+  os << "    \"exports\": [";
+  sep = "";
+  for (const obs::SpanRec& s : spans) {
+    if (!is_export(s)) continue;
+    os << sep << "{\"name\": \"" << s.name
+       << "\", \"wall_ns\": " << s.end_ns - s.start_ns << "}";
+    sep = ", ";
+  }
+  os << "]\n  }";
+  return os.str();
 }
 
 std::string render_report(const Trace& trace, const Analysis& a) {

@@ -7,7 +7,6 @@
 #include <array>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/problems.hpp"
@@ -15,6 +14,7 @@
 #include "graph/grain_graph.hpp"
 #include "graph/grain_table.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/span.hpp"
 #include "topology/topology.hpp"
 #include "trace/trace.hpp"
 
@@ -41,38 +41,34 @@ struct Analysis {
   std::vector<SourceProfileRow> sources;  ///< sorted by creation count
 };
 
-/// Per-stage wall times of one analyze() call, in nanoseconds.
-struct AnalysisTimings {
-  i64 graph_ns = 0;
-  i64 grains_ns = 0;
-  i64 metrics_ns = 0;
-  i64 problems_ns = 0;  ///< thresholds + problem views + source profile
-  /// Resolved worker counts the parallel stages actually ran with (what an
-  /// `0 = auto` request expanded to).
-  int graph_threads = 1;
-  int grains_threads = 1;
-  int metrics_threads = 1;
-  /// Per-pass breakdown of the metrics stage (copied from MetricsResult).
-  MetricPassTimings metric_passes;
-  i64 total_ns() const {
-    return graph_ns + grains_ns + metrics_ns + problems_ns;
-  }
-};
-
-/// Wall times of one whole tool invocation: trace load, analysis stages,
-/// and each export that ran (name, ns) in execution order. This is the
-/// machine-readable counterpart of `gganalyze --timing`.
-struct PipelineTimings {
-  i64 load_ns = 0;
-  AnalysisTimings analysis;
-  std::vector<std::pair<std::string, i64>> exports;
-};
-
-/// Runs the full pipeline on a finalized trace. When `timings` is non-null
-/// it receives the wall time of each stage.
+/// Runs the full pipeline on a finalized trace. Each stage runs inside a
+/// phase span named "analysis.<stage>" (kAnalysisStages).
 Analysis analyze(const Trace& trace, const Topology& topo,
-                 const AnalysisOptions& opts = {},
-                 AnalysisTimings* timings = nullptr);
+                 const AnalysisOptions& opts = {});
+
+// --- stage times, read off the phase spans ----------------------------------
+// With an obs::Telemetry installed, one tool run leaves a span per stage: the
+// trace load (kLoadSpan: validation included, and a spool's recovery and
+// salvage), the analyze() stages, compute_metrics()'s passes
+// ("metrics.<pass>") and each export ("export.<format>"). `gganalyze
+// --timing`, the JSON summary's "timings" object and BENCH_analyze.json are
+// rendered from those spans. A stage is its first span of that name, so the
+// second analyze() of `gganalyze --compare` is not added in.
+
+inline constexpr const char* kLoadSpan = "gganalyze.load";
+inline constexpr std::array<const char*, 4> kAnalysisStages = {
+    "graph", "grains", "metrics", "problems"};
+
+/// The `gganalyze --timing` lines: input size, then load, each stage (the
+/// metric passes under "metrics"), each export, and their total, in ms.
+/// `threads` is the resolved worker count every stage ran with.
+std::string render_timing(const std::vector<obs::SpanRec>& spans,
+                          u64 input_bytes, int threads);
+
+/// The JSON summary's "timings" member, in ns: load, the analysis stages
+/// and their total, the metric passes, and each export span recorded so far
+/// in the order they ran.
+std::string render_timings_json(const std::vector<obs::SpanRec>& spans);
 
 /// Renders the summary the paper's tool shows next to the graph: makespan,
 /// grain counts, critical path, load balance, per-problem affected-grain

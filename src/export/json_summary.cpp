@@ -43,7 +43,8 @@ std::string num(double v) {
 }  // namespace
 
 void write_json_summary(std::ostream& os, const Trace& trace,
-                        const Analysis& a, const PipelineTimings* timings) {
+                        const Analysis& a,
+                        const std::vector<obs::SpanRec>* spans) {
   BufWriter buf(1 << 16);
   buf << "{\n";
   buf << "  \"program\": \"" << json_escape(trace.meta.program) << "\",\n";
@@ -139,40 +140,17 @@ void write_json_summary(std::ostream& os, const Trace& trace,
         << (i + 1 < a.sources.size() ? "," : "") << "\n";
   }
   buf << "  ]";
-  if (timings != nullptr) {
-    const AnalysisTimings& t = timings->analysis;
-    buf << ",\n  \"timings\": {\n";
-    buf << "    \"load_ns\": " << timings->load_ns << ",\n";
-    buf << "    \"analysis\": {\"graph_ns\": " << t.graph_ns
-        << ", \"grains_ns\": " << t.grains_ns
-        << ", \"metrics_ns\": " << t.metrics_ns
-        << ", \"problems_ns\": " << t.problems_ns
-        << ", \"total_ns\": " << t.total_ns() << "},\n";
-    const MetricPassTimings& p = t.metric_passes;
-    buf << "    \"metric_passes\": {\"benefit_ns\": " << p.benefit_ns
-        << ", \"load_balance_ns\": " << p.load_balance_ns
-        << ", \"parallelism_ns\": " << p.parallelism_ns
-        << ", \"scatter_ns\": " << p.scatter_ns
-        << ", \"critical_path_ns\": " << p.critical_path_ns << "},\n";
-    buf << "    \"exports\": [";
-    for (size_t i = 0; i < timings->exports.size(); ++i) {
-      if (i > 0) buf << ", ";
-      buf << "{\"name\": \"" << json_escape(timings->exports[i].first)
-          << "\", \"wall_ns\": " << timings->exports[i].second << "}";
-    }
-    buf << "]\n";
-    buf << "  }";
-  }
+  if (spans != nullptr) buf << ",\n" << render_timings_json(*spans);
   buf << "\n}\n";
   buf.write_to(os);
 }
 
 bool write_json_summary_file(const std::string& path, const Trace& trace,
                              const Analysis& analysis,
-                             const PipelineTimings* timings) {
+                             const std::vector<obs::SpanRec>* spans) {
   std::ofstream os(path);
   if (!os) return false;
-  write_json_summary(os, trace, analysis, timings);
+  write_json_summary(os, trace, analysis, spans);
   return static_cast<bool>(os);
 }
 

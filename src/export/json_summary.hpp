@@ -5,23 +5,24 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "trace/trace.hpp"
 
 namespace gg {
 
-/// When `timings` is non-null a "timings" object is appended: trace-load
-/// wall time, per-stage analysis breakdown (including per-metric-pass
-/// times), and each export that ran before this one. The default (null)
-/// emits byte-identical output to prior versions.
+/// When `spans` is non-null a "timings" object is appended, rendered from
+/// the tool run's phase spans (render_timings_json): trace load, the
+/// analysis stages, the metric passes, and each export that ran before this
+/// one. The default (null) emits byte-identical output to prior versions.
 void write_json_summary(std::ostream& os, const Trace& trace,
                         const Analysis& analysis,
-                        const PipelineTimings* timings = nullptr);
+                        const std::vector<obs::SpanRec>* spans = nullptr);
 
 bool write_json_summary_file(const std::string& path, const Trace& trace,
                              const Analysis& analysis,
-                             const PipelineTimings* timings = nullptr);
+                             const std::vector<obs::SpanRec>* spans = nullptr);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string json_escape(std::string_view s);

@@ -1,7 +1,6 @@
 #include "metrics/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <tuple>
 
@@ -14,12 +13,6 @@
 namespace gg {
 
 namespace {
-
-i64 pass_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Visits the execution intervals of one grain: fragment intervals for
 /// tasks (a zero-copy span lookup), the chunk interval for chunks.
@@ -135,7 +128,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
   // ---- parallel benefit, mem util, work deviation -------------------------
   // Pure per-grain computation into per-index slots: any partition of the
   // index range produces the same bytes.
-  i64 pass_t0 = pass_now_ns();
   {
     obs::PhaseSpan span("metrics.benefit");
     par_for_each_index(table.size(), threads, [&](size_t i) {
@@ -153,8 +145,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
       if (baseline != nullptr) m.work_deviation = work_deviation(g, *baseline);
     });
   }
-  i64 pass_t1 = pass_now_ns();
-  res.pass_timings.benefit_ns = pass_t1 - pass_t0;
 
   // ---- load balance ---------------------------------------------------------
   {
@@ -168,8 +158,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
     for (size_t i = 0; i < trace.loops.size(); ++i)
       res.loop_load_balance[trace.loops[i].uid] = lb[i];
   }
-  i64 pass_t2 = pass_now_ns();
-  res.pass_timings.load_balance_ns = pass_t2 - pass_t1;
 
   // ---- instantaneous parallelism --------------------------------------------
   obs::PhaseSpan par_span("metrics.parallelism");
@@ -238,8 +226,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
     res.per_grain[i].inst_parallelism = static_cast<int>(min_c);
   });
   par_span.end();
-  i64 pass_t3 = pass_now_ns();
-  res.pass_timings.parallelism_ns = pass_t3 - pass_t2;
 
   // ---- scatter ----------------------------------------------------------------
   obs::PhaseSpan scatter_span("metrics.scatter");
@@ -299,8 +285,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
       res.per_grain[member(k)].scatter = med;
   });
   scatter_span.end();
-  i64 pass_t4 = pass_now_ns();
-  res.pass_timings.scatter_ns = pass_t4 - pass_t3;
 
   // ---- critical path + work/span --------------------------------------------
   obs::PhaseSpan cp_span("metrics.critical_path");
@@ -318,7 +302,6 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
       res.per_grain[*row].on_critical_path = true;
   }
   cp_span.end();
-  res.pass_timings.critical_path_ns = pass_now_ns() - pass_t4;
   return res;
 }
 

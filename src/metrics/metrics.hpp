@@ -61,20 +61,6 @@ struct GrainMetrics {
   bool on_critical_path = false;
 };
 
-/// Wall time of each metric pass inside compute_metrics, in nanoseconds.
-/// The passes correspond 1:1 to the section banners in metrics.cpp.
-struct MetricPassTimings {
-  i64 benefit_ns = 0;        ///< parallel benefit, mem util, work deviation
-  i64 load_balance_ns = 0;   ///< region + per-loop load balance
-  i64 parallelism_ns = 0;    ///< instantaneous-parallelism timeline + minima
-  i64 scatter_ns = 0;        ///< sibling-group NUMA scatter
-  i64 critical_path_ns = 0;  ///< critical path + work/span
-  i64 total_ns() const {
-    return benefit_ns + load_balance_ns + parallelism_ns + scatter_ns +
-           critical_path_ns;
-  }
-};
-
 struct MetricsResult {
   std::vector<GrainMetrics> per_grain;  ///< aligned with GrainTable order
   TimeNs critical_path_time = 0;  ///< T_inf: the span
@@ -86,7 +72,6 @@ struct MetricsResult {
   /// Timeline of optimistic/conservative parallelism per interval.
   std::vector<u32> parallelism_optimistic;
   std::vector<u32> parallelism_conservative;
-  MetricPassTimings pass_timings;  ///< wall time of each pass above
 };
 
 /// Computes every §3.2 metric. `baseline` is the grain table of a 1-core

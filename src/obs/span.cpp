@@ -12,6 +12,13 @@ u64 mono_ns() {
           .count());
 }
 
+u64 span_ns(const std::vector<SpanRec>& spans, std::string_view name) {
+  for (const SpanRec& s : spans) {
+    if (s.name == name) return s.end_ns - s.start_ns;
+  }
+  return 0;
+}
+
 void write_chrome_spans(std::ostream& os, const std::vector<SpanRec>& spans) {
   u64 base = ~u64{0};
   for (const SpanRec& s : spans) base = std::min(base, s.start_ns);

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -42,6 +43,11 @@ class SpanTracer {
   mutable std::mutex mutex_;
   std::vector<SpanRec> spans_;
 };
+
+/// Wall time of the first recorded span named `name` (end - start, in ns),
+/// or 0 when there is none. A phase that runs again later, such as the
+/// second analyze() of `gganalyze --compare`, keeps its first run's time.
+u64 span_ns(const std::vector<SpanRec>& spans, std::string_view name);
 
 /// Chrome trace-event JSON ("X" complete events, microsecond units) — load
 /// in chrome://tracing or Perfetto. Timestamps are rebased to the earliest

@@ -265,5 +265,84 @@ TEST(ReportTest, BaselineEnablesWorkDeviation) {
   EXPECT_EQ(with_dev, a.grains.size());
 }
 
+// ---------------------------------------------------------------------------
+// Stage times rendered from phase spans
+
+/// The spans of one `gganalyze --compare --graphml --csv --json` run, in the
+/// order they end (the order the tracer records them): load, the primary
+/// analyze() with its metric passes inside analysis.metrics, the compare
+/// run's second analyze(), then the exports.
+std::vector<obs::SpanRec> compare_run_spans() {
+  std::vector<obs::SpanRec> spans;
+  u64 now = 1'000'000'000;
+  auto add = [&](const char* name, u64 ns) {
+    spans.push_back(obs::SpanRec{name, 0, now, now + ns});
+    now += ns;
+  };
+  auto analyze_run = [&](u64 scale) {
+    add("analysis.graph", 2'000'000 * scale);
+    add("analysis.grains", 3'000'000 * scale);
+    const u64 metrics_start = now;
+    add("metrics.benefit", 10'000 * scale);
+    add("metrics.load_balance", 20'000 * scale);
+    add("metrics.parallelism", 40'000 * scale);
+    add("metrics.scatter", 80'000 * scale);
+    add("metrics.critical_path", 160'000 * scale);
+    now = metrics_start + 320'000 * scale;
+    spans.push_back(obs::SpanRec{"analysis.metrics", 0, metrics_start, now});
+    add("analysis.problems", 500'000 * scale);
+  };
+  add("gganalyze.load", 1'250'000);
+  analyze_run(1);
+  analyze_run(7);  // --compare: must not be added into the primary's stages
+  add("export.graphml", 7'000'000);
+  add("export.csv", 900'000);
+  return spans;
+}
+
+TEST(TimingRenderTest, JsonTimingsAreExactFirstRunStagesAndExportsInOrder) {
+  EXPECT_EQ(render_timings_json(compare_run_spans()),
+            "  \"timings\": {\n"
+            "    \"load_ns\": 1250000,\n"
+            "    \"analysis\": {\"graph_ns\": 2000000, \"grains_ns\": 3000000, "
+            "\"metrics_ns\": 320000, \"problems_ns\": 500000, "
+            "\"total_ns\": 5820000},\n"
+            "    \"metric_passes\": {\"benefit_ns\": 10000, "
+            "\"load_balance_ns\": 20000, \"parallelism_ns\": 40000, "
+            "\"scatter_ns\": 80000, \"critical_path_ns\": 160000},\n"
+            "    \"exports\": ["
+            "{\"name\": \"export.graphml\", \"wall_ns\": 7000000}, "
+            "{\"name\": \"export.csv\", \"wall_ns\": 900000}]\n"
+            "  }");
+}
+
+TEST(TimingRenderTest, TimingLinesAreExactFirstRunStagesAndExportsInOrder) {
+  std::vector<obs::SpanRec> spans = compare_run_spans();
+  spans.push_back(obs::SpanRec{"export.json", 0, 5'000'000'000, 5'000'070'000});
+  EXPECT_EQ(render_timing(spans, 4096, 4),
+            "[timing] input 4096 bytes\n"
+            "[timing] load          1.250 ms (4 thread(s))\n"
+            "[timing] graph         2.000 ms (4 thread(s))\n"
+            "[timing] grains        3.000 ms (4 thread(s))\n"
+            "[timing] metrics       0.320 ms (4 thread(s))\n"
+            "[timing]   benefit            0.010 ms\n"
+            "[timing]   load_balance       0.020 ms\n"
+            "[timing]   parallelism        0.040 ms\n"
+            "[timing]   scatter            0.080 ms\n"
+            "[timing]   critical_path      0.160 ms\n"
+            "[timing] problems      0.500 ms\n"
+            "[timing] export        7.000 ms (export.graphml)\n"
+            "[timing] export        0.900 ms (export.csv)\n"
+            "[timing] export        0.070 ms (export.json)\n"
+            "[timing] total        15.040 ms\n");
+}
+
+TEST(TimingRenderTest, MissingSpansReadAsZero) {
+  EXPECT_EQ(obs::span_ns({}, "analysis.graph"), 0u);
+  const std::string json = render_timings_json({});
+  EXPECT_NE(json.find("\"total_ns\": 0}"), std::string::npos);
+  EXPECT_NE(json.find("\"exports\": []"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace gg

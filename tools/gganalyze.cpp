@@ -36,7 +36,10 @@
 //                            (load/graph/grains/metrics/problems/exports,
 //                            with a per-metric-pass breakdown) to stderr;
 //                            --json summaries gain a machine-readable
-//                            "timings" object
+//                            "timings" object. Both are rendered from the
+//                            run's phase spans (as --telemetry records
+//                            them); load includes a spool's recovery,
+//                            salvage and validation
 //     --telemetry[=prom|json|chrome]
 //                            self-telemetry of this invocation: install a
 //                            process metrics registry + span tracer, then
@@ -65,7 +68,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -124,12 +126,6 @@ int usage(const char* argv0) {
                "             Exit 3 = partial (degraded), 4 = unrecoverable.\n",
                argv0, argv0);
   return 2;
-}
-
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 std::optional<Problem> parse_view(const std::string& s) {
@@ -493,10 +489,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Self-telemetry of this invocation. Installed before the load so every
-  // phase span lands in the tracer; static storage outlives all phases.
+  // Self-telemetry of this invocation, also the source of --timing.
+  // Installed before the load so every phase span lands in the tracer;
+  // static storage outlives all phases.
   static obs::Telemetry self_telemetry;
-  if (!telemetry_mode.empty()) obs::install(&self_telemetry);
+  if (timing || !telemetry_mode.empty()) obs::install(&self_telemetry);
 
   // Crash spools take their own ingestion path: frame-level recovery, then
   // the regular salvage pass over whatever the spool preserved.
@@ -506,16 +503,15 @@ int main(int argc, char** argv) {
        trace_path.compare(trace_path.size() - 8, 8, ".ggspool") == 0) ||
       spool::spool_file_magic(trace_path);
 
+  // The load span covers everything that turns the input into a valid
+  // trace, so every encoding's load includes validation: a file load
+  // validates inside load_trace_file_ex, a spool after recovery and salvage.
   LoadResult lr;
-  i64 load_ns = 0;
-  obs::PhaseSpan load_span("gganalyze.load");
+  obs::PhaseSpan load_span(kLoadSpan);
   if (spool_input) {
-    const i64 load_start = now_ns();
     std::string rec_err;
     spool::RecoverResult rr =
         spool::recover_spool_file(trace_path, &rec_err, threads);
-    load_ns = now_ns() - load_start;
-    load_span.end();
     if (!rr.usable) {
       std::fprintf(stderr, "error: spool recovery failed: %s\n",
                    rec_err.empty() ? rr.report.summary().c_str()
@@ -551,10 +547,7 @@ int main(int argc, char** argv) {
     lopts.mode = salvage ? LoadMode::Salvage
                          : (strict ? LoadMode::Strict : LoadMode::Lenient);
     lopts.threads = threads;
-    const i64 load_start = now_ns();
     lr = load_trace_file_ex(trace_path, lopts);
-    load_ns = now_ns() - load_start;
-    load_span.end();
     if (!lr.usable()) {
       std::fprintf(stderr, "error: %s", lr.describe().c_str());
       return salvage ? 4 : 1;
@@ -564,6 +557,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s", lr.describe().c_str());
     }
   }
+  load_span.end();
   std::optional<Trace>& trace = lr.trace;
   std::string error;
 
@@ -595,20 +589,7 @@ int main(int argc, char** argv) {
     baseline = GrainTable::build(*base);
     opts.baseline = &baseline;
   }
-  AnalysisTimings timings;
-  const Analysis a = analyze(*trace, topo, opts, &timings);
-  PipelineTimings ptimings;
-  ptimings.load_ns = load_ns;
-  ptimings.analysis = timings;
-  // Times one export stage: phase span + wall time, both named. The JSON
-  // summary runs last so its "timings" object can include every other
-  // export that ran.
-  auto timed_export = [&](const char* name, auto&& fn) {
-    obs::PhaseSpan span(name);
-    const i64 t0 = now_ns();
-    fn();
-    ptimings.exports.emplace_back(name, now_ns() - t0);
-  };
+  const Analysis a = analyze(*trace, topo, opts);
   std::printf("%s", render_report(*trace, a).c_str());
   std::printf("%s", render_recommendations(recommend(*trace, a)).c_str());
 
@@ -635,118 +616,80 @@ int main(int argc, char** argv) {
   }
 
   if (!graphml_path.empty()) {
-    timed_export("export.graphml", [&] {
-      GraphMlOptions gopts;
-      gopts.view = view;
-      bool ok;
-      if (summarize_budget > 0) {
-        const SummarizeResult s = summarize_graph(a.graph, summarize_budget);
-        std::printf("summarized to %zu nodes (cut depth %zu)\n",
-                    s.graph.node_count(), s.cut_depth);
-        ok = write_graphml_file(graphml_path, s.graph, *trace, nullptr,
-                                nullptr, gopts);
-      } else if (reduced) {
-        const GrainGraph r = reduce_graph(a.graph, ReductionOptions{});
-        ok = write_graphml_file(graphml_path, r, *trace, nullptr, nullptr,
-                                gopts);
-      } else {
-        ok = write_graphml_file(graphml_path, a.graph, *trace, &a.grains,
-                                &a.metrics, gopts);
-      }
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  graphml_path.c_str());
-    });
+    obs::PhaseSpan span("export.graphml");
+    GraphMlOptions gopts;
+    gopts.view = view;
+    bool ok;
+    if (summarize_budget > 0) {
+      const SummarizeResult s = summarize_graph(a.graph, summarize_budget);
+      std::printf("summarized to %zu nodes (cut depth %zu)\n",
+                  s.graph.node_count(), s.cut_depth);
+      ok = write_graphml_file(graphml_path, s.graph, *trace, nullptr,
+                              nullptr, gopts);
+    } else if (reduced) {
+      const GrainGraph r = reduce_graph(a.graph, ReductionOptions{});
+      ok = write_graphml_file(graphml_path, r, *trace, nullptr, nullptr,
+                              gopts);
+    } else {
+      ok = write_graphml_file(graphml_path, a.graph, *trace, &a.grains,
+                              &a.metrics, gopts);
+    }
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                graphml_path.c_str());
   }
   if (!dot_path.empty()) {
-    timed_export("export.dot", [&] {
-      const bool ok =
-          reduced ? write_dot_file(dot_path,
-                                   reduce_graph(a.graph, ReductionOptions{}),
-                                   *trace)
-                  : write_dot_file(dot_path, a.graph, *trace);
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  dot_path.c_str());
-    });
+    obs::PhaseSpan span("export.dot");
+    const bool ok =
+        reduced ? write_dot_file(dot_path,
+                                 reduce_graph(a.graph, ReductionOptions{}),
+                                 *trace)
+                : write_dot_file(dot_path, a.graph, *trace);
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                dot_path.c_str());
   }
   if (!csv_path.empty()) {
-    timed_export("export.csv", [&] {
-      const bool ok =
-          write_grain_csv_file(csv_path, *trace, a.grains, a.metrics);
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  csv_path.c_str());
-    });
+    obs::PhaseSpan span("export.csv");
+    const bool ok =
+        write_grain_csv_file(csv_path, *trace, a.grains, a.metrics);
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                csv_path.c_str());
   }
   if (!html_path.empty()) {
-    timed_export("export.html", [&] {
-      const bool ok = write_html_report_file(html_path, *trace, a);
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  html_path.c_str());
-    });
+    obs::PhaseSpan span("export.html");
+    const bool ok = write_html_report_file(html_path, *trace, a);
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                html_path.c_str());
   }
   if (!chrome_path.empty()) {
-    timed_export("export.chrome", [&] {
-      const bool ok = write_chrome_trace_file(chrome_path, *trace);
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  chrome_path.c_str());
-    });
+    obs::PhaseSpan span("export.chrome");
+    const bool ok = write_chrome_trace_file(chrome_path, *trace);
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                chrome_path.c_str());
   }
   // JSON runs last: with --timing its summary embeds the wall time of every
-  // export above (its own slot is appended after it finishes).
+  // export above (its own span ends after it finishes).
   if (!json_path.empty()) {
-    timed_export("export.json", [&] {
-      const bool ok = write_json_summary_file(json_path, *trace, a,
-                                              timing ? &ptimings : nullptr);
-      std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
-                  json_path.c_str());
-    });
+    obs::PhaseSpan span("export.json");
+    const std::vector<obs::SpanRec> spans = self_telemetry.tracer.spans();
+    const bool ok = write_json_summary_file(json_path, *trace, a,
+                                            timing ? &spans : nullptr);
+    std::printf("%s %s\n", ok ? "wrote" : "FAILED to write",
+                json_path.c_str());
   }
 
   if (timing) {
     std::error_code ec;
     const auto input_bytes = std::filesystem::file_size(trace_path, ec);
-    const int load_threads = resolve_threads(threads);
-    std::fprintf(stderr,
-                 "[timing] input %llu bytes\n"
-                 "[timing] load     %10.3f ms (%d thread(s))\n"
-                 "[timing] graph    %10.3f ms (%d thread(s))\n"
-                 "[timing] grains   %10.3f ms (%d thread(s))\n"
-                 "[timing] metrics  %10.3f ms (%d thread(s))\n",
-                 ec ? 0ULL : static_cast<unsigned long long>(input_bytes),
-                 static_cast<double>(load_ns) / 1e6, load_threads,
-                 static_cast<double>(timings.graph_ns) / 1e6,
-                 timings.graph_threads,
-                 static_cast<double>(timings.grains_ns) / 1e6,
-                 timings.grains_threads,
-                 static_cast<double>(timings.metrics_ns) / 1e6,
-                 timings.metrics_threads);
-    const MetricPassTimings& mp = timings.metric_passes;
-    std::fprintf(stderr,
-                 "[timing]   benefit       %10.3f ms\n"
-                 "[timing]   load_balance  %10.3f ms\n"
-                 "[timing]   parallelism   %10.3f ms\n"
-                 "[timing]   scatter       %10.3f ms\n"
-                 "[timing]   critical_path %10.3f ms\n",
-                 static_cast<double>(mp.benefit_ns) / 1e6,
-                 static_cast<double>(mp.load_balance_ns) / 1e6,
-                 static_cast<double>(mp.parallelism_ns) / 1e6,
-                 static_cast<double>(mp.scatter_ns) / 1e6,
-                 static_cast<double>(mp.critical_path_ns) / 1e6);
-    std::fprintf(stderr, "[timing] problems %10.3f ms\n",
-                 static_cast<double>(timings.problems_ns) / 1e6);
-    i64 export_ns = 0;
-    for (const auto& [name, ns] : ptimings.exports) {
-      std::fprintf(stderr, "[timing] %-8s %10.3f ms (%s)\n", "export",
-                   static_cast<double>(ns) / 1e6, name.c_str());
-      export_ns += ns;
-    }
-    std::fprintf(stderr, "[timing] total    %10.3f ms\n",
-                 static_cast<double>(load_ns + timings.total_ns() +
-                                     export_ns) / 1e6);
+    std::fputs(render_timing(self_telemetry.tracer.spans(),
+                             ec ? 0 : static_cast<u64>(input_bytes),
+                             resolve_threads(threads))
+                   .c_str(),
+               stderr);
   }
 
   if (!telemetry_mode.empty()) {
     obs::MetricsSnapshot snap = self_telemetry.registry.snapshot();
-    snap.ts_ns = static_cast<u64>(now_ns());
+    snap.ts_ns = obs::mono_ns();
     if (telemetry_mode == "prom") {
       std::fputs(obs::render_prometheus(snap).c_str(), stderr);
     } else if (telemetry_mode == "json") {
@@ -761,7 +704,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FAILED to write %s\n", span_path);
       }
     }
-    obs::install(nullptr);
   }
+  obs::install(nullptr);
   return lr.status == LoadStatus::Salvaged ? 3 : 0;
 }
