@@ -12,7 +12,8 @@
 // sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
 // and at the auto thread count), and writes machine-readable results to
 // BENCH_analyze.json. The stage times are each path's phase spans, as
-// `gganalyze --timing` reads them; every load, the spool's included,
+// `gganalyze --timing` reads them, and a spool path's `recover` object
+// holds its load's recovery phases; every load, the spool's included,
 // validates the trace. Exit 1 on any parse error, recovery failure, invalid
 // trace or output mismatch (so CI can gate on correctness without gating on
 // timing).
@@ -44,7 +45,7 @@ namespace {
 using namespace gg;
 
 struct PathResult {
-  std::vector<obs::SpanRec> spans;  ///< the load span and analyze()'s stages
+  std::vector<obs::SpanRec> spans;  ///< the load, its phases, analyze()'s stages
   std::string report;     ///< rendered textual report
   std::string summary;    ///< JSON summary bytes
   u64 load_ns() const { return obs::span_ns(spans, kLoadSpan); }
@@ -110,9 +111,24 @@ bool run_path(const std::string& path, int threads, PathResult& out) {
   return trace.has_value();
 }
 
+/// Spool recovery's phase spans inside a spool path's load, in order.
+constexpr const char* kRecoverPhases[] = {"walk", "verify", "apply", "place",
+                                          "finalize"};
+
+/// One path's stage times; a spool path adds its recovery phases.
 void emit_stages(std::ofstream& os, const std::string& name,
-                 const PathResult& r) {
+                 const PathResult& r, bool spool = false) {
   os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns();
+  if (spool) {
+    os << ", \"recover\": {";
+    const char* sep = "";
+    for (const char* phase : kRecoverPhases) {
+      os << sep << "\"" << phase << "_ns\": "
+         << obs::span_ns(r.spans, std::string("spool.") + phase);
+      sep = ", ";
+    }
+    os << "}";
+  }
   for (const char* stage : kAnalysisStages) {
     os << ", \"" << stage << "_ns\": " << r.stage_ns(stage);
   }
@@ -304,9 +320,9 @@ int main(int argc, char** argv) {
     os << ",\n";
     emit_stages(os, "parallel_text", text);
     os << ",\n";
-    emit_stages(os, "serial_spool", serial_spool);
+    emit_stages(os, "serial_spool", serial_spool, /*spool=*/true);
     os << ",\n";
-    emit_stages(os, "parallel_spool", parallel_spool);
+    emit_stages(os, "parallel_spool", parallel_spool, /*spool=*/true);
   }
   os << ",\n  \"thread_sweep\": [";
   for (size_t i = 0; i < sweep.size(); ++i) {

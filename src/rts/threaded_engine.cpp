@@ -1244,8 +1244,8 @@ Trace ThreadedEngine::run(const std::string& program_name,
     recorder_.reset();
     return t;
   }
-  // The workers have joined, so the end-of-run finalize may use every
-  // hardware thread.
+  // The workers have joined, so the end-of-run recovery and finalize may
+  // use every hardware thread.
   const int finalize_threads = resolve_threads(0);
   Trace trace;
   if (recorder_->spool() != nullptr) {

@@ -123,7 +123,7 @@ IngestStream::Apply IngestStream::apply_epoch(u32 seq,
                 " does not match carried bytes"};
   }
   f.offset = msg.spool_offset;  // diagnostics name the source offset
-  inc_->apply_frame(f);
+  inc_->apply_frames({&f, 1}, 1);
   footer_seen_ = f.footer;
   acked_seq_ = seq;
   return {wire::Status::Ok, acked_seq_, {}};

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <vector>
 
 namespace gg::serve {
 
@@ -53,7 +54,6 @@ void SpoolTailer::set_stuck(spool::Step kind, u64 offset, u64 len, u64 now_ns) {
 
 size_t SpoolTailer::drain(u64 now_ns) {
   u64 cur = 0;
-  size_t applied = 0;
   if (!header_done_) {
     // The header may still be arriving; judge it only once it is whole.
     if (pending_.size() < spool::kStreamHeaderBytes) {
@@ -72,6 +72,7 @@ size_t SpoolTailer::drain(u64 now_ns) {
     state_ = TailState::Streaming;
   }
   bool stuck_now = false;
+  std::vector<spool::FrameStep> frames;
   for (;;) {
     spool::FrameStep f = spool::next_frame(pending_, cur);
     f.offset += base_;  // stream coordinates, as batch recovery reports them
@@ -82,16 +83,17 @@ size_t SpoolTailer::drain(u64 now_ns) {
       }
       break;
     }
-    inc_->apply_frame(f);
+    frames.push_back(f);
     cur += f.size();
-    ++applied;
-    ++stats_.frames_applied;
     if (f.footer) {
       state_ = f.type == spool::FrameType::CleanFooter ? TailState::Sealed
                                                        : TailState::Crashed;
       break;
     }
   }
+  // The frames view pending_, so they are applied before it is trimmed.
+  inc_->apply_frames(frames, 1);
+  stats_.frames_applied += frames.size();
   // Any pass that ends without re-observing a stuck span means the writer
   // completed the frame we were waiting on (or we sealed past it) — a stale
   // stuck_ left behind here would surface at finalize() as a phantom
@@ -102,7 +104,7 @@ size_t SpoolTailer::drain(u64 now_ns) {
     base_ += cur;
     stats_.bytes_consumed = base_;
   }
-  return applied;
+  return frames.size();
 }
 
 bool SpoolTailer::try_resync() {

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <string>
 
+#include "common/par_for.hpp"
+#include "obs/telemetry.hpp"
+#include "trace/record_schema.hpp"
+
 namespace gg::spool {
 
 namespace {
@@ -33,7 +37,52 @@ std::string collapse_lines(std::string_view text) {
   return out;
 }
 
+/// Runs fn(begin, end) over apply_block_count() contiguous ranges of
+/// [0, n) that hold about equal shares of the bytes bytes_of(i) sums to;
+/// one thread per range, the first on the caller. The ranges depend only
+/// on the sizes.
+template <class BytesOf, class Fn>
+void for_byte_blocks(size_t n, int threads, BytesOf&& bytes_of, Fn&& fn) {
+  if (n == 0) return;
+  u64 total = 0;
+  for (size_t i = 0; i < n; ++i) total += bytes_of(i);
+  const size_t blocks = apply_block_count(total, threads);
+  if (blocks <= 1) {
+    fn(size_t{0}, n);
+    return;
+  }
+  std::vector<size_t> cut(blocks + 1, n);
+  cut[0] = 0;
+  u64 before = 0;  // bytes of items [0, i)
+  size_t b = 1;
+  for (size_t i = 0; i < n && b < blocks; ++i) {
+    while (b < blocks && before >= total * b / blocks) cut[b++] = i;
+    before += bytes_of(i);
+  }
+  par_for_shard(blocks, [&](size_t s) {
+    if (cut[s] < cut[s + 1]) fn(cut[s], cut[s + 1]);
+  });
+}
+
 }  // namespace
+
+size_t apply_block_count(u64 bytes, int threads) {
+  if (threads <= 1 || bytes < kParallelApplyBytes) return 1;
+  return static_cast<size_t>(threads);
+}
+
+/// Pass 1's findings on one frame.
+struct IncrementalTrace::Verdict {
+  bool verifies = false;  ///< the checksum matches
+  bool decodes = false;   ///< an 'E' payload that check_epoch_payload accepts
+  RecordCounts counts{};  ///< its record counts, when it decodes
+};
+
+/// A kept epoch and where its records go.
+struct IncrementalTrace::Placement {
+  std::string_view payload;
+  RecordCounts at{};
+};
 
 IncrementalTrace::IncrementalTrace(u32 num_workers)
     : num_workers_(num_workers) {
@@ -41,7 +90,52 @@ IncrementalTrace::IncrementalTrace(u32 num_workers)
   next_seq_.assign(num_workers, 0);
 }
 
-void IncrementalTrace::apply_frame(const FrameStep& frame) {
+void IncrementalTrace::apply_frames(std::span<const FrameStep> frames,
+                                    int threads) {
+  std::vector<Verdict> verdicts(frames.size());
+  {
+    obs::PhaseSpan span("spool.verify");
+    for_byte_blocks(
+        frames.size(), threads, [&](size_t i) { return frames[i].size(); },
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const FrameStep& f = frames[i];
+            Verdict& v = verdicts[i];
+            v.verifies = f.verifies();
+            if (v.verifies && f.type == FrameType::Epoch) {
+              v.decodes = check_epoch_payload(f.payload, &v.counts);
+            }
+          }
+        });
+  }
+
+  std::vector<Placement> placements;
+  {
+    obs::PhaseSpan span("spool.apply");
+    RecordCounts end{};
+    size_t kind = 0;
+    schema::for_each_vector(trace_, [&](auto& v) { end[kind++] = v.size(); });
+    for (size_t i = 0; i < frames.size(); ++i) {
+      decide(frames[i], verdicts[i], end, placements);
+    }
+    kind = 0;
+    schema::for_each_vector(trace_, [&](auto& v) { v.resize(end[kind++]); });
+  }
+
+  obs::PhaseSpan span("spool.place");
+  for_byte_blocks(
+      placements.size(), threads,
+      [&](size_t i) { return placements[i].payload.size(); },
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          place_epoch_payload(placements[i].payload, trace_, placements[i].at);
+        }
+      });
+}
+
+void IncrementalTrace::decide(const FrameStep& frame, const Verdict& verdict,
+                              RecordCounts& end,
+                              std::vector<Placement>& placements) {
   RecoverReport& rep = report_;
   Trace& t = trace_;
   const FrameType type = frame.type;
@@ -50,7 +144,7 @@ void IncrementalTrace::apply_frame(const FrameStep& frame) {
   const std::string_view payload = frame.payload;
   const u64 offset = frame.offset;
   ++rep.frames_total;
-  if (!frame.verifies()) {
+  if (!verdict.verifies) {
     if (type == FrameType::Telemetry) {
       // Telemetry is advisory: a corrupt snapshot degrades to "telemetry
       // unavailable" without damaging the recovered trace.
@@ -141,8 +235,7 @@ void IncrementalTrace::apply_frame(const FrameStep& frame) {
             std::to_string(next_seq_[worker]) + "), skipped");
         return;
       }
-      RecordBuffer buf;
-      if (!decode_epoch_payload(payload, &buf)) {
+      if (!verdict.decodes) {
         ++rep.frames_corrupt;
         rep.diagnostics.push_back("undecodable epoch at offset " +
                                   std::to_string(offset));
@@ -158,8 +251,13 @@ void IncrementalTrace::apply_frame(const FrameStep& frame) {
             std::to_string(next_seq_[worker]) + "): " +
             std::to_string(seq - next_seq_[worker]) + " epoch(s) lost");
       }
-      resident_bytes_ += buf.payload_bytes();
-      buf.move_into(t);
+      placements.push_back({payload, end});
+      size_t kind = 0;
+      schema::for_each_record([&](auto rec) {
+        const size_t n = verdict.counts[kind];
+        resident_bytes_ += n * sizeof(typename decltype(rec)::type);
+        end[kind++] += n;
+      });
       next_seq_[worker] = seq + 1;
       ++rep.epochs_per_worker[worker];
       ++rep.frames_kept;
@@ -280,7 +378,10 @@ bool IncrementalTrace::finish(int threads) {
   }
   if (!rep.supervisor_dump.empty())
     t.meta.notes.push_back("supervisor " + collapse_lines(rep.supervisor_dump));
-  t.finalize(threads);
+  {
+    obs::PhaseSpan span("spool.finalize");
+    t.finalize(threads);
+  }
   usable_ = true;
   return true;
 }

@@ -1,14 +1,16 @@
 // Incremental spool ingestion: fold GGSPOOL1 frames into a growing Trace
-// one frame at a time, without re-parsing the stream from byte 0.
+// batch by batch, without re-parsing the stream from byte 0.
 //
 // This is the refactor that turns batch spool recovery into a streaming
-// primitive. Three drivers feed it the frames the one walker
-// (spool::next_frame) delimits: recover_spool_bytes() (trace/spool.hpp),
-// the live tailer (src/serve/tailer.hpp) and the GGWIRE1 ingest
-// (src/serve/ingest.hpp). So a long-running ingestion daemon makes
-// byte-for-byte the same keep/skip/degrade decisions as a post-mortem
-// `gganalyze --recover` over the same stream — the equivalence the serve
-// chaos and wire parity tests pin.
+// primitive. Three drivers feed apply_frames() the frames the one walker
+// (spool::next_frame) delimits: recover_spool_bytes() (trace/spool.hpp)
+// passes every frame of the stream at recovery's thread count, the live
+// tailer (src/serve/tailer.hpp) each drain's frames at one thread, and the
+// GGWIRE1 ingest (src/serve/ingest.hpp) one frame at a time. So a
+// long-running ingestion daemon makes byte-for-byte the same
+// keep/skip/degrade decisions as a post-mortem `gganalyze --recover` over
+// the same stream — the equivalence the serve chaos and wire parity tests
+// pin.
 //
 // Contract (identical to batch recovery):
 //  * a frame whose checksum fails is skipped and counted in frames_corrupt
@@ -23,14 +25,28 @@
 //    applies nothing after it;
 //  * finish() stamps the same provenance notes and region repair that
 //    batch recovery stamps, then finalizes the trace.
+// Every decision, diagnostic and record position is the same whatever the
+// thread count and however a stream is cut into apply_frames() calls.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "trace/spool.hpp"
 
 namespace gg::spool {
+
+/// Below this many bytes of frames, apply_frames() verifies and places on
+/// the caller alone: thread start-up would cost more than it saves. A
+/// live session's batches and small spools (a few thousand grains) stay
+/// under it.
+inline constexpr u64 kParallelApplyBytes = u64{1} << 20;
+
+/// The number of blocks apply_frames() splits `bytes` of frames into at
+/// `threads` threads: 1 at one thread or below kParallelApplyBytes, else
+/// `threads`.
+size_t apply_block_count(u64 bytes, int threads);
 
 /// One stream's accumulating recovery state. Construct once per spool,
 /// apply frames in file order as they seal, call finish() at end-of-stream
@@ -39,11 +55,23 @@ class IncrementalTrace {
  public:
   explicit IncrementalTrace(u32 num_workers);
 
-  /// Applies one whole frame (Step::Frame). Verifies the checksum, then
-  /// dispatches on type with exactly the batch-recovery semantics. The
-  /// frame's offset is its position in the stream, used verbatim in
-  /// diagnostics so live and batch reports match.
-  void apply_frame(const FrameStep& frame);
+  /// Applies whole frames (Step::Frame) that follow the ones applied so
+  /// far, in stream order, in three passes:
+  ///  1. verify, in parallel over frames: every checksum, and for each 'E'
+  ///     frame its counts against its bytes and every record's codec fault
+  ///     check (spool::check_epoch_payload), allocating nothing;
+  ///  2. apply, serially in frame order: the keep/skip/degrade decisions,
+  ///     from pass 1's verdicts, checked in the order checksum, worker
+  ///     range, backward seq, decodes, gap. 'M'/'S'/'D'/'C'/'F'/'T' frames
+  ///     take effect here; each kept epoch gets its offset in every record
+  ///     vector, and each vector then grows once;
+  ///  3. place, in parallel over the kept epochs: decode each straight into
+  ///     its slots (spool::place_epoch_payload).
+  /// Passes 1 and 3 split their frames into apply_block_count() blocks of
+  /// about equal bytes, one thread each. A frame's offset is its position
+  /// in the stream, used verbatim in diagnostics so live and batch reports
+  /// match.
+  void apply_frames(std::span<const FrameStep> frames, int threads);
 
   /// End-of-stream tail accounting, batch-identical wording, for where the
   /// walk stopped: nothing for Step::End or the footer frame, else a
@@ -90,6 +118,14 @@ class IncrementalTrace {
   static void extend_region_to_records(Trace& t);
 
  private:
+  struct Verdict;
+  struct Placement;
+  /// Pass 2 of apply_frames for one frame: decides it from pass 1's
+  /// verdict and, when it is a kept epoch, queues its placement at `end`,
+  /// the record vectors' sizes so far, and advances `end` past it.
+  void decide(const FrameStep& frame, const Verdict& verdict,
+              RecordCounts& end, std::vector<Placement>& placements);
+
   Trace trace_;
   RecoverReport report_;
   std::vector<u32> next_seq_;

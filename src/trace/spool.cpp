@@ -14,7 +14,7 @@
 
 #include "common/par_for.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "trace/incremental.hpp"
 #include "trace/mmap_source.hpp"
 #include "trace/record_codec.hpp"
@@ -242,20 +242,20 @@ void unregister_sink(SpoolSink* sink) {
 
 // --- public pure helpers ----------------------------------------------------
 
-bool decode_epoch_payload(std::string_view payload, RecordBuffer* out) {
+bool check_epoch_payload(std::string_view payload, RecordCounts* counts) {
   if (payload.size() < kEpochCountBytes) return false;
-  u32 counts[8];
-  std::memcpy(counts, payload.data(), kEpochCountBytes);
-  // Validate the declared counts against the bytes actually present before
-  // any allocation is sized from them: a corrupt count field must fail
-  // here, not in a multi-GB resize(). Every record has a fixed size, so the
-  // counts must account for the payload exactly. u64 arithmetic: 8 u32
-  // counts times ~100-byte records cannot overflow.
+  u32 declared_counts[8];
+  std::memcpy(declared_counts, payload.data(), kEpochCountBytes);
+  // Every record has a fixed size, so the counts must account for the
+  // payload exactly. u64 arithmetic: 8 u32 counts times ~100-byte records
+  // cannot overflow.
   u64 declared = 0;
   size_t kind = 0;
   schema::for_each_record([&](auto type) {
     using Rec = typename decltype(type)::type;
-    declared += u64{counts[kind++]} * codec::kRecordBytes<codec::Spool, Rec>;
+    (*counts)[kind] = declared_counts[kind];
+    declared += u64{declared_counts[kind++]} *
+                codec::kRecordBytes<codec::Spool, Rec>;
   });
   if (declared != payload.size() - kEpochCountBytes) return false;
   const char* p = payload.data() + kEpochCountBytes;
@@ -264,16 +264,31 @@ bool decode_epoch_payload(std::string_view payload, RecordBuffer* out) {
   schema::for_each_record([&](auto type) {
     using Rec = typename decltype(type)::type;
     constexpr size_t kStride = codec::kRecordBytes<codec::Spool, Rec>;
-    const size_t n = counts[kind++];
-    if (!ok) return;
-    auto& recs = schema::Record<Rec>::of(*out);
-    const size_t base = recs.size();
-    recs.resize(base + n);
+    const size_t n = (*counts)[kind++];
     for (size_t i = 0; i < n && ok; ++i, p += kStride) {
-      ok = codec::get<codec::Spool>(p, recs[base + i]) == codec::Fault::None;
+      Rec rec;
+      ok = codec::get<codec::Spool>(p, rec) == codec::Fault::None;
     }
   });
   return ok;
+}
+
+void place_epoch_payload(std::string_view payload, Trace& trace,
+                         const RecordCounts& at) {
+  const char* counts = payload.data();
+  const char* p = payload.data() + kEpochCountBytes;
+  size_t kind = 0;
+  schema::for_each_record([&](auto type) {
+    using Rec = typename decltype(type)::type;
+    constexpr size_t kStride = codec::kRecordBytes<codec::Spool, Rec>;
+    auto& recs = schema::Record<Rec>::of(trace);
+    const size_t base = at[kind++];
+    const u32 n = read_le32(counts);
+    counts += sizeof n;
+    for (u32 i = 0; i < n; ++i, p += kStride) {
+      codec::get<codec::Spool>(p, recs[base + i]);
+    }
+  });
 }
 
 u64 fnv1a(const void* data, size_t len, u64 seed) noexcept {
@@ -776,28 +791,37 @@ FrameStep next_frame(std::string_view bytes, u64 offset) {
 
 namespace {
 
-/// Applies every frame of `bytes` to a new IncrementalTrace. Null, with the
-/// reason in *report, when the stream header is unusable.
+/// Walks the frames of `bytes` and applies them to a new IncrementalTrace
+/// at `threads` threads. Null, with the reason in *report, when the stream
+/// header is unusable.
 std::unique_ptr<IncrementalTrace> replay_frames(std::string_view bytes,
+                                                int threads,
                                                 RecoverReport* report) {
   const StreamHeader header = read_stream_header(bytes);
   if (!header.ok()) {
     report->diagnostics.push_back(header.error);
     return nullptr;
   }
+  std::vector<FrameStep> frames;
+  FrameStep stop;  // Step::End unless the walk stops at damage
+  {
+    obs::PhaseSpan span("spool.walk");
+    for (u64 pos = kStreamHeaderBytes;;) {
+      const FrameStep f = next_frame(bytes, pos);
+      if (f.step != Step::Frame) {
+        stop = f;
+        break;
+      }
+      frames.push_back(f);
+      if (f.footer) break;
+      pos += f.size();
+    }
+  }
   // The per-frame keep/skip/degrade decisions live in IncrementalTrace so
   // the live tailer and the wire ingest (src/serve/) share them.
   auto inc = std::make_unique<IncrementalTrace>(header.num_workers);
-  for (u64 pos = kStreamHeaderBytes;;) {
-    const FrameStep f = next_frame(bytes, pos);
-    if (f.step != Step::Frame) {
-      inc->note_tail(f.step, f.offset, f.payload_len);
-      break;
-    }
-    inc->apply_frame(f);
-    if (f.footer) break;
-    pos += f.size();
-  }
+  inc->apply_frames(frames, threads);
+  inc->note_tail(stop.step, stop.offset, stop.payload_len);
   return inc;
 }
 
@@ -810,7 +834,7 @@ RecoverResult finish_recovery(std::unique_ptr<IncrementalTrace> inc,
     res.report = std::move(report);
     return res;
   }
-  res.usable = inc->finish(resolve_threads(threads));
+  res.usable = inc->finish(threads);
   res.report = std::move(inc->report());
   res.trace = std::move(inc->trace());
   return res;
@@ -819,13 +843,16 @@ RecoverResult finish_recovery(std::unique_ptr<IncrementalTrace> inc,
 }  // namespace
 
 RecoverResult recover_spool_bytes(std::string_view bytes, int threads) {
+  threads = resolve_threads(threads);
   RecoverReport report;
-  std::unique_ptr<IncrementalTrace> inc = replay_frames(bytes, &report);
+  std::unique_ptr<IncrementalTrace> inc =
+      replay_frames(bytes, threads, &report);
   return finish_recovery(std::move(inc), std::move(report), threads);
 }
 
 RecoverResult recover_spool_file(const std::string& path, std::string* error,
                                  int threads) {
+  threads = resolve_threads(threads);
   // Zero-copy recovery: the frame walk is view-based, so mapping the spool
   // avoids buffering what can be a multi-gigabyte crash artifact
   // (MmapSource falls back to a read loop for non-regular files). The
@@ -840,7 +867,7 @@ RecoverResult recover_spool_file(const std::string& path, std::string* error,
       if (error != nullptr) *error = "cannot open " + path;
       report.diagnostics.push_back("cannot open " + path);
     } else {
-      inc = replay_frames(src.view(), &report);
+      inc = replay_frames(src.view(), threads, &report);
     }
   }
   return finish_recovery(std::move(inc), std::move(report), threads);

@@ -41,11 +41,14 @@
 // TraceMeta::notes, which reports surface (TraceMeta::recovered()).
 // Every reader delimits frames with one walker (next_frame below), and
 // the per-frame decisions live in trace/incremental.hpp
-// (IncrementalTrace), which batch recovery here, the live tailer and the
-// GGWIRE1 ingest (src/serve/) all drive — streaming ingestion, network
-// ingestion and post-mortem recovery agree by construction.
+// (IncrementalTrace::apply_frames), which batch recovery here, the live
+// tailer and the GGWIRE1 ingest (src/serve/) all drive — streaming
+// ingestion, network ingestion and post-mortem recovery agree by
+// construction. Recovery verifies checksums and decodes epochs in
+// parallel, but decides what to keep serially, in frame order.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -321,6 +324,8 @@ struct RecoverReport {
   std::vector<u64> epochs_per_worker;
   std::vector<std::string> diagnostics;  ///< human-readable skip reasons
 
+  bool operator==(const RecoverReport&) const = default;
+
   bool partial() const { return !clean_footer; }
   /// Something was lost or skipped: the recovered trace is stamped
   /// "recovered ..." and needs the salvage pass before analysis.
@@ -344,9 +349,13 @@ struct RecoverResult {
 /// caller is expected to run the salvage pass afterwards — recovered
 /// traces usually miss TaskEnds/joins for in-flight work.
 ///
-/// `threads` is the finalize thread count; 0 resolves it with
-/// resolve_threads (GG_THREADS, else the hardware concurrency capped at
-/// 8). The trace and the report are the same for every thread count.
+/// `threads` is recovery's thread count: the frames' checksums are
+/// verified and their epochs decoded on up to that many threads
+/// (IncrementalTrace::apply_frames), and the trace is finalized on as many;
+/// the keep/skip/degrade decisions are made serially, in frame order. 0
+/// resolves it with resolve_threads (GG_THREADS, else the hardware
+/// concurrency capped at 8). The trace and the report are the same for
+/// every thread count.
 RecoverResult recover_spool_bytes(std::string_view bytes, int threads = 0);
 RecoverResult recover_spool_file(const std::string& path,
                                  std::string* error = nullptr,
@@ -377,12 +386,25 @@ std::string spool_trace_bytes(const Trace& trace, u64 epoch_bytes,
 /// run without replaying its records.
 bool decode_meta_payload(std::string_view payload, TraceMeta* meta);
 
-/// Decodes an 'E' frame payload into *out (strict; false on any malformed
-/// field, including record counts whose minimum encoded size cannot fit in
-/// the payload — a corrupt count field must be rejected *before* any
-/// allocation sized from it). Public so incremental ingestion
-/// (trace/incremental.hpp) applies exactly the batch decoder.
-bool decode_epoch_payload(std::string_view payload, RecordBuffer* out);
+/// One number per record type, in schema order (task, fragment, join,
+/// loop, chunk, bookkeep, depend, worker stats): an epoch payload's record
+/// counts, or where its records start in a trace's vectors.
+using RecordCounts = std::array<size_t, 8>;
+
+/// Checks an 'E' frame payload without storing its records: the record
+/// counts it opens with must account for its bytes exactly, and every
+/// record must decode without a codec fault (an enum past its maximum is
+/// malformed). Allocates nothing; recovery sizes its record vectors only
+/// from counts this accepted, so a corrupt count field cannot size an
+/// allocation. On success *counts holds the counts.
+bool check_epoch_payload(std::string_view payload, RecordCounts* counts);
+
+/// Decodes a payload that check_epoch_payload accepted into `trace`'s
+/// vectors, which already have room for it: the records of type k land at
+/// [at[k], at[k] + counts[k]). Writes nothing else, so epochs placed into
+/// disjoint ranges may be decoded concurrently.
+void place_epoch_payload(std::string_view payload, Trace& trace,
+                         const RecordCounts& at);
 
 // --- the frame walker -------------------------------------------------------
 //

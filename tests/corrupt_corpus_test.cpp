@@ -6,14 +6,21 @@
 // job runs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <sstream>
 
 #include "fault/fault.hpp"
+#include "serve/tailer.hpp"
 #include "trace/recorder.hpp"
 #include "trace/salvage.hpp"
 #include "trace/serialize.hpp"
+#include "trace/incremental.hpp"
 #include "trace/spool.hpp"
+#include "trace/synth.hpp"
 #include "trace/validate.hpp"
 
 namespace gg {
@@ -520,9 +527,8 @@ TEST(SpoolCorpusTest, CraftedCountsRejectedBeforeAllocation) {
   for (const u32 c : counts) put_u32(c);
   ASSERT_EQ(payload.size(), 32u);
 
-  spool::RecordBuffer buf;
-  EXPECT_FALSE(spool::decode_epoch_payload(payload, &buf));
-  EXPECT_TRUE(buf.fragments.empty());
+  spool::RecordCounts checked;
+  EXPECT_FALSE(spool::check_epoch_payload(payload, &checked));
 
   // The same payload riding a well-formed, checksum-valid frame inside an
   // otherwise pristine spool: recovery must skip exactly that frame (with
@@ -679,12 +685,12 @@ TEST(FieldRuleTest, SpoolEnumBeyondMaxIsCorruptEpoch) {
   for (const Case c : {Case{"end_reason", &frag_only, kEndReason, 3},
                        Case{"sched", &loop_only, kSched, 2}}) {
     std::string payload = spool::encode_epoch_payload(*c.records);
-    spool::RecordBuffer out;
+    spool::RecordCounts counts;
     payload[c.at] = static_cast<char>(c.max);
-    EXPECT_TRUE(spool::decode_epoch_payload(payload, &out)) << c.what;
+    EXPECT_TRUE(spool::check_epoch_payload(payload, &counts)) << c.what;
     for (const u8 bad : {u8(c.max + 1), u8(5), u8(255)}) {
       payload[c.at] = static_cast<char>(bad);
-      EXPECT_FALSE(spool::decode_epoch_payload(payload, &out))
+      EXPECT_FALSE(spool::check_epoch_payload(payload, &counts))
           << c.what << " = " << int(bad);
     }
 
@@ -701,6 +707,296 @@ TEST(FieldRuleTest, SpoolEnumBeyondMaxIsCorruptEpoch) {
     EXPECT_EQ(rr.trace.fragments.size(), make_corpus_trace().fragments.size());
     EXPECT_EQ(rr.trace.loops.size(), make_corpus_trace().loops.size());
     check_spool_invariants(bytes);
+  }
+}
+
+// --- recovery is the same at every thread count ------------------------------
+//
+// Recovery verifies checksums and decodes epochs in parallel, then decides
+// in frame order. On a spool big enough that both parallel passes split,
+// every shape of damage those decisions handle must give the same trace
+// bytes and the same RecoverReport at every thread count, and the same as
+// a live tailer that sees the bytes arrive in small slices.
+
+constexpr u32 kThreadsWorkers = 4;
+
+/// A 4-worker spool of ~4 MB in 16 KiB epochs, with telemetry frames.
+std::string big_spool_bytes() {
+  SynthOptions so;
+  so.seed = 19;
+  so.grains = 20000;
+  so.workers = static_cast<int>(kThreadsWorkers);
+  return spool::spool_trace_bytes(synth_trace(so), 16 * 1024,
+                                  {"snap-0", "snap-1", "snap-2", "snap-3"});
+}
+
+std::string payload_of(const std::string& bytes, const spool::FrameSpan& f) {
+  return bytes.substr(f.offset + spool::kFrameHeaderBytes,
+                      f.size - spool::kFrameHeaderBytes);
+}
+
+/// The first epoch frame at or past `fraction` of the stream whose worker
+/// has a later epoch, so losing it leaves a gap.
+size_t epoch_at(const std::vector<spool::FrameSpan>& frames, double fraction) {
+  for (size_t i = static_cast<size_t>(fraction * frames.size());
+       i < frames.size(); ++i) {
+    if (frames[i].type != spool::FrameType::Epoch) continue;
+    for (size_t j = i + 1; j < frames.size(); ++j) {
+      if (frames[j].type == spool::FrameType::Epoch &&
+          frames[j].worker == frames[i].worker)
+        return i;
+    }
+  }
+  ADD_FAILURE() << "no epoch frame past " << fraction;
+  return 0;
+}
+
+std::string insert_at(std::string bytes, double fraction,
+                      const std::string& frame) {
+  const auto frames = spool::scan_frames(bytes);
+  bytes.insert(frames[epoch_at(frames, fraction)].offset, frame);
+  return bytes;
+}
+
+std::string rot_epoch(std::string bytes) {
+  return fault::flip_spool_frame_checksum(
+      bytes, epoch_at(spool::scan_frames(bytes), 0.3), /*seed=*/7);
+}
+
+std::string duplicate_and_backward_epoch(std::string bytes) {
+  const auto frames = spool::scan_frames(bytes);
+  const spool::FrameSpan& dup = frames[epoch_at(frames, 0.5)];
+  const spool::FrameSpan& first = frames[epoch_at(frames, 0.0)];
+  // The later insertion first, so the earlier offset stays valid.
+  bytes.insert(frames[epoch_at(frames, 0.6)].offset,
+               bytes.substr(first.offset, first.size));
+  bytes.insert(dup.offset + dup.size, bytes.substr(dup.offset, dup.size));
+  return bytes;
+}
+
+std::string unknown_worker_epoch(std::string bytes) {
+  const auto frames = spool::scan_frames(bytes);
+  const std::string payload = payload_of(bytes, frames[epoch_at(frames, 0.4)]);
+  return insert_at(bytes, 0.8,
+                   spool::encode_frame(spool::FrameType::Epoch,
+                                       kThreadsWorkers, 0, payload));
+}
+
+std::string enum_beyond_max(std::string bytes) {
+  // Re-encoded with a valid checksum: only the codec's fault check can
+  // reject it. A fragment's end_reason sits 62 bytes into its record.
+  const auto frames = spool::scan_frames(bytes);
+  for (size_t i = epoch_at(frames, 0.65); i < frames.size(); ++i) {
+    const spool::FrameSpan& f = frames[i];
+    if (f.type != spool::FrameType::Epoch) continue;
+    std::string payload = payload_of(bytes, f);
+    u32 counts[2];
+    std::memcpy(counts, payload.data(), sizeof counts);
+    if (counts[1] == 0) continue;
+    payload[32 + counts[0] * 43 + 62] = 5;
+    bytes.replace(f.offset, f.size,
+                  spool::encode_frame(f.type, f.worker, f.seq, payload));
+    return bytes;
+  }
+  ADD_FAILURE() << "no epoch with fragments";
+  return bytes;
+}
+
+std::string crafted_counts(std::string bytes) {
+  std::string payload(32, '\0');
+  const u32 fragments = 0x40000000u;
+  std::memcpy(&payload[4], &fragments, sizeof fragments);
+  return insert_at(bytes, 0.75,
+                   spool::encode_frame(spool::FrameType::Epoch, 1, 1000,
+                                       payload));
+}
+
+std::string strings_gap(std::string bytes) {
+  return insert_at(bytes, 0.2,
+                   spool::encode_frame(
+                       spool::FrameType::Strings, 0, 0,
+                       spool::encode_strings_payload(9999, {"orphan"})));
+}
+
+std::string rot_telemetry(std::string bytes) {
+  return fault::flip_spool_telemetry(bytes, 1, /*seed=*/3);
+}
+
+std::string crash_footer(std::string bytes) {
+  const auto frames = spool::scan_frames(bytes);
+  std::string payload(64, '\0');
+  payload[0] = 11;  // SIGSEGV, little-endian u32
+  const std::string reason = "signal=11 SIGSEGV";
+  payload.replace(4, reason.size(), reason);
+  bytes.replace(frames.back().offset, frames.back().size,
+                spool::encode_frame(spool::FrameType::CrashFooter, 0, 0,
+                                    payload));
+  return bytes;
+}
+
+std::string frames_after_footer(std::string bytes) {
+  const auto frames = spool::scan_frames(bytes);
+  const spool::FrameSpan& e = frames[epoch_at(frames, 0.5)];
+  return bytes + bytes.substr(e.offset, e.size) + "trailing garbage";
+}
+
+std::string torn_tail(std::string bytes) {
+  const auto frames = spool::scan_frames(bytes);
+  size_t last = frames.size() - 1;
+  while (frames[last].type != spool::FrameType::Epoch) --last;
+  bytes.resize(frames[last].offset + spool::kFrameHeaderBytes + 100);
+  return bytes;
+}
+
+struct Replica {
+  bool usable = false;
+  spool::RecoverReport report;
+  std::string trace;  ///< the saved text trace
+};
+
+std::string saved(const Trace& t) {
+  std::ostringstream os;
+  save_trace(t, os);
+  return os.str();
+}
+
+Replica batch_replica(const std::string& bytes, int threads) {
+  spool::RecoverResult rr = spool::recover_spool_bytes(bytes, threads);
+  return {rr.usable, std::move(rr.report), rr.usable ? saved(rr.trace) : ""};
+}
+
+/// A SpoolTailer that reads `bytes` as a writer appends them in small,
+/// frame-unaligned slices, under a fake clock.
+Replica live_replica(const std::string& bytes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gg-threads-" + std::to_string(::getpid()) + ".ggspool"))
+          .string();
+  fault::LiveWriterPlan plan;
+  plan.chunk_min = 512;
+  plan.chunk_max = 8192;
+  fault::LiveSpoolWriter writer(path, bytes, plan);
+  serve::SpoolTailer tailer(path);
+  u64 now = 1'000'000'000;
+  for (int idle = 0; idle < 8; now += 10'000'000) {
+    if (writer.done()) ++idle;
+    writer.step();
+    tailer.poll(now);
+  }
+  Replica r;
+  r.usable = tailer.finalize();
+  r.report = tailer.trace()->report();
+  if (r.usable) r.trace = saved(tailer.trace()->trace());
+  std::filesystem::remove(path);
+  return r;
+}
+
+void expect_same(const Replica& got, const Replica& want, const char* what,
+                 const std::string& who) {
+  EXPECT_EQ(got.usable, want.usable) << what << " " << who;
+  EXPECT_EQ(got.report.summary(), want.report.summary()) << what << " " << who;
+  EXPECT_EQ(got.report.diagnostics, want.report.diagnostics)
+      << what << " " << who;
+  EXPECT_TRUE(got.report == want.report) << what << " " << who;
+  EXPECT_TRUE(got.trace == want.trace) << what << " " << who;
+}
+
+bool has_diagnostic(const spool::RecoverReport& r, std::string_view text) {
+  for (const std::string& d : r.diagnostics) {
+    if (d.find(text) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(SpoolThreadsTest, DamagedSpoolsRecoverIdenticallyAtEveryThreadCount) {
+  const std::string pristine = big_spool_bytes();
+  // Both parallel passes split at every thread count: the epochs alone
+  // are more than twice the floor, and no shape loses more than a few.
+  u64 epoch_bytes = 0;
+  for (const spool::FrameSpan& f : spool::scan_frames(pristine)) {
+    if (f.type == spool::FrameType::Epoch) epoch_bytes += f.size;
+  }
+  ASSERT_GE(epoch_bytes, 2 * spool::kParallelApplyBytes);
+  for (const int t : {2, 4, 8}) {
+    EXPECT_EQ(spool::apply_block_count(epoch_bytes / 2, t),
+              static_cast<size_t>(t));
+  }
+
+  using Check = std::function<void(const spool::RecoverReport&)>;
+  struct Shape {
+    const char* what;
+    std::string bytes;
+    Check check;
+  };
+  const std::vector<Shape> shapes = {
+      {"pristine", pristine,
+       [](const spool::RecoverReport& r) { EXPECT_FALSE(r.degraded()); }},
+      {"checksum rot", rot_epoch(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_corrupt, 1u);
+         EXPECT_EQ(r.epoch_gaps, 1u);
+       }},
+      {"duplicate and backward epoch", duplicate_and_backward_epoch(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_out_of_order, 2u);
+         EXPECT_EQ(r.epoch_gaps, 0u);
+       }},
+      {"unknown worker", unknown_worker_epoch(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_corrupt, 1u);
+         EXPECT_TRUE(has_diagnostic(r, "epoch for unknown worker 4"));
+       }},
+      {"enum beyond max", enum_beyond_max(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_corrupt, 1u);
+         EXPECT_TRUE(has_diagnostic(r, "undecodable epoch at offset"));
+       }},
+      {"crafted counts", crafted_counts(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_corrupt, 1u);
+         EXPECT_TRUE(has_diagnostic(r, "undecodable epoch at offset"));
+       }},
+      {"strings gap", strings_gap(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_out_of_order, 1u);
+         EXPECT_TRUE(has_diagnostic(r, "does not extend the table"));
+       }},
+      {"corrupt telemetry", rot_telemetry(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.telemetry_corrupt, 1u);
+         EXPECT_FALSE(r.degraded());
+       }},
+      {"crash footer", crash_footer(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.crash_reason, "signal=11 SIGSEGV");
+         EXPECT_FALSE(r.clean_footer);
+       }},
+      {"frames after the footer", frames_after_footer(pristine),
+       [](const spool::RecoverReport& r) { EXPECT_FALSE(r.degraded()); }},
+      {"torn tail", torn_tail(pristine),
+       [](const spool::RecoverReport& r) {
+         EXPECT_TRUE(r.torn_tail);
+         EXPECT_FALSE(r.clean_footer);
+       }},
+      {"every shape at once",
+       torn_tail(rot_telemetry(strings_gap(crafted_counts(enum_beyond_max(
+           unknown_worker_epoch(
+               duplicate_and_backward_epoch(rot_epoch(pristine)))))))),
+       [](const spool::RecoverReport& r) {
+         EXPECT_EQ(r.frames_corrupt, 4u);
+         EXPECT_EQ(r.frames_out_of_order, 3u);
+         EXPECT_TRUE(r.torn_tail);
+       }},
+  };
+  for (const Shape& s : shapes) {
+    const Replica serial = batch_replica(s.bytes, 1);
+    ASSERT_TRUE(serial.usable) << s.what;
+    s.check(serial.report);
+    for (const int t : {2, 4, 8}) {
+      expect_same(batch_replica(s.bytes, t), serial, s.what,
+                  "at " + std::to_string(t) + " threads");
+    }
+    expect_same(live_replica(s.bytes), serial, s.what, "live tailer");
   }
 }
 

@@ -237,6 +237,38 @@ TEST(ObsSpanTest, PhaseSpanIsInertWithoutContext) {
   EXPECT_EQ(telem.tracer.spans()[0].name, "should.record");
 }
 
+TEST(ObsSpanTest, SpoolRecoveryPhasesNestInTheCallersSpan) {
+  SynthOptions so;
+  so.seed = 5;
+  so.grains = 2000;
+  const std::string bytes =
+      spool::spool_trace_bytes(synth_trace(so), 4 * 1024);
+  obs::Telemetry telem;
+  obs::install(&telem);
+  bool usable = false;
+  {
+    obs::PhaseSpan caller("caller.load");
+    usable = spool::recover_spool_bytes(bytes, 2).usable;
+  }
+  obs::install(nullptr);
+  EXPECT_TRUE(usable);
+  // A span is recorded when it ends: the phases in order, then the caller.
+  const std::vector<obs::SpanRec> spans = telem.tracer.spans();
+  const std::vector<std::string> want = {"spool.walk", "spool.verify",
+                                         "spool.apply", "spool.place",
+                                         "spool.finalize", "caller.load"};
+  ASSERT_EQ(spans.size(), want.size());
+  const obs::SpanRec& caller = spans.back();
+  u64 prev_end = caller.start_ns;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(spans[i].name, want[i]);
+    if (i + 1 == want.size()) break;
+    EXPECT_GE(spans[i].start_ns, prev_end) << spans[i].name;
+    EXPECT_LE(spans[i].end_ns, caller.end_ns) << spans[i].name;
+    prev_end = spans[i].end_ns;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 'T' frames in the spool
 

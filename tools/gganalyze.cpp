@@ -590,8 +590,11 @@ int main(int argc, char** argv) {
     opts.baseline = &baseline;
   }
   const Analysis a = analyze(*trace, topo, opts);
-  std::printf("%s", render_report(*trace, a).c_str());
-  std::printf("%s", render_recommendations(recommend(*trace, a)).c_str());
+  {
+    obs::PhaseSpan span("export.report");
+    std::printf("%s", render_report(*trace, a).c_str());
+    std::printf("%s", render_recommendations(recommend(*trace, a)).c_str());
+  }
 
   if (!compare_path.empty()) {
     auto other = load_trace_file(compare_path, &error);
