@@ -268,7 +268,7 @@ DegradeResult run_degrade(int clients, u64 grains) {
   sopts.admission.budget_bytes = 256 * 1024;
   sopts.admission.shed_fraction = 0.5;
   sopts.admission.pause_fraction = 0.75;
-  sopts.ingest.evict_after_ns = 300'000'000;  // 300ms after seal
+  sopts.session.evict_after_ns = 300'000'000;  // 300ms after seal
   serve::Server server(sopts);
   std::thread runner([&server] { server.run(); });
 

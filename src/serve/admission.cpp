@@ -35,22 +35,22 @@ void AdmissionController::update(u64 resident_bytes, size_t sessions) {
                            ? 1.0
                            : static_cast<double>(resident_bytes) /
                                  static_cast<double>(opts_.budget_bytes);
+  DegradeLevel level = DegradeLevel::Normal;
   if (usage >= opts_.pause_fraction) {
-    level_ = DegradeLevel::PausingTailers;
+    level = DegradeLevel::PausingTailers;
   } else if (usage >= opts_.shed_fraction) {
-    level_ = DegradeLevel::SheddingQueries;
-  } else {
-    level_ = DegradeLevel::Normal;
+    level = DegradeLevel::SheddingQueries;
   }
+  level_ = level;
   if (g_resident_ != nullptr) {
     g_resident_->set(static_cast<double>(resident_bytes));
-    g_level_->set(static_cast<double>(static_cast<u8>(level_)));
+    g_level_->set(static_cast<double>(static_cast<u8>(level)));
     g_sessions_->set(static_cast<double>(sessions));
   }
 }
 
 bool AdmissionController::admit_heavy_query() {
-  if (level_ == DegradeLevel::Normal) return true;
+  if (level() == DegradeLevel::Normal) return true;
   ++queries_shed_;
   if (m_shed_ != nullptr) m_shed_->add();
   return false;

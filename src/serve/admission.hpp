@@ -8,14 +8,18 @@
 //   < shed_fraction   Normal          everything admitted
 //   >= shed_fraction  SheddingQueries heavy whole-graph queries refused
 //                                     (cheap status/summary queries stay)
-//   >= pause_fraction PausingTailers  + low-priority tailers paused (their
+//   >= pause_fraction PausingTailers  + all tailers but one paused (their
 //                                     writers keep appending; ingestion
 //                                     lags but loses nothing)
 //
 // Every shed/pause/evict decision is published through the obs::Registry
 // (serve.* counters/gauges), so degradation is observable, never silent.
+//
+// Thread-safe: the supervision tick updates the level while query threads
+// count sheds and ingest connections read the level to gate OFFERs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 
 #include "common/types.hpp"
@@ -33,7 +37,7 @@ struct AdmissionOptions {
   u64 budget_bytes = 256ull << 20;
   /// Usage fraction at which heavy queries are shed.
   double shed_fraction = 0.75;
-  /// Usage fraction at which low-priority tailers are paused.
+  /// Usage fraction at which tailers are paused.
   double pause_fraction = 0.90;
 };
 
@@ -55,10 +59,10 @@ class AdmissionController {
   /// serve.* gauges. Called once per server tick.
   void update(u64 resident_bytes, size_t sessions);
 
-  DegradeLevel level() const { return level_; }
+  DegradeLevel level() const { return level_.load(); }
   u64 budget_bytes() const { return opts_.budget_bytes; }
-  u64 resident_bytes() const { return resident_bytes_; }
-  bool over_budget() const { return resident_bytes_ > opts_.budget_bytes; }
+  u64 resident_bytes() const { return resident_bytes_.load(); }
+  bool over_budget() const { return resident_bytes() > opts_.budget_bytes; }
 
   /// Gate for a heavy (whole-graph analysis) query. False means shed: the
   /// caller must answer with a cheap refusal, not block or abort.
@@ -66,7 +70,7 @@ class AdmissionController {
 
   /// True while tailers should be paused (usage >= pause_fraction).
   bool should_pause_tailers() const {
-    return level_ == DegradeLevel::PausingTailers;
+    return level() == DegradeLevel::PausingTailers;
   }
 
   // Decision bookkeeping, published as serve.* counters.
@@ -74,17 +78,17 @@ class AdmissionController {
   void note_resumed();
   void note_evicted();
 
-  u64 queries_shed() const { return queries_shed_; }
-  u64 tailers_paused() const { return tailers_paused_; }
-  u64 sessions_evicted() const { return sessions_evicted_; }
+  u64 queries_shed() const { return queries_shed_.load(); }
+  u64 tailers_paused() const { return tailers_paused_.load(); }
+  u64 sessions_evicted() const { return sessions_evicted_.load(); }
 
  private:
   AdmissionOptions opts_;
-  DegradeLevel level_ = DegradeLevel::Normal;
-  u64 resident_bytes_ = 0;
-  u64 queries_shed_ = 0;
-  u64 tailers_paused_ = 0;
-  u64 sessions_evicted_ = 0;
+  std::atomic<DegradeLevel> level_{DegradeLevel::Normal};
+  std::atomic<u64> resident_bytes_{0};
+  std::atomic<u64> queries_shed_{0};
+  std::atomic<u64> tailers_paused_{0};
+  std::atomic<u64> sessions_evicted_{0};
 
   obs::Counter* m_shed_ = nullptr;
   obs::Counter* m_paused_ = nullptr;

@@ -40,14 +40,13 @@ std::string first_word(const std::string& line, std::string* rest) {
 }  // namespace
 
 Server::Server(const ServerOptions& opts)
-    : opts_(opts),
-      admission_(opts.admission, opts.telemetry),
-      ingest_(opts.ingest, opts.telemetry) {
+    : opts_(opts), admission_(opts.admission, opts.telemetry) {
   if (opts_.telemetry != nullptr) {
     m_ticks_ = opts_.telemetry->counter("serve.ticks");
     m_frames_ = opts_.telemetry->counter("serve.frames_applied");
     m_attached_ = opts_.telemetry->counter("serve.sessions_attached");
     m_stalls_ = opts_.telemetry->counter("serve.watchdog_stalls");
+    ingest_metrics_ = std::make_unique<IngestMetrics>(*opts_.telemetry);
   }
 }
 
@@ -63,14 +62,71 @@ u64 Server::now_ns() const {
   return opts_.clock ? opts_.clock() : obs::mono_ns();
 }
 
-bool Server::attach(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.count(path) != 0) return false;
-  sessions_.emplace(path, std::make_unique<Session>(next_id_++, path,
-                                                    opts_.session));
+bool Server::add_file_locked(const std::string& path) {
+  for (const auto& [id, s] : sessions_)
+    if (s->path() == path) return false;
+  sessions_.emplace(next_id_, std::make_shared<Session>(next_id_, path,
+                                                        opts_.session));
+  ++next_id_;
   ever_attached_ = true;
   if (m_attached_ != nullptr) m_attached_->add();
   return true;
+}
+
+bool Server::attach(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return add_file_locked(path);
+}
+
+Server::Hello Server::hello(const wire::Token& token, const std::string& name,
+                            u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [id, s] : sessions_) {
+    if (s->token() == token) {
+      if (ingest_metrics_) ingest_metrics_->resumes->add();
+      return {s, /*created=*/false};
+    }
+  }
+  if (wire_counts_locked().second >= opts_.ingest.max_sessions) {
+    if (ingest_metrics_) ingest_metrics_->offers_shed->add();
+    return {};
+  }
+  auto s = std::make_shared<Session>(next_id_, token, name,
+                                     opts_.ingest.stale_after_ns, now_ns);
+  sessions_.emplace(next_id_++, s);
+  ever_attached_ = true;
+  if (ingest_metrics_) ingest_metrics_->streams_created->add();
+  return {s, /*created=*/true};
+}
+
+std::shared_ptr<Session> Server::find(const std::string& key) const {
+  if (key.empty()) return nullptr;
+  const auto basename_or_name = [](const Session& s) {
+    if (s.wire()) return s.name();
+    return s.path().substr(s.path().find_last_of('/') + 1);
+  };
+  // SESSIONS prints absolute paths, but a human types "w1.ggspool", an id,
+  // a client name or the start of a token.
+  const std::function<bool(const Session&)> steps[] = {
+      [&](const Session& s) { return s.path() == key; },
+      [&](const Session& s) { return std::to_string(s.id()) == key; },
+      [&](const Session& s) { return basename_or_name(s) == key; },
+      [&](const Session& s) {
+        return key.size() >= 6 && s.wire() &&
+               s.token().hex().compare(0, key.size(), key) == 0;
+      },
+  };
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& matches : steps) {
+    std::shared_ptr<Session> hit;
+    for (const auto& [id, s] : sessions_) {
+      if (!matches(*s)) continue;
+      if (hit) return nullptr;  // ambiguous: require a sharper key
+      hit = s;
+    }
+    if (hit) return hit;
+  }
+  return nullptr;
 }
 
 void Server::scan_dir_locked(u64 now) {
@@ -80,38 +136,37 @@ void Server::scan_dir_locked(u64 now) {
   if (dir == nullptr) return;
   while (dirent* ent = ::readdir(dir)) {
     const std::string name = ent->d_name;
-    if (!has_spool_suffix(name)) continue;
-    const std::string path = opts_.dir + "/" + name;
-    if (sessions_.count(path) != 0) continue;
-    sessions_.emplace(path, std::make_unique<Session>(next_id_++, path,
-                                                      opts_.session));
-    ever_attached_ = true;
-    if (m_attached_ != nullptr) m_attached_->add();
+    if (has_spool_suffix(name)) add_file_locked(opts_.dir + "/" + name);
   }
   ::closedir(dir);
 }
 
-void Server::tick() {
-  // Ingest supervision runs before the session lock: the sweep takes the
-  // registry's own locks and may finalize abandoned wire streams.
-  const u64 tick_now = now_ns();
-  ingest_.sweep(tick_now);
-  const u64 ingest_resident = ingest_.resident_bytes();
-  const size_t ingest_streams = ingest_.stream_count();
-
+std::vector<std::shared_ptr<Session>> Server::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const u64 now = now_ns();
-  scan_dir_locked(now);
+  std::vector<std::shared_ptr<Session>> all;
+  all.reserve(sessions_.size());
+  for (const auto& [id, s] : sessions_) all.push_back(s);
+  return all;
+}
 
-  size_t frames = 0;
-  u64 resident = ingest_resident;
-  for (auto& [path, session] : sessions_) {
-    frames += session->tick(now);
-    resident += session->resident_bytes();
+void Server::tick() {
+  const u64 now = now_ns();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    scan_dir_locked(now);
   }
-  admission_.update(resident, sessions_.size() + ingest_streams);
-  apply_backpressure_locked(now);
-  evict_sweep_locked(now);
+  // Sessions tick outside the table lock: a HELLO or a query lookup never
+  // waits for a poll or a finalize.
+  const std::vector<std::shared_ptr<Session>> all = snapshot();
+  size_t frames = 0;
+  u64 resident = 0;
+  for (const auto& s : all) {
+    frames += s->tick(now);
+    resident += s->resident_bytes();
+  }
+  admission_.update(resident, all.size());
+  apply_backpressure(all, now);
+  evict_sweep(all, now);
 
   heartbeat_.fetch_add(1, std::memory_order_release);
   if (m_ticks_ != nullptr) m_ticks_->add();
@@ -119,96 +174,80 @@ void Server::tick() {
     m_frames_->add(static_cast<u64>(frames));
 }
 
-void Server::apply_backpressure_locked(u64 now) {
+void Server::apply_backpressure(
+    const std::vector<std::shared_ptr<Session>>& all, u64 now) {
   if (!admission_.should_pause_tailers()) {
     // Pressure relieved: resume everything we paused.
-    for (auto& [path, session] : sessions_) {
-      if (session->paused() && !session->finalized()) {
-        session->resume(now);
-        admission_.note_resumed();
-      }
-    }
+    for (const auto& s : all)
+      if (s->resume(now)) admission_.note_resumed();
     return;
   }
-  // Pause live sessions lowest-priority first (ties: biggest footprint
-  // first), but always keep at least one tailer live so ingestion as a
-  // whole cannot deadlock against the budget.
-  std::vector<Session*> live;
-  for (auto& [path, session] : sessions_) {
-    if (!session->finalized() && !session->paused())
-      live.push_back(session.get());
-  }
+  // Pause the biggest live tailers, but always keep the smallest one live
+  // so ingestion as a whole cannot deadlock against the budget. Wire
+  // sessions are never paused: their OFFERs were shed instead.
+  std::vector<std::pair<u64, Session*>> live;
+  for (const auto& s : all)
+    if (s->tailing()) live.emplace_back(s->resident_bytes(), s.get());
   if (live.size() <= 1) return;
-  std::sort(live.begin(), live.end(), [](const Session* a, const Session* b) {
-    if (a->priority() != b->priority()) return a->priority() < b->priority();
-    return a->resident_bytes() > b->resident_bytes();
-  });
-  for (size_t i = 0; i + 1 < live.size(); ++i) {
-    live[i]->pause(now);
-    admission_.note_paused();
+  const auto keep = std::min_element(live.begin(), live.end());
+  for (auto it = live.begin(); it != live.end(); ++it)
+    if (it != keep && it->second->pause(now)) admission_.note_paused();
+}
+
+void Server::evict_sweep(const std::vector<std::shared_ptr<Session>>& all,
+                         u64 now) {
+  // Finalized sessions only, least recently used first. They are read
+  // before the table lock is taken, so a HELLO never waits on a session.
+  // Query threads stamp their own clock reads, which may be fractionally
+  // ahead of this sweep's `now`; the guarded comparison keeps the
+  // subtraction from underflowing.
+  std::vector<std::pair<u64, u64>> done;  // (idle ns, id)
+  for (const auto& s : all) {
+    if (!s->finalized()) continue;
+    const u64 since = s->idle_since_ns();
+    done.emplace_back(now > since ? now - since : 0, s->id());
+  }
+  std::sort(done.begin(), done.end(), std::greater<>());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [idle, id] : done) {
+    // Nobody queried it for evict_after_ns, or the budget is still
+    // exceeded: evict.
+    if (idle < opts_.session.evict_after_ns && !admission_.over_budget())
+      break;
+    const auto it = sessions_.find(id);
+    if (it != sessions_.end()) evict_locked(it);
+  }
+  if (ingest_metrics_) {
+    // Published once per tick, like every other serve.* gauge.
+    const auto [streams, open] = wire_counts_locked();
+    ingest_metrics_->streams->set(static_cast<double>(streams));
+    ingest_metrics_->open_streams->set(static_cast<double>(open));
   }
 }
 
-void Server::evict_sweep_locked(u64 now) {
-  // Pass 1: finalized sessions nobody queried for evict_after_ns.
-  std::vector<std::string> expired;
-  for (auto& [path, session] : sessions_) {
-    if (!session->finalized()) continue;
-    const u64 idle_since =
-        std::max(session->last_activity_ns(), session->last_query_ns());
-    if (now - idle_since >= opts_.session.evict_after_ns)
-      expired.push_back(path);
-  }
-  for (const auto& path : expired) evict_locked(path);
-
-  // Pass 2: still over budget → evict finalized sessions LRU until under.
-  while (admission_.over_budget()) {
-    Session* victim = nullptr;
-    for (auto& [path, session] : sessions_) {
-      if (!session->finalized()) continue;
-      if (victim == nullptr ||
-          std::max(session->last_activity_ns(), session->last_query_ns()) <
-              std::max(victim->last_activity_ns(), victim->last_query_ns()))
-        victim = session.get();
-    }
-    if (victim == nullptr) break;  // nothing evictable; tailers pause instead
-    evict_locked(victim->path());
-  }
-}
-
-void Server::evict_locked(const std::string& path) {
-  auto it = sessions_.find(path);
-  if (it == sessions_.end()) return;
-  u64 resident = admission_.resident_bytes();
+void Server::evict_locked(Table::iterator it) {
+  const u64 resident = admission_.resident_bytes();
   const u64 freed = it->second->resident_bytes();
+  if (it->second->wire() && ingest_metrics_)
+    ingest_metrics_->streams_evicted->add();
   sessions_.erase(it);
   admission_.note_evicted();
   admission_.update(resident > freed ? resident - freed : 0,
                     sessions_.size());
 }
 
-Session* Server::find_locked(const std::string& key) {
-  auto it = sessions_.find(key);
-  if (it != sessions_.end()) return it->second.get();
-  // Fall back to the numeric session id, then to a unique basename match —
-  // SESSIONS prints absolute paths, but a human queries "w1.ggspool".
-  for (auto& [path, session] : sessions_) {
-    if (std::to_string(session->id()) == key) return session.get();
+std::pair<size_t, size_t> Server::wire_counts_locked() const {
+  size_t streams = 0, open = 0;
+  for (const auto& [id, s] : sessions_) {
+    if (!s->wire()) continue;
+    ++streams;
+    if (!s->finalized()) ++open;
   }
-  Session* by_name = nullptr;
-  for (auto& [path, session] : sessions_) {
-    const size_t slash = path.find_last_of('/');
-    const std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    if (base == key) {
-      if (by_name != nullptr) return nullptr;  // ambiguous: require the path
-      by_name = session.get();
-    }
-  }
-  return by_name;
+  return {streams, open};
 }
 
 std::string Server::status_locked() const {
+  const auto [streams, open] = wire_counts_locked();
   std::ostringstream os;
   os << "ggserved sessions=" << sessions_.size()
      << " resident=" << admission_.resident_bytes() << "/"
@@ -219,9 +258,7 @@ std::string Server::status_locked() const {
      << " paused=" << admission_.tailers_paused()
      << " evicted=" << admission_.sessions_evicted()
      << " stalls=" << watchdog_stalls_.load(std::memory_order_relaxed)
-     << " ingest_streams=" << ingest_.stream_count()
-     << " ingest_open=" << ingest_.open_count()
-     << "\n";
+     << " ingest_streams=" << streams << " ingest_open=" << open << "\n";
   return os.str();
 }
 
@@ -235,46 +272,30 @@ std::string Server::query(const std::string& request) {
     stop();
     return "OK shutting down\n";
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cmd == "STATUS") return status_locked();
+  if (cmd == "STATUS") {
+    std::lock_guard<std::mutex> lock(mu_);
+    return status_locked();
+  }
   if (cmd == "SESSIONS") {
     std::string out;
-    for (const auto& [path, session] : sessions_)
-      out += session->status_line() + "\n";
-    ingest_.for_each([&out](const IngestStream& s) {
-      out += s.status_line() + "\n";
-    });
+    for (const auto& s : snapshot()) out += s->status_line() + "\n";
     if (out.empty()) out = "no sessions\n";
     return out;
   }
-  if (cmd == "SUMMARY") {
-    Session* s = find_locked(rest);
-    if (s == nullptr) {
-      // Wire-fed streams answer the same query surface as tailed files.
-      if (auto ws = ingest_.find_by_key(rest)) {
-        ws->touch_query(now);
-        const spool::RecoverReport* rep = ws->report();
-        if (rep == nullptr) return "no data yet\n";
-        return rep->summary() + "\n";
+  if (cmd == "SUMMARY" || cmd == "REPORT" || cmd == "EVICT") {
+    const std::shared_ptr<Session> s = find(rest);
+    if (s == nullptr) return "ERR no such session: " + rest + "\n";
+    if (cmd == "EVICT") {
+      s->finalize(now);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = sessions_.find(s->id());
+        if (it != sessions_.end()) evict_locked(it);
       }
-      return "ERR no such session: " + rest + "\n";
+      return "OK evicted " + (s->wire() ? s->name() : s->path()) + "\n";
     }
     s->touch_query(now);
-    const spool::RecoverReport* rep = s->report();
-    if (rep == nullptr) return "no data yet\n";
-    return rep->summary() + "\n";
-  }
-  if (cmd == "REPORT") {
-    Session* s = find_locked(rest);
-    std::shared_ptr<IngestStream> ws;
-    if (s == nullptr) {
-      ws = ingest_.find_by_key(rest);
-      if (!ws) return "ERR no such session: " + rest + "\n";
-      ws->touch_query(now);
-    } else {
-      s->touch_query(now);
-    }
+    if (cmd == "SUMMARY") return s->summary();
     if (!admission_.admit_heavy_query()) {
       return "SHED report refused under memory pressure (level=" +
              std::string(degrade_level_name(admission_.level())) +
@@ -282,7 +303,7 @@ std::string Server::query(const std::string& request) {
              "/" + std::to_string(admission_.budget_bytes()) +
              "); retry later or use SUMMARY\n";
     }
-    std::string text = s != nullptr ? s->report_text() : ws->report_text();
+    std::string text = s->report_text();
     if (text.empty()) return "ERR session not usable\n";
     return text;
   }
@@ -297,20 +318,9 @@ std::string Server::query(const std::string& request) {
   }
   if (cmd == "ATTACH") {
     if (rest.empty()) return "ERR ATTACH <path>\n";
-    if (sessions_.count(rest) != 0) return "OK already attached\n";
-    sessions_.emplace(rest, std::make_unique<Session>(next_id_++, rest,
-                                                      opts_.session));
-    ever_attached_ = true;
-    if (m_attached_ != nullptr) m_attached_->add();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!add_file_locked(rest)) return "OK already attached\n";
     return "OK attached " + rest + "\n";
-  }
-  if (cmd == "EVICT") {
-    Session* s = find_locked(rest);
-    if (s == nullptr) return "ERR no such session: " + rest + "\n";
-    const std::string path = s->path();
-    s->finalize(now);
-    evict_locked(path);
-    return "OK evicted " + path + "\n";
   }
   return "ERR unknown command: " + cmd + "\n";
 }
@@ -320,32 +330,23 @@ size_t Server::session_count() const {
   return sessions_.size();
 }
 
-u64 Server::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  u64 total = 0;
-  for (const auto& [path, session] : sessions_)
-    total += session->resident_bytes();
-  return total;
-}
-
 bool Server::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!ever_attached_) return false;
-  for (const auto& [path, session] : sessions_) {
-    if (!session->finalized()) return false;
-  }
+  for (const auto& [id, s] : sessions_)
+    if (!s->finalized()) return false;
   return true;
 }
 
 void Server::for_each_session(
     const std::function<void(const Session&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [path, session] : sessions_) fn(*session);
+  for (const auto& s : snapshot()) fn(*s);
 }
 
 std::string Server::diagnosis() const {
-  // try_lock: the watchdog calls this precisely when the ingest loop may
-  // be wedged holding mu_ — a diagnosis that deadlocks is no diagnosis.
+  // try_lock, on the table and on each session: the watchdog calls this
+  // precisely when the supervision loop may be wedged holding one of them
+  // — a diagnosis that deadlocks is no diagnosis.
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
   std::ostringstream os;
   os << "=== ggserved stall diagnosis ===\n";
@@ -353,21 +354,19 @@ std::string Server::diagnosis() const {
      << " stalls=" << watchdog_stalls_.load(std::memory_order_relaxed)
      << " stopping=" << (stopping() ? 1 : 0) << "\n";
   if (!lock.owns_lock()) {
-    os << "session table locked (ingest loop holds the mutex); "
+    os << "session table locked (the supervision loop holds the mutex); "
           "per-session state unavailable\n";
     return os.str();
   }
-  os << "sessions=" << sessions_.size()
-     << " resident=" << admission_.resident_bytes() << "/"
-     << admission_.budget_bytes()
-     << " level=" << degrade_level_name(admission_.level())
-     << " ingest_streams=" << ingest_.stream_count()
-     << " ingest_open=" << ingest_.open_count() << "\n";
-  for (const auto& [path, session] : sessions_)
-    os << "  " << session->status_line() << "\n";
-  ingest_.for_each([&os](const IngestStream& s) {
-    os << "  " << s.status_line() << "\n";
-  });
+  os << status_locked();
+  for (const auto& [id, s] : sessions_) {
+    const std::string line = s->status_line(/*wait=*/false);
+    if (line.empty()) {
+      os << "  session " << id << " busy (its lock is held)\n";
+    } else {
+      os << "  " << line << "\n";
+    }
+  }
   return os.str();
 }
 
@@ -401,15 +400,14 @@ void Server::watchdog_main() {
 }
 
 void Server::finalize_all() {
-  ingest_.finalize_all(now_ns());
-  std::lock_guard<std::mutex> lock(mu_);
   const u64 now = now_ns();
-  u64 resident = ingest_.resident_bytes();
-  for (auto& [path, session] : sessions_) {
-    session->finalize(now);
-    resident += session->resident_bytes();
+  const std::vector<std::shared_ptr<Session>> all = snapshot();
+  u64 resident = 0;
+  for (const auto& s : all) {
+    s->finalize(now);
+    resident += s->resident_bytes();
   }
-  admission_.update(resident, sessions_.size() + ingest_.stream_count());
+  admission_.update(resident, all.size());
 }
 
 int Server::run() {
@@ -432,13 +430,8 @@ int Server::run() {
   }
 
   if (!opts_.ingest_socket_path.empty()) {
-    // New streams' OFFERs are shed as soon as admission starts degrading —
-    // before any tailer pauses; streams already carrying data always get
-    // through (admission never abandons an accepted session).
-    ingest_listener_ = std::make_unique<IngestListener>(
-        opts_.ingest_socket_path, &ingest_,
-        [this] { return admission_.level() == DegradeLevel::Normal; },
-        [this] { return now_ns(); });
+    ingest_listener_ =
+        std::make_unique<IngestListener>(opts_.ingest_socket_path, this);
     std::string err;
     if (!ingest_listener_->start(&err)) {
       std::fprintf(stderr, "ggserved: ingest listener failed: %s\n",

@@ -1,19 +1,25 @@
-// The ggserved core: session table, supervision loop, query surface.
+// The ggserved core: one session table, supervision loop, query surface.
 //
-// A Server owns N sessions (one per tailed spool), found by scanning a
-// directory for *.ggspool files and/or attached explicitly. Everything
-// stateful happens inside tick() — one supervision round: scan for new
-// spools, poll every live tailer, recompute the admission level, apply
-// backpressure (pause/resume), evict idle finalized sessions. tick() takes
-// its time from an injectable clock, so tests drive the entire lifecycle
-// (backoff, staleness, eviction) deterministically with a fake clock.
+// A Server owns N sessions in one table with one id space: file sessions
+// (one per tailed spool), found by scanning a directory for *.ggspool files
+// and/or attached explicitly, and wire sessions, created by GGWIRE1 HELLOs
+// on the ingest socket. Everything stateful happens inside tick() — one
+// supervision round: scan for new spools, tick every session (poll live
+// tailers, finalize stale streams), recompute the admission level, apply
+// backpressure (pause/resume), evict idle or LRU finalized sessions. tick()
+// takes its time from an injectable clock, so tests drive the entire
+// lifecycle (backoff, staleness, eviction) deterministically with a fake
+// clock.
 //
-// run() wraps tick() in a real-time loop with the socket endpoint and a
-// watchdog thread mirroring rts/supervisor.hpp: the ingest loop heartbeats
-// once per tick; if the heartbeat freezes past the stall deadline the
-// watchdog dumps a structured diagnosis to stderr and publishes
-// serve.watchdog_stalls — it never aborts (a serving daemon degrades, it
-// does not die).
+// The table mutex guards only the table; each session locks itself, so a
+// HELLO or a lookup never waits behind a REPORT's analysis.
+//
+// run() wraps tick() in a real-time loop with the socket endpoints and a
+// watchdog thread mirroring rts/supervisor.hpp: the supervision loop
+// heartbeats once per tick; if the heartbeat freezes past the stall
+// deadline the watchdog dumps a structured diagnosis to stderr and
+// publishes serve.watchdog_stalls — it never aborts (a serving daemon
+// degrades, it does not die).
 #pragma once
 
 #include <atomic>
@@ -81,6 +87,21 @@ class Server {
   /// Attaches one spool path as a session. False when already attached.
   bool attach(const std::string& path);
 
+  struct Hello {
+    std::shared_ptr<Session> session;  ///< null when shed (at cap)
+    bool created = false;              ///< false: resumed
+  };
+  /// GGWIRE1 HELLO admission: resumes the token's wire session
+  /// unconditionally, creates a new one unless the unfinished wire-session
+  /// cap is reached (shed).
+  Hello hello(const wire::Token& token, const std::string& name, u64 now_ns);
+
+  /// The one key resolver SUMMARY, REPORT and EVICT use. Tries, in order:
+  /// exact path, numeric id, a unique basename or client name, a unique
+  /// token prefix of at least 6 hex chars. A key that matches two sessions
+  /// at one step resolves to none. Null when unknown or ambiguous.
+  std::shared_ptr<Session> find(const std::string& key) const;
+
   /// One supervision round at the injected clock's current time.
   void tick();
 
@@ -96,39 +117,47 @@ class Server {
   void stop() { stop_.store(true, std::memory_order_release); }
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
+  /// The injected clock's current time (the steady clock by default).
+  u64 now_ns() const;
+  const ServerOptions& options() const { return opts_; }
+  /// The serve.ingest.* handles; null without telemetry.
+  const IngestMetrics* ingest_metrics() const { return ingest_metrics_.get(); }
+
   // Introspection (tests and the tool's final summary).
   size_t session_count() const;
-  u64 resident_bytes() const;
   bool idle() const;  ///< at least one session existed, all finalized
   u64 ticks() const { return heartbeat_.load(std::memory_order_relaxed); }
   u64 watchdog_stalls() const {
     return watchdog_stalls_.load(std::memory_order_relaxed);
   }
   AdmissionController& admission() { return admission_; }
-  IngestRegistry& ingest() { return ingest_; }
-  const IngestRegistry& ingest() const { return ingest_; }
-  /// Runs `fn` under the session lock for every session, in path order.
+  /// Runs `fn` for every session, in id order, outside the table lock.
   void for_each_session(
       const std::function<void(const Session&)>& fn) const;
   /// Structured state dump (the watchdog's stall diagnosis; also STATUS).
   std::string diagnosis() const;
 
  private:
-  u64 now_ns() const;
+  using Table = std::map<u64, std::shared_ptr<Session>>;  // by id
+
+  bool add_file_locked(const std::string& path);
   void scan_dir_locked(u64 now);
-  void apply_backpressure_locked(u64 now);
-  void evict_sweep_locked(u64 now);
-  void evict_locked(const std::string& path);
-  Session* find_locked(const std::string& key);
+  std::vector<std::shared_ptr<Session>> snapshot() const;
+  void apply_backpressure(const std::vector<std::shared_ptr<Session>>& all,
+                          u64 now);
+  void evict_sweep(const std::vector<std::shared_ptr<Session>>& all, u64 now);
+  void evict_locked(Table::iterator it);
+  /// Wire sessions in the table, and how many of them are still live.
+  std::pair<size_t, size_t> wire_counts_locked() const;
   std::string status_locked() const;
   void finalize_all();
   void watchdog_main();
 
   ServerOptions opts_;
   AdmissionController admission_;
-  IngestRegistry ingest_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Session>> sessions_;  // by path
+  std::unique_ptr<IngestMetrics> ingest_metrics_;
+  mutable std::mutex mu_;  ///< guards the table, ids and the scan schedule
+  Table sessions_;
   u64 next_id_ = 1;
   u64 next_scan_ns_ = 0;
   bool ever_attached_ = false;

@@ -1,6 +1,6 @@
 #include "serve/session.hpp"
 
-#include <optional>
+#include <algorithm>
 
 #include "analysis/report.hpp"
 #include "trace/record_schema.hpp"
@@ -22,7 +22,7 @@ std::optional<Topology> topology_by_name(const std::string& name) {
 
 const char* session_state_name(SessionState s) {
   switch (s) {
-    case SessionState::Tailing: return "tailing";
+    case SessionState::Live: return "live";
     case SessionState::Sealed: return "sealed";
     case SessionState::Crashed: return "crashed";
     case SessionState::Stale: return "stale";
@@ -46,132 +46,340 @@ std::string analysis_report_text(const Trace& trace) {
 Session::Session(u64 id, std::string path, const SessionOptions& opts)
     : id_(id),
       path_(path),
-      opts_(opts),
-      tailer_(std::move(path), opts.tailer) {}
+      stale_after_ns_(opts.stale_after_ns),
+      tailer_(std::make_unique<SpoolTailer>(std::move(path), opts.tailer)) {}
 
-u64 Session::resident_bytes() const {
-  if (finalized_) return schema::record_bytes(trace_);
-  return tailer_.resident_bytes();
+Session::Session(u64 id, wire::Token token, std::string name,
+                 u64 stale_after_ns, u64 now_ns)
+    : id_(id),
+      name_(std::move(name)),
+      token_(token),
+      stale_after_ns_(stale_after_ns),
+      last_activity_ns_(now_ns) {}
+
+const spool::IncrementalTrace* Session::live_locked() const {
+  return tailer_ ? tailer_->trace() : inc_.get();
 }
 
-const spool::RecoverReport* Session::report() const {
+const spool::RecoverReport* Session::report_locked() const {
   if (finalized_) return &report_;
-  if (const spool::IncrementalTrace* inc = tailer_.trace())
-    return &inc->report();
-  return nullptr;
+  const spool::IncrementalTrace* inc = live_locked();
+  return inc != nullptr ? &inc->report() : nullptr;
+}
+
+u64 Session::resident_locked() const {
+  if (finalized_) return schema::record_bytes(trace_);
+  if (tailer_) return tailer_->resident_bytes();
+  return inc_ ? inc_->resident_bytes() : 0;
 }
 
 size_t Session::tick(u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (finalized_) return 0;
   if (last_activity_ns_ == 0) last_activity_ns_ = now_ns;
   if (paused_) return 0;
-  const u64 size_before = tailer_.file_size();
-  const size_t applied = tailer_.poll(now_ns);
-  if (applied > 0 || tailer_.file_size() != size_before)
-    last_activity_ns_ = now_ns;
-  switch (tailer_.state()) {
-    case TailState::Sealed:
-      run_finalize(now_ns, SessionState::Sealed);
-      break;
-    case TailState::Crashed:
-      // Crash footer: the writer's emergency flush got through. Hand the
-      // stream to recovery immediately — nothing more will ever arrive.
-      run_finalize(now_ns, SessionState::Crashed);
-      break;
-    case TailState::Failed:
-      run_finalize(now_ns, SessionState::Failed);
-      break;
-    default:
-      if (now_ns - last_activity_ns_ >= opts_.stale_after_ns) {
-        // Footer-less writer death: no growth, no footer, deadline passed.
-        run_finalize(now_ns, SessionState::Stale);
-      }
-      break;
+  size_t applied = 0;
+  if (tailer_) {
+    const u64 size_before = tailer_->file_size();
+    applied = tailer_->poll(now_ns);
+    if (applied > 0 || tailer_->file_size() != size_before)
+      last_activity_ns_ = now_ns;
+    const TailState ts = tailer_->state();
+    if (ts == TailState::Sealed || ts == TailState::Crashed ||
+        ts == TailState::Failed) {
+      // A footer (or an unrecoverable stream) ends the file now; a crash
+      // footer hands the stream to recovery immediately.
+      finalize_locked(now_ns, natural_end_locked());
+      return applied;
+    }
+  }
+  // Connection threads stamp activity with their own clock reads, which may
+  // be fractionally ahead of this tick's `now`; the guarded comparison keeps
+  // the subtraction from underflowing into "stale for eons".
+  if (now_ns > last_activity_ns_ &&
+      now_ns - last_activity_ns_ >= stale_after_ns_) {
+    // Writer or client death: no growth, no footer, deadline passed.
+    finalize_locked(now_ns, natural_end_locked());
   }
   return applied;
 }
 
-void Session::pause(u64 now_ns) {
-  if (paused_ || finalized_) return;
+bool Session::pause(u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!tailer_ || paused_ || finalized_) return false;
   paused_ = true;
   // Pausing must not feed the staleness clock: a paused session's writer
   // may be perfectly alive.
   last_activity_ns_ = now_ns;
+  return true;
 }
 
-void Session::resume(u64 now_ns) {
-  if (!paused_) return;
+bool Session::resume(u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!paused_) return false;
   paused_ = false;
   last_activity_ns_ = now_ns;
+  return !finalized_;
+}
+
+bool Session::paused() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return paused_;
+}
+
+bool Session::tailing() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tailer_ && !paused_ && !finalized_;
 }
 
 void Session::finalize(u64 now_ns) {
-  if (finalized_) return;
-  SessionState end = SessionState::Stale;
-  switch (tailer_.state()) {
-    case TailState::Sealed: end = SessionState::Sealed; break;
-    case TailState::Crashed: end = SessionState::Crashed; break;
-    case TailState::Failed: end = SessionState::Failed; break;
-    default: break;
-  }
-  run_finalize(now_ns, end);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!finalized_) finalize_locked(now_ns, natural_end_locked());
 }
 
-void Session::run_finalize(u64 now_ns, SessionState end_state) {
-  if (finalized_) return;
-  finalized_ = true;
+SessionState Session::natural_end_locked() const {
+  if (tailer_) {
+    switch (tailer_->state()) {
+      case TailState::Sealed: return SessionState::Sealed;
+      case TailState::Crashed: return SessionState::Crashed;
+      case TailState::Failed: return SessionState::Failed;
+      default: return SessionState::Stale;
+    }
+  }
+  // A pushed footer ends the stream cleanly even if its SEAL never came.
+  return footer_seen_ ? SessionState::Sealed : SessionState::Stale;
+}
+
+const char* Session::finalize_locked(u64 now_ns, SessionState end,
+                                     spool::Step tail, u64 tail_offset,
+                                     u64 tail_len) {
   last_activity_ns_ = now_ns;
-  usable_ = tailer_.finalize();
-  if (const spool::IncrementalTrace* inc = tailer_.trace())
-    report_ = inc->report();
+  spool::IncrementalTrace* inc = tailer_ ? tailer_->trace() : inc_.get();
+  // The tail note batch recovery would stamp for the same final bytes
+  // (wording pinned by the parity tests), then finish(). The tailer knows
+  // its own unresolved tail; a wire stream's comes with its SEAL.
+  if (tailer_) {
+    usable_ = tailer_->finalize();
+  } else if (inc != nullptr) {
+    inc->note_tail(tail, tail_offset, tail_len);
+    usable_ = inc->finish();
+  }
+  if (inc != nullptr) report_ = inc->report();
+  const char* failure = nullptr;
   if (!usable_) {
-    state_ = SessionState::Failed;
-    return;
+    failure = "nothing recoverable";
+  } else {
+    // A crash footer is the better diagnosis than staleness or the seal
+    // that followed it.
+    if (!report_.crash_reason.empty() && end != SessionState::Failed)
+      end = SessionState::Crashed;
+    trace_ = std::move(inc->trace());
+    // The batch `gganalyze --recover` hand-off: degraded streams run the
+    // salvage pass before analysis, clean ones are used as-is.
+    if (report_.degraded()) salvage_trace(trace_);
+    if (!validate_trace(trace_).empty()) {
+      usable_ = false;
+      trace_ = Trace{};
+      failure = "trace failed validation";
+    }
   }
-  // A crash footer ends the stream in TailState::Crashed even when a stale
-  // deadline triggered the finalize; the footer is the better diagnosis.
-  if (!report_.crash_reason.empty() && end_state == SessionState::Stale)
-    end_state = SessionState::Crashed;
-  trace_ = std::move(tailer_.trace()->trace());
-  // The batch `gganalyze --recover` hand-off: degraded streams run the
-  // salvage pass before analysis, clean ones are used as-is.
-  if (report_.degraded()) salvage_trace(trace_);
-  if (!validate_trace(trace_).empty()) {
-    usable_ = false;
-    state_ = SessionState::Failed;
-    return;
-  }
-  state_ = end_state;
+  inc_.reset();
+  state_ = usable_ ? end : SessionState::Failed;
+  finalized_.store(true, std::memory_order_release);
+  return failure;
 }
 
-std::string Session::status_line() const {
-  const spool::RecoverReport* rep = report();
-  std::string line = "session " + std::to_string(id_) + " " + path_ + " " +
-                     session_state_name(state_);
+Session::Apply Session::offer(u32 num_workers, u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_activity_ns_ = now_ns;
+  if (finalized_) {
+    return {wire::Status::SessionErr, acked_seq_, "stream already finalized"};
+  }
+  if (inc_) {
+    if (num_workers != num_workers_) {
+      return {wire::Status::SessionErr, acked_seq_,
+              "OFFER worker count " + std::to_string(num_workers) +
+                  " conflicts with accepted " + std::to_string(num_workers_)};
+    }
+    return {wire::Status::Ok, acked_seq_, "offer accepted (resume)"};
+  }
+  inc_ = std::make_unique<spool::IncrementalTrace>(num_workers);
+  num_workers_ = num_workers;
+  return {wire::Status::Ok, acked_seq_, "offer accepted"};
+}
+
+Session::Apply Session::apply_epoch(u32 seq, const wire::EpochMsg& msg,
+                                    u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_activity_ns_ = now_ns;
+  if (finalized_)
+    return {wire::Status::SessionErr, acked_seq_, "stream already finalized"};
+  if (!inc_)
+    return {wire::Status::BadProto, acked_seq_, "EPOCH before OFFER"};
+  if (seq == 0)
+    return {wire::Status::BadProto, acked_seq_, "EPOCH seq 0"};
+  if (seq <= acked_seq_) {
+    // Retransmit of an already-applied epoch (resume overlap): re-ACK, do
+    // not fold it twice.
+    return {wire::Status::Ok, acked_seq_, "duplicate"};
+  }
+  if (seq != acked_seq_ + 1) {
+    return {wire::Status::SessionErr, acked_seq_,
+            "EPOCH seq " + std::to_string(seq) + " skips acked " +
+                std::to_string(acked_seq_)};
+  }
+  if (footer_seen_) {
+    // The walker ends every stream at its verified footer; bytes after it
+    // never reach the trace, so accepting them here would break parity.
+    return {wire::Status::SessionErr, acked_seq_, "EPOCH after footer"};
+  }
+  spool::FrameStep f = spool::next_frame(msg.spool_frame, 0);
+  if (f.step == spool::Step::Garbled) {
+    return {wire::Status::SessionErr, acked_seq_,
+            "EPOCH does not carry a spool frame (bad inner magic)"};
+  }
+  if (f.step != spool::Step::Frame || f.size() != msg.spool_frame.size()) {
+    // Exactly one complete frame per EPOCH; a length that disagrees with
+    // the carried bytes is a client bug, not stream damage (damage with a
+    // lying length is an overrun tail, expressed via SEAL).
+    return {wire::Status::SessionErr, acked_seq_,
+            "inner frame length " + std::to_string(f.payload_len) +
+                " does not match carried bytes"};
+  }
+  f.offset = msg.spool_offset;  // diagnostics name the source offset
+  inc_->apply_frames({&f, 1}, 1);
+  footer_seen_ = f.footer;
+  acked_seq_ = seq;
+  return {wire::Status::Ok, acked_seq_, {}};
+}
+
+Session::Apply Session::seal(const wire::SealMsg& msg, u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (finalized_) {
+    // Resume after a lost final ACK: the stream is already finalized with
+    // exactly these bytes; just re-ACK so the client can finish.
+    return {usable_ ? wire::Status::Ok : wire::Status::SessionErr, acked_seq_,
+            usable_ ? "sealed" : "finalized unusable"};
+  }
+  if (!inc_)
+    return {wire::Status::BadProto, acked_seq_, "SEAL before OFFER"};
+  const char* failure =
+      finalize_locked(now_ns, SessionState::Sealed, wire::tail_step(msg.end),
+                      msg.end_offset, msg.end_len);
+  if (failure != nullptr)
+    return {wire::Status::SessionErr, acked_seq_, failure};
+  return {wire::Status::Ok, acked_seq_, "sealed"};
+}
+
+u64 Session::adopt() {
+  return generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
+}
+
+u64 Session::generation() const {
+  return generation_.load(std::memory_order_acquire);
+}
+
+bool Session::offered() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return inc_ != nullptr || finalized_;
+}
+
+u64 Session::acked_seq() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return acked_seq_;
+}
+
+SessionState Session::state() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return state_;
+}
+
+bool Session::usable() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return usable_;
+}
+
+u64 Session::idle_since_ns() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::max(last_activity_ns_, last_query_ns_);
+}
+
+void Session::touch_query(u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_query_ns_ = now_ns;
+}
+
+u64 Session::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return resident_locked();
+}
+
+std::optional<spool::RecoverReport> Session::report() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const spool::RecoverReport* rep = report_locked();
+  if (rep == nullptr) return std::nullopt;
+  return *rep;
+}
+
+const Trace* Session::trace() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return finalized_ && usable_ ? &trace_ : nullptr;
+}
+
+std::string Session::status_line(bool wait) const {
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (wait) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return {};
+  }
+  const spool::RecoverReport* rep = report_locked();
+  std::string line =
+      wire() ? "ingest " + std::to_string(id_) + " " +
+                   (name_.empty() ? "(unnamed)" : name_) +
+                   " token=" + token_.hex().substr(0, 12)
+             : "session " + std::to_string(id_) + " " + path_;
+  line += " ";
+  line += session_state_name(state_);
   if (paused_) line += " (paused)";
   line += " frames=" + std::to_string(rep ? rep->frames_kept : 0);
   u64 epochs = 0;
   if (rep != nullptr)
     for (u64 e : rep->epochs_per_worker) epochs += e;
   line += " epochs=" + std::to_string(epochs);
-  line += " resident=" + std::to_string(resident_bytes());
+  if (wire()) line += " acked=" + std::to_string(acked_seq_);
+  line += " resident=" + std::to_string(resident_locked());
   if (rep != nullptr && !rep->crash_reason.empty())
     line += " crash=\"" + rep->crash_reason + "\"";
   return line;
 }
 
+std::string Session::summary() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const spool::RecoverReport* rep = report_locked();
+  if (rep == nullptr) return "no data yet\n";
+  return rep->summary() + "\n";
+}
+
 std::string Session::report_text() const {
-  if (finalized_) {
-    if (!usable_) return {};
-    return analysis_report_text(trace_);
+  Trace copy;
+  bool final = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (finalized_) {
+      if (!usable_) return {};
+      final = true;
+    } else {
+      const spool::IncrementalTrace* inc = live_locked();
+      if (inc == nullptr) return {};
+      copy = inc->trace();
+    }
   }
-  const spool::IncrementalTrace* inc = tailer_.trace();
-  if (inc == nullptr) return {};
-  // Live snapshot: copy the accumulating records, apply the same repairs
-  // finalize would (region bounds, provenance-free finalize, salvage), and
-  // analyze the copy. The live answer converges on the finalized one as
-  // the tail catches up.
-  Trace copy = inc->trace();
+  // A finalized trace never changes again, so it is analyzed after the
+  // lock is released; the caller's reference keeps this session alive.
+  if (final) return analysis_report_text(trace_);
+  // Live snapshot: the repairs finalize would make (region bounds,
+  // provenance-free finalize, salvage), applied to the copy.
   spool::IncrementalTrace::extend_region_to_records(copy);
   copy.finalize();
   salvage_trace(copy);

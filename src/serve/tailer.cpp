@@ -10,6 +10,14 @@
 
 namespace gg::serve {
 
+namespace {
+
+/// Per-poll read ceiling, so one huge backlog cannot starve other sessions
+/// of the supervision loop.
+constexpr u64 kMaxReadBytes = 1 << 20;
+
+}  // namespace
+
 const char* tail_state_name(TailState s) {
   switch (s) {
     case TailState::Opening: return "opening";
@@ -169,7 +177,7 @@ size_t SpoolTailer::poll(u64 now_ns) {
   }
   file_size_ = size;
   u64 read_from = base_ + pending_.size();
-  u64 budget = opts_.max_read_bytes;
+  u64 budget = kMaxReadBytes;
   bool grew = false;
   char buf[64 * 1024];
   while (read_from < size && budget > 0) {

@@ -42,9 +42,6 @@ struct TailerOptions {
   /// How long a tail may stay torn before it is eligible for escalation
   /// (and even then only past a later valid frame; see above).
   u64 torn_deadline_ns = 5'000'000'000;
-  /// Per-poll read ceiling, so one huge backlog cannot starve other
-  /// sessions of the ingest loop.
-  u64 max_read_bytes = 1 << 20;
 };
 
 enum class TailState : u8 {

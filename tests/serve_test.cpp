@@ -779,7 +779,7 @@ TEST(ServeChaosTest, ForkKillWritersRecoverWithBatchParityAndLossBound) {
       // Every session recovered (usable), none silently dropped.
       EXPECT_TRUE(s.finalized());
       EXPECT_TRUE(s.usable());
-      ASSERT_NE(s.report(), nullptr);
+      ASSERT_TRUE(s.report().has_value());
       // Live/batch parity: same recovery report, same analysis text.
       EXPECT_EQ(s.report()->summary(), batch.rr.report.summary());
       EXPECT_EQ(s.report_text(), batch.report_text);

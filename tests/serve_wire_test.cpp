@@ -15,11 +15,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,6 +37,7 @@
 #include "serve/session.hpp"
 #include "serve/wire.hpp"
 #include "serve/wire_client.hpp"
+#include "trace/record_schema.hpp"
 #include "trace/salvage.hpp"
 #include "trace/spool.hpp"
 #include "trace/synth.hpp"
@@ -255,20 +258,29 @@ TEST(WireCodecTest, StrictDecodersRejectMalformedPayloads) {
 
 struct WireFixture {
   obs::Registry reg;
-  serve::IngestOptions opts;
-  std::unique_ptr<serve::IngestRegistry> registry;
+  u64 now = kT0;
+  std::unique_ptr<serve::Server> server;
 
-  explicit WireFixture(serve::IngestOptions o = {}) : opts(o) {
-    registry = std::make_unique<serve::IngestRegistry>(opts, &reg);
+  /// A server that is never run(): the test drives connections and ticks
+  /// on its fake clock.
+  explicit WireFixture(serve::ServerOptions o = {}) {
+    o.telemetry = &reg;
+    o.clock = [this] { return now; };
+    server = std::make_unique<serve::Server>(o);
   }
 
-  /// Pushes a whole spool byte stream through one socketless connection.
-  void push_all(const std::string& bytes, const Token& tok,
-                std::string* out) {
-    serve::IngestConnection conn(registry.get(), nullptr);
-    u64 now = kT0;
+  std::shared_ptr<serve::Session> find(const Token& tok) const {
+    return server->find(tok.hex());
+  }
+
+  /// Pushes a whole spool byte stream through one socketless connection,
+  /// starting at the fixture's clock.
+  void push_all(const std::string& bytes, const Token& tok, std::string* out,
+                const std::string& name = "t") {
+    serve::IngestConnection conn(server.get());
+    u64 now = this->now;
     ASSERT_TRUE(
-        conn.on_bytes(serve::wire::encode_hello(tok, 0, "t"), out, now));
+        conn.on_bytes(serve::wire::encode_hello(tok, 0, name), out, now));
     ASSERT_TRUE(conn.on_bytes(
         serve::wire::encode_offer(spool_num_workers(bytes), 0), out, now));
     u32 seq = 1;
@@ -298,9 +310,9 @@ TEST(IngestConnectionTest, CleanPushMatchesBatchRecovery) {
   for (const auto& a : acks) EXPECT_EQ(a.status, serve::wire::Status::Ok);
   EXPECT_EQ(acks.back().message, "sealed");
 
-  auto stream = fx.registry->find(test_token(1));
+  auto stream = fx.find(test_token(1));
   ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
+  EXPECT_EQ(stream->state(), serve::SessionState::Sealed);
   EXPECT_TRUE(stream->usable());
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
@@ -313,7 +325,7 @@ TEST(IngestConnectionTest, DuplicateEpochsDedupedOnSeq) {
   const auto frames = spool::scan_frames(bytes);
   ASSERT_GE(frames.size(), 3u);
 
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(serve::wire::encode_hello(test_token(2), 0, "d"),
                             &out, kT0));
@@ -343,7 +355,7 @@ TEST(IngestConnectionTest, DuplicateEpochsDedupedOnSeq) {
   const auto gap_acks = parse_acks(out);
   ASSERT_EQ(gap_acks.size(), 1u);
   EXPECT_EQ(gap_acks[0].status, serve::wire::Status::SessionErr);
-  auto stream = fx.registry->find(test_token(2));
+  auto stream = fx.find(test_token(2));
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->acked_seq(), 2u);
   EXPECT_FALSE(stream->finalized());
@@ -351,7 +363,7 @@ TEST(IngestConnectionTest, DuplicateEpochsDedupedOnSeq) {
 
 TEST(IngestConnectionTest, EpochBeforeOfferIsBadProto) {
   WireFixture fx;
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(serve::wire::encode_hello(test_token(3), 0, "x"),
                             &out, kT0));
@@ -370,7 +382,7 @@ TEST(IngestConnectionTest, PoisonedWireKillsConnectionNotSession) {
   const std::string bytes = make_spool_bytes(4);
   const auto frames = spool::scan_frames(bytes);
 
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(serve::wire::encode_hello(test_token(4), 0, "p"),
                             &out, kT0));
@@ -395,11 +407,11 @@ TEST(IngestConnectionTest, PoisonedWireKillsConnectionNotSession) {
   EXPECT_EQ(acks[0].status, serve::wire::Status::BadProto);
 
   // The session survived: a new connection resumes at acked=1 and finishes.
-  auto stream = fx.registry->find(test_token(4));
+  auto stream = fx.find(test_token(4));
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->acked_seq(), 1u);
 
-  serve::IngestConnection conn2(fx.registry.get(), nullptr);
+  serve::IngestConnection conn2(fx.server.get());
   std::string out2;
   ASSERT_TRUE(conn2.on_bytes(
       serve::wire::encode_hello(test_token(4), 1, "p"), &out2, kT0));
@@ -420,7 +432,7 @@ TEST(IngestConnectionTest, PoisonedWireKillsConnectionNotSession) {
       serve::wire::encode_seal(seq, serve::wire::EndKind::Clean,
                                bytes.size(), 0),
       &out2, kT0));
-  EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
+  EXPECT_EQ(stream->state(), serve::SessionState::Sealed);
   EXPECT_EQ(stream->report_text(), batch_report(bytes));
 }
 
@@ -429,7 +441,7 @@ TEST(IngestConnectionTest, NewerConnectionSupersedesZombie) {
   const std::string bytes = make_spool_bytes(5);
   const auto frames = spool::scan_frames(bytes);
 
-  serve::IngestConnection zombie(fx.registry.get(), nullptr);
+  serve::IngestConnection zombie(fx.server.get());
   std::string out;
   ASSERT_TRUE(zombie.on_bytes(
       serve::wire::encode_hello(test_token(5), 0, "z"), &out, kT0));
@@ -437,7 +449,7 @@ TEST(IngestConnectionTest, NewerConnectionSupersedesZombie) {
       serve::wire::encode_offer(spool_num_workers(bytes), 0), &out, kT0));
 
   // A second connection HELLOs the same token: it adopts the stream.
-  serve::IngestConnection fresh(fx.registry.get(), nullptr);
+  serve::IngestConnection fresh(fx.server.get());
   std::string out2;
   ASSERT_TRUE(fresh.on_bytes(
       serve::wire::encode_hello(test_token(5), 0, "z"), &out2, kT0));
@@ -451,23 +463,23 @@ TEST(IngestConnectionTest, NewerConnectionSupersedesZombie) {
                            frames[0].size)),
       &out, kT0));
   EXPECT_NE(zombie.close_reason().find("superseded"), std::string::npos);
-  auto stream = fx.registry->find(test_token(5));
+  auto stream = fx.find(test_token(5));
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->acked_seq(), 0u);
 }
 
 TEST(IngestConnectionTest, SessionCapShedsNewTokensOnly) {
-  serve::IngestOptions opts;
-  opts.max_sessions = 1;
+  serve::ServerOptions opts;
+  opts.ingest.max_sessions = 1;
   WireFixture fx(opts);
 
-  serve::IngestConnection first(fx.registry.get(), nullptr);
+  serve::IngestConnection first(fx.server.get());
   std::string out;
   ASSERT_TRUE(first.on_bytes(
       serve::wire::encode_hello(test_token(6), 0, "a"), &out, kT0));
 
   // A second brand-new token is shed at the cap...
-  serve::IngestConnection second(fx.registry.get(), nullptr);
+  serve::IngestConnection second(fx.server.get());
   std::string out2;
   EXPECT_FALSE(second.on_bytes(
       serve::wire::encode_hello(test_token(7), 0, "b"), &out2, kT0));
@@ -476,7 +488,7 @@ TEST(IngestConnectionTest, SessionCapShedsNewTokensOnly) {
   EXPECT_EQ(acks[0].status, serve::wire::Status::Shed);
 
   // ...but a resume of the accepted token is always admitted.
-  serve::IngestConnection resume(fx.registry.get(), nullptr);
+  serve::IngestConnection resume(fx.server.get());
   std::string out3;
   EXPECT_TRUE(resume.on_bytes(
       serve::wire::encode_hello(test_token(6), 0, "a"), &out3, kT0));
@@ -485,13 +497,11 @@ TEST(IngestConnectionTest, SessionCapShedsNewTokensOnly) {
 
 TEST(IngestConnectionTest, DegradeLadderShedsOffersOfEmptyStreamsOnly) {
   WireFixture fx;
-  bool admit = true;
-  const auto gate = [&admit] { return admit; };
   const std::string bytes = make_spool_bytes(8);
   const auto frames = spool::scan_frames(bytes);
 
   // Accepted while Normal: HELLO + OFFER + one epoch.
-  serve::IngestConnection conn(fx.registry.get(), gate);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(serve::wire::encode_hello(test_token(8), 0, "g"),
                             &out, kT0));
@@ -505,8 +515,10 @@ TEST(IngestConnectionTest, DegradeLadderShedsOffersOfEmptyStreamsOnly) {
       &out, kT0));
 
   // Degraded: a brand-new stream's OFFER is shed before any tailer pauses.
-  admit = false;
-  serve::IngestConnection fresh(fx.registry.get(), gate);
+  serve::AdmissionController& adm = fx.server->admission();
+  adm.update(adm.budget_bytes(), 1);
+  ASSERT_NE(adm.level(), serve::DegradeLevel::Normal);
+  serve::IngestConnection fresh(fx.server.get());
   std::string out2;
   ASSERT_TRUE(fresh.on_bytes(
       serve::wire::encode_hello(test_token(9), 0, "n"), &out2, kT0));
@@ -516,7 +528,7 @@ TEST(IngestConnectionTest, DegradeLadderShedsOffersOfEmptyStreamsOnly) {
 
   // But the stream that already holds data resumes through the same gate:
   // an accepted session is never abandoned by admission.
-  serve::IngestConnection resume(fx.registry.get(), gate);
+  serve::IngestConnection resume(fx.server.get());
   std::string out3;
   ASSERT_TRUE(resume.on_bytes(
       serve::wire::encode_hello(test_token(8), 1, "g"), &out3, kT0));
@@ -527,11 +539,11 @@ TEST(IngestConnectionTest, DegradeLadderShedsOffersOfEmptyStreamsOnly) {
 }
 
 TEST(IngestConnectionTest, WireBufferCapDisconnectsResumably) {
-  serve::IngestOptions opts;
-  opts.max_wire_buffer_bytes = 4096;
+  serve::ServerOptions opts;
+  opts.ingest.max_wire_buffer_bytes = 4096;
   WireFixture fx(opts);
 
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(
       serve::wire::encode_hello(test_token(10), 0, "cap"), &out, kT0));
@@ -554,12 +566,12 @@ TEST(IngestConnectionTest, WireBufferCapDisconnectsResumably) {
   const auto acks = parse_acks(out);
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].status, serve::wire::Status::SessionErr);
-  EXPECT_NE(fx.registry->find(test_token(10)), nullptr);
+  EXPECT_NE(fx.find(test_token(10)), nullptr);
 }
 
 TEST(IngestConnectionTest, ReadTimeoutAnswersStructuredAck) {
   WireFixture fx;
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(
       serve::wire::encode_hello(test_token(11), 0, "slow"), &out, kT0));
@@ -571,18 +583,18 @@ TEST(IngestConnectionTest, ReadTimeoutAnswersStructuredAck) {
   EXPECT_EQ(acks[0].status, serve::wire::Status::SessionErr);
   EXPECT_EQ(acks[0].message, "read timeout");
   // Resumable: the stream is still in the table.
-  EXPECT_NE(fx.registry->find(test_token(11)), nullptr);
+  EXPECT_NE(fx.find(test_token(11)), nullptr);
 }
 
-TEST(IngestRegistryTest, SweepFinalizesStaleAndEvictsIdle) {
-  serve::IngestOptions opts;
-  opts.stale_after_ns = 1000;
-  opts.evict_after_ns = 5000;
+TEST(WireSessionTest, SweepFinalizesStaleAsFooterlessAndEvictsIdle) {
+  serve::ServerOptions opts;
+  opts.ingest.stale_after_ns = 1000;
+  opts.session.evict_after_ns = 5000;
   WireFixture fx(opts);
 
   const std::string bytes = make_spool_bytes(12);
   const auto frames = spool::scan_frames(bytes);
-  serve::IngestConnection conn(fx.registry.get(), nullptr);
+  serve::IngestConnection conn(fx.server.get());
   std::string out;
   ASSERT_TRUE(conn.on_bytes(
       serve::wire::encode_hello(test_token(12), 0, "st"), &out, kT0));
@@ -595,56 +607,65 @@ TEST(IngestRegistryTest, SweepFinalizesStaleAndEvictsIdle) {
                            frames[0].size)),
       &out, kT0));
 
-  auto stream = fx.registry->find(test_token(12));
+  auto stream = fx.find(test_token(12));
   ASSERT_NE(stream, nullptr);
   EXPECT_FALSE(stream->finalized());
 
-  // No traffic past stale_after_ns: the sweep finalizes with what arrived.
-  fx.registry->sweep(kT0 + 2000);
+  // No traffic past stale_after_ns: the sweep finalizes with what arrived,
+  // as a footer-less end — the state a file session reaches the same way.
+  fx.now = kT0 + 2000;
+  fx.server->tick();
   EXPECT_TRUE(stream->finalized());
-  EXPECT_EQ(fx.registry->stream_count(), 1u);
+  EXPECT_EQ(stream->state(), serve::SessionState::Stale);
+  ASSERT_TRUE(stream->report().has_value());
+  EXPECT_TRUE(stream->report()->partial());
+  EXPECT_EQ(fx.server->session_count(), 1u);
 
   // Unqueried past evict_after_ns: evicted.
-  fx.registry->sweep(kT0 + 2000 + 6000);
-  EXPECT_EQ(fx.registry->stream_count(), 0u);
+  fx.now = kT0 + 2000 + 6000;
+  fx.server->tick();
+  EXPECT_EQ(fx.server->session_count(), 0u);
 }
 
-TEST(IngestRegistryTest, FindByKeyResolvesIdNameAndTokenPrefix) {
+TEST(WireSessionTest, FindResolvesIdNameAndTokenPrefix) {
   WireFixture fx;
-  const u64 now = kT0;
-  auto h = fx.registry->hello(test_token(13), "alpha", now);
-  ASSERT_NE(h.stream, nullptr);
+  auto h = fx.server->hello(test_token(13), "alpha", kT0);
+  ASSERT_NE(h.session, nullptr);
   EXPECT_TRUE(h.created);
 
-  EXPECT_EQ(fx.registry->find_by_key(std::to_string(h.stream->id())),
-            h.stream);
-  EXPECT_EQ(fx.registry->find_by_key("alpha"), h.stream);
-  EXPECT_EQ(fx.registry->find_by_key(h.stream->token().hex().substr(0, 12)),
-            h.stream);
-  EXPECT_EQ(fx.registry->find_by_key("nope"), nullptr);
-  EXPECT_EQ(fx.registry->find_by_key("abc"), nullptr);  // prefix too short
+  EXPECT_EQ(fx.server->find(std::to_string(h.session->id())), h.session);
+  EXPECT_EQ(fx.server->find("alpha"), h.session);
+  EXPECT_EQ(fx.server->find(h.session->token().hex().substr(0, 12)),
+            h.session);
+  EXPECT_EQ(fx.server->find("nope"), nullptr);
+  EXPECT_EQ(fx.server->find("abc"), nullptr);  // prefix too short
 }
 
 // --- live sockets: client, faults, resume ----------------------------------
 
 struct LiveServer {
   obs::Registry reg;
-  serve::IngestOptions opts;
-  std::unique_ptr<serve::IngestRegistry> registry;
+  std::unique_ptr<serve::Server> server;
   std::unique_ptr<serve::IngestListener> listener;
   std::string socket_path = temp_path("sock");
 
-  explicit LiveServer(serve::IngestOptions o = {}) : opts(o) {
-    registry = std::make_unique<serve::IngestRegistry>(opts, &reg);
-    listener = std::make_unique<serve::IngestListener>(
-        socket_path, registry.get(), nullptr,
-        [] { return obs::mono_ns(); });
+  /// A server that is never run() (no ticks): only its ingest listener.
+  LiveServer() {
+    serve::ServerOptions opts;
+    opts.telemetry = &reg;
+    server = std::make_unique<serve::Server>(opts);
+    listener =
+        std::make_unique<serve::IngestListener>(socket_path, server.get());
     std::string err;
     if (!listener->start(&err)) ADD_FAILURE() << err;
   }
   ~LiveServer() {
     if (listener) listener->stop();
     ::unlink(socket_path.c_str());
+  }
+
+  std::shared_ptr<serve::Session> find(const Token& tok) const {
+    return server->find(tok.hex());
   }
 };
 
@@ -668,9 +689,9 @@ TEST(WireClientTest, CleanPushOverSocketMatchesBatch) {
   EXPECT_TRUE(client.sealed());
   client.bye();
 
-  auto stream = srv.registry->find(client.token());
+  auto stream = srv.find(client.token());
   ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
+  EXPECT_EQ(stream->state(), serve::SessionState::Sealed);
   EXPECT_EQ(stream->report_text(), batch_report(bytes));
   EXPECT_EQ(stream->acked_seq(), client.acked_seq());
 }
@@ -687,7 +708,7 @@ TEST(WireClientTest, DamagedSourceSpoolSealsWithBatchIdenticalTail) {
   std::string err;
   ASSERT_TRUE(client.push_bytes(bytes, &err)) << err;
 
-  auto stream = srv.registry->find(client.token());
+  auto stream = srv.find(client.token());
   ASSERT_NE(stream, nullptr);
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
@@ -725,10 +746,10 @@ TEST(WireClientTest, PushEndsOnlyAtAVerifiedFooter) {
     serve::WireClient client(client_opts(srv.socket_path, ++seed));
     std::string err;
     ASSERT_TRUE(client.push_bytes(sh.bytes, &err)) << sh.what << ": " << err;
-    auto stream = srv.registry->find(client.token());
+    auto stream = srv.find(client.token());
     ASSERT_NE(stream, nullptr) << sh.what;
-    EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << sh.what;
-    ASSERT_NE(stream->report(), nullptr) << sh.what;
+    EXPECT_EQ(stream->state(), serve::SessionState::Sealed) << sh.what;
+    ASSERT_TRUE(stream->report().has_value()) << sh.what;
     EXPECT_EQ(stream->report()->summary(), batch_summary(sh.bytes))
         << sh.what;
     EXPECT_EQ(stream->report_text(), batch_report(sh.bytes)) << sh.what;
@@ -771,10 +792,10 @@ TEST(WireClientTest, FollowIdleSealClassifiesATornPayloadLikeBatch) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
 
-  auto stream = srv.registry->find(
+  auto stream = srv.find(
       serve::WireClient(client_opts(srv.socket_path, kSeed)).token());
   ASSERT_NE(stream, nullptr);
-  ASSERT_NE(stream->report(), nullptr);
+  ASSERT_TRUE(stream->report().has_value());
   const std::string batch = batch_summary(bytes);
   EXPECT_NE(batch.find("frames=44/45"), std::string::npos) << batch;
   EXPECT_EQ(stream->report()->summary(), batch);
@@ -827,9 +848,9 @@ TEST(WireClientTest, ClientSideFaultMatrixRecoversWithParity) {
     ASSERT_TRUE(client.push_bytes(bytes, &err)) << fc.name << ": " << err;
     EXPECT_GE(client.faults_injected(), 1u) << fc.name;
 
-    auto stream = srv.registry->find(client.token());
+    auto stream = srv.find(client.token());
     ASSERT_NE(stream, nullptr) << fc.name;
-    EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << fc.name;
+    EXPECT_EQ(stream->state(), serve::SessionState::Sealed) << fc.name;
     EXPECT_EQ(stream->report_text(), batch) << fc.name;
   }
 }
@@ -851,9 +872,9 @@ TEST(WireClientTest, ProxyInjectedFaultMatrixRecoversWithParity) {
     ASSERT_TRUE(client.push_bytes(bytes, &err)) << fc.name << ": " << err;
     EXPECT_GE(proxy.injections(), 1u) << fc.name;
 
-    auto stream = srv.registry->find(client.token());
+    auto stream = srv.find(client.token());
     ASSERT_NE(stream, nullptr) << fc.name;
-    EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << fc.name;
+    EXPECT_EQ(stream->state(), serve::SessionState::Sealed) << fc.name;
     EXPECT_EQ(stream->report_text(), batch) << fc.name;
     proxy.stop();
   }
@@ -893,9 +914,9 @@ TEST(WireChaosTest, KilledClientResumesFromAnotherProcess) {
   std::string err;
   ASSERT_TRUE(resumed.push_bytes(bytes, &err)) << err;
 
-  auto stream = srv.registry->find(resumed.token());
+  auto stream = srv.find(resumed.token());
   ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
+  EXPECT_EQ(stream->state(), serve::SessionState::Sealed);
   EXPECT_EQ(stream->report_text(), batch_report(bytes));
 }
 
@@ -908,10 +929,11 @@ TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
   constexpr u64 kSeed = 88;
 
   obs::Registry reg1;
-  auto registry1 =
-      std::make_unique<serve::IngestRegistry>(serve::IngestOptions{}, &reg1);
-  auto listener1 = std::make_unique<serve::IngestListener>(
-      socket_path, registry1.get(), nullptr, [] { return obs::mono_ns(); });
+  serve::ServerOptions sopts1;
+  sopts1.telemetry = &reg1;
+  auto server1 = std::make_unique<serve::Server>(sopts1);
+  auto listener1 =
+      std::make_unique<serve::IngestListener>(socket_path, server1.get());
   std::string err;
   ASSERT_TRUE(listener1->start(&err)) << err;
 
@@ -936,28 +958,29 @@ TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
 
   // Wait until the first daemon has durably acked a few epochs (the push
   // is provably mid-stream), then kill it, hold it down briefly, and
-  // restart with a fresh (empty) registry on the same socket path.
+  // restart with a fresh (empty) server on the same socket path.
   const auto token = serve::WireClient(copts).token();
   for (int i = 0; i < 2000; ++i) {
-    auto live = registry1->find(token);
+    auto live = server1->find(token.hex());
     if (live != nullptr && live->acked_seq() >= 2) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
-    auto live = registry1->find(token);
+    auto live = server1->find(token.hex());
     ASSERT_NE(live, nullptr);
     ASSERT_GE(live->acked_seq(), 2u);
-    ASSERT_EQ(live->state(), serve::IngestState::Open);
+    ASSERT_EQ(live->state(), serve::SessionState::Live);
   }
   listener1->stop();
   listener1.reset();
-  registry1.reset();
+  server1.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   obs::Registry reg2;
-  serve::IngestRegistry registry2(serve::IngestOptions{}, &reg2);
-  serve::IngestListener listener2(socket_path, &registry2, nullptr,
-                                  [] { return obs::mono_ns(); });
+  serve::ServerOptions sopts2;
+  sopts2.telemetry = &reg2;
+  serve::Server server2(sopts2);
+  serve::IngestListener listener2(socket_path, &server2);
   ASSERT_TRUE(listener2.start(&err)) << err;
 
   pusher.join();
@@ -965,9 +988,9 @@ TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
 
   // The stream must have landed complete in the restarted daemon.
   serve::WireClient probe(client_opts(socket_path, kSeed));
-  auto stream = registry2.find(probe.token());
+  auto stream = server2.find(probe.token().hex());
   ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
+  EXPECT_EQ(stream->state(), serve::SessionState::Sealed);
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
   EXPECT_EQ(stream->report_text(), batch);
@@ -977,7 +1000,7 @@ TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
 
 // --- Server integration: ingest socket + query surface ---------------------
 
-TEST(ServerWireTest, IngestStreamsAnswerTheQuerySurface) {
+TEST(ServerWireTest, WireSessionsAnswerTheQuerySurface) {
   serve::ServerOptions opts;
   opts.ingest_socket_path = temp_path("srvingest");
   opts.socket_path = temp_path("srvquery");
@@ -1014,6 +1037,137 @@ TEST(ServerWireTest, IngestStreamsAnswerTheQuerySurface) {
 
   server.stop();
   runner.join();
+}
+
+TEST(ServerWireTest, LiveWireSessionAnswersWhileFramesArrive) {
+  // The race probe (run it under TSan): every answer about a live wire
+  // session is built under the session's lock while a connection thread
+  // folds frames into it.
+  WireFixture fx;
+  const std::string bytes = make_spool_bytes(31, /*grains=*/4000);
+  std::atomic<bool> pushed{false};
+  std::thread pusher([&] {
+    std::string out;
+    fx.push_all(bytes, test_token(31), &out, "live");
+    pushed.store(true, std::memory_order_release);
+  });
+  size_t live_answers = 0;
+  while (!pushed.load(std::memory_order_acquire)) {
+    const std::string summary = fx.server->query("SUMMARY live");
+    if (summary.find("frames=") != std::string::npos) ++live_answers;
+    fx.server->query("SESSIONS");
+    fx.server->query("STATUS");
+  }
+  pusher.join();
+  EXPECT_GT(live_answers, 0u);
+  EXPECT_EQ(fx.server->query("SUMMARY live"), batch_summary(bytes) + "\n");
+  EXPECT_EQ(fx.server->query("REPORT live"), batch_report(bytes));
+}
+
+TEST(ServerWireTest, FileAndWireSessionsShareIdsAndOneResolver) {
+  const std::string dir = temp_path("mixed");
+  fs::create_directories(dir);
+  const std::string path = dir + "/a.ggspool";
+  const std::string file_bytes = make_spool_bytes(40);
+  std::ofstream(path, std::ios::binary) << file_bytes;
+
+  WireFixture fx;
+  ASSERT_TRUE(fx.server->attach(path));
+  // Two wire clients; the second is named like the file's basename.
+  const Token alpha_tok{0xaaaaaa0000000000ull, 1};
+  const Token shadow_tok{0xbbbbbb0000000000ull, 2};
+  const std::string alpha = make_spool_bytes(41);
+  const std::string shadow = make_spool_bytes(42);
+  std::string out;
+  fx.push_all(alpha, alpha_tok, &out, "alpha");
+  fx.push_all(shadow, shadow_tok, &out, "a.ggspool");
+  for (int i = 0; i < 10; ++i) {
+    fx.server->tick();
+    fx.now += 20'000'000;
+  }
+
+  // One id space: SUMMARY <id> reaches each session.
+  const auto file = fx.server->find(path);
+  const auto wa = fx.find(alpha_tok);
+  const auto wb = fx.find(shadow_tok);
+  ASSERT_NE(file, nullptr);
+  ASSERT_NE(wa, nullptr);
+  ASSERT_NE(wb, nullptr);
+  EXPECT_EQ(std::set<u64>({file->id(), wa->id(), wb->id()}).size(), 3u);
+  const auto summary = [&](const std::string& key) {
+    return fx.server->query("SUMMARY " + key);
+  };
+  EXPECT_EQ(summary(std::to_string(file->id())),
+            batch_summary(file_bytes) + "\n");
+  EXPECT_EQ(summary(std::to_string(wa->id())), batch_summary(alpha) + "\n");
+  EXPECT_EQ(summary(std::to_string(wb->id())), batch_summary(shadow) + "\n");
+
+  // The resolver: exact path, then a unique basename or client name, then
+  // a unique token prefix of at least 6 hex chars. A key that matches two
+  // sessions at one step resolves to none.
+  EXPECT_EQ(fx.server->find("alpha"), wa);
+  EXPECT_EQ(summary("a.ggspool"), "ERR no such session: a.ggspool\n");
+  EXPECT_EQ(fx.server->find("bbbbbb"), wb);
+  EXPECT_EQ(fx.server->find("bbbbb"), nullptr);
+
+  // EVICT works on a wire session, and is counted as a wire eviction.
+  EXPECT_EQ(fx.server->query("EVICT alpha"), "OK evicted alpha\n");
+  EXPECT_EQ(fx.server->find("alpha"), nullptr);
+  EXPECT_EQ(fx.server->session_count(), 2u);
+  EXPECT_EQ(fx.reg.snapshot().counters.at("serve.ingest.streams_evicted"),
+            1u);
+  fs::remove_all(dir);
+}
+
+TEST(ServerWireTest, OverBudgetEvictsTheLeastRecentlyUsedWireSession) {
+  const std::string dir = temp_path("lru");
+  fs::create_directories(dir);
+  const std::string path = dir + "/f.ggspool";
+  const std::string file_bytes = make_spool_bytes(43);
+  std::ofstream(path, std::ios::binary) << file_bytes;
+  const std::string wire_bytes = make_spool_bytes(44);
+
+  // A budget one byte short of both finalized traces: one must go, and the
+  // least recently used one is the wire session, sealed before the file
+  // session finalized.
+  serve::ServerOptions opts;
+  opts.admission.budget_bytes =
+      schema::record_bytes(spool::recover_spool_bytes(file_bytes).trace) +
+      schema::record_bytes(spool::recover_spool_bytes(wire_bytes).trace) - 1;
+  WireFixture fx(opts);
+  std::string out;
+  fx.push_all(wire_bytes, test_token(44), &out, "w");
+  ASSERT_NE(fx.find(test_token(44)), nullptr);
+  fx.now += 1'000'000'000;
+  ASSERT_TRUE(fx.server->attach(path));
+  fx.server->tick();
+
+  EXPECT_EQ(fx.find(test_token(44)), nullptr);
+  ASSERT_NE(fx.server->find(path), nullptr);
+  EXPECT_EQ(fx.server->find(path)->state(), serve::SessionState::Sealed);
+  EXPECT_EQ(fx.server->admission().sessions_evicted(), 1u);
+  EXPECT_FALSE(fx.server->admission().over_budget());
+  fs::remove_all(dir);
+}
+
+TEST(ServerWireTest, WireOnlyServerGoesIdle) {
+  serve::ServerOptions opts;
+  opts.ingest.stale_after_ns = 1000;
+  WireFixture fx(opts);
+  EXPECT_FALSE(fx.server->idle());  // no session has existed yet
+
+  std::string out;
+  fx.push_all(make_spool_bytes(45), test_token(45), &out);
+  EXPECT_TRUE(fx.server->idle());
+
+  // A second, unsealed stream keeps the server busy until it goes stale.
+  serve::IngestConnection conn(fx.server.get());
+  ASSERT_TRUE(conn.on_bytes(
+      serve::wire::encode_hello(test_token(46), 0, "late"), &out, fx.now));
+  EXPECT_FALSE(fx.server->idle());
+  fx.now += 2000;
+  fx.server->tick();
+  EXPECT_TRUE(fx.server->idle());
 }
 
 // --- endpoint satellites ----------------------------------------------------

@@ -12,15 +12,17 @@
 //    less staleness, and the session hands itself to the batch recovery
 //    pipeline (salvage + validate), so its final metrics are byte-identical
 //    to `gganalyze --recover` over the same spool;
-//  * one global admission budget bounds resident memory: heavy queries are
-//    shed first, then low-priority tailers pause, then idle finalized
-//    sessions are evicted — the daemon degrades, it never aborts;
+//  * one global admission budget bounds resident memory: heavy queries and
+//    new wire streams are shed first, then tailers pause, then idle
+//    finalized sessions are evicted — the daemon degrades, it never aborts;
 //  * a watchdog thread supervises the ingest loop itself and dumps a
 //    structured diagnosis to stderr if the heartbeat freezes.
 //
 //  * the --ingest-socket accepts GGWIRE1 pushes (client: ggspool-push or a
 //    recorder's frame tap): token-keyed resumable sessions, acked epochs,
 //    wire damage poisons only the connection — never an accepted stream.
+//    Tailed and pushed spools are sessions of one table, with one id space
+//    and the same query surface.
 //
 // Usage:
 //   ggserved --dir <spool-dir> [options]
@@ -35,7 +37,8 @@
 //     --budget <MiB>           admission budget (default 256)
 //     --poll-ms <ms>           tick sleep (default 2)
 //     --stale-ms <ms>          footer-less writer presumed dead (def 10000)
-//     --evict-ms <ms>          idle finalized session evicted (def 60000)
+//     --evict-ms <ms>          idle finalized session, file or wire,
+//                              evicted (def 60000)
 //     --torn-deadline-ms <ms>  stuck-tail escalation deadline (def 5000)
 //     --scan-ms <ms>           directory re-scan period (default 500)
 //     --telemetry              publish serve.* metrics (TELEMETRY query)
@@ -186,9 +189,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(server.ticks()),
                server.session_count());
   server.for_each_session([](const serve::Session& s) {
-    std::fprintf(stderr, "  %s\n", s.status_line().c_str());
-  });
-  server.ingest().for_each([](const serve::IngestStream& s) {
     std::fprintf(stderr, "  %s\n", s.status_line().c_str());
   });
   return rc;
