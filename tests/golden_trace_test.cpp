@@ -1,9 +1,10 @@
 // Golden-trace regression corpus (tests/golden/): committed traces in both
 // serialization formats and as a GGSPOOL1 spool, plus a committed .expect
 // summary. Asserts the whole ingestion pipeline — load -> graph -> metrics
-// — is byte-stable across formats and across time: any change to a trace
-// format, the graph builder, or the integer metrics shows up as a diff
-// against the committed files. Regenerate with `make_golden tests/golden`
+// -> exports — is byte-stable across formats and across time: any change to
+// a trace format, the graph builder, the integer metrics or the bytes of an
+// export (DOT, GraphML, CSV, JSON) shows up as a diff against the committed
+// files. Regenerate with `make_golden tests/golden`
 // and commit the result together with the change that caused it.
 #include <array>
 #include <fstream>
@@ -13,9 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "check/signature.hpp"
-#include "graph/grain_graph.hpp"
-#include "graph/grain_table.hpp"
-#include "metrics/metrics.hpp"
+#include "golden_summary.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
 #include "trace/validate.hpp"
@@ -38,22 +37,6 @@ std::string read_file(const std::string& path) {
   EXPECT_TRUE(in.good()) << "missing corpus file " << path;
   std::ostringstream os;
   os << in.rdbuf();
-  return os.str();
-}
-
-/// Must stay in sync with make_golden.cpp (the committed .expect files are
-/// the actual contract; this merely recomputes the same summary).
-std::string golden_summary(const Trace& t) {
-  const GrainGraph graph = GrainGraph::build(t);
-  const GrainTable grains = GrainTable::build(t);
-  const MetricsResult m =
-      compute_metrics(t, graph, grains, Topology::opteron48());
-  std::ostringstream os;
-  os << "makespan=" << t.makespan() << "\n"
-     << "total_work=" << m.total_work << "\n"
-     << "critical_path=" << m.critical_path_time << "\n"
-     << "grains=" << grains.size() << "\n"
-     << check::canonical_signature(t);
   return os.str();
 }
 
@@ -80,7 +63,7 @@ TEST_P(GoldenTraceTest, PipelineMatchesCommittedExpectation) {
   for (const char* ext : {".ggtrace", ".ggbin"}) {
     const auto t = load_trace_file(base + ext);
     ASSERT_TRUE(t.has_value()) << ext;
-    EXPECT_EQ(golden_summary(*t) + "\n", expected)
+    EXPECT_EQ(golden::summary(*t) + "\n", expected)
         << ext << ": load -> graph -> metrics drifted from the committed "
         << "expectation; if the change is intentional, regenerate with "
         << "make_golden";
@@ -124,7 +107,7 @@ TEST_P(GoldenTraceTest, RecoveredSpoolMatchesCommittedExpectation) {
   // Every worker's records span several epoch frames, so the per-worker
   // epoch sequencing is part of what the committed bytes pin.
   for (const u64 epochs : rr.report.epochs_per_worker) EXPECT_GE(epochs, 2u);
-  EXPECT_EQ(golden_summary(rr.trace) + "\n", read_file(base + ".expect"));
+  EXPECT_EQ(golden::summary(rr.trace) + "\n", read_file(base + ".expect"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTraceTest,

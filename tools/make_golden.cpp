@@ -2,8 +2,8 @@
 //
 // Each corpus entry is one deterministic simulator run of a generated
 // program, saved in both serialization formats and as a GGSPOOL1 spool,
-// plus a .expect summary (metrics totals + canonical structural
-// signature). The simulator's
+// plus a .expect summary (metrics totals, canonical structural signature
+// and one digest per export; golden_summary.hpp). The simulator's
 // virtual clock makes the traces byte-stable across machines, so the files
 // are committed and golden_trace_test simply diffs against them.
 //
@@ -16,10 +16,7 @@
 #include <string>
 
 #include "check/genprog.hpp"
-#include "check/signature.hpp"
-#include "graph/grain_graph.hpp"
-#include "graph/grain_table.hpp"
-#include "metrics/metrics.hpp"
+#include "golden_summary.hpp"
 #include "sim/sim_engine.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
@@ -32,22 +29,6 @@ using namespace gg;
 /// every worker's records span several epoch frames. Must stay in sync with
 /// golden_trace_test.cpp.
 constexpr u64 kGoldenEpochBytes = 256;
-
-/// The committed expectation: integer metrics plus the full signature.
-/// Doubles are deliberately excluded — the expectation must be exact.
-std::string golden_summary(const Trace& t) {
-  const GrainGraph graph = GrainGraph::build(t);
-  const GrainTable grains = GrainTable::build(t);
-  const MetricsResult m =
-      compute_metrics(t, graph, grains, Topology::opteron48());
-  std::ostringstream os;
-  os << "makespan=" << t.makespan() << "\n"
-     << "total_work=" << m.total_work << "\n"
-     << "critical_path=" << m.critical_path_time << "\n"
-     << "grains=" << grains.size() << "\n"
-     << check::canonical_signature(t);
-  return os.str();
-}
 
 }  // namespace
 
@@ -97,7 +78,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::ofstream expect(base + ".expect");
-    expect << golden_summary(t) << "\n";
+    expect << golden::summary(t) << "\n";
     if (!expect) {
       std::fprintf(stderr, "failed to write %s.expect\n", base.c_str());
       return 1;
