@@ -12,8 +12,9 @@
 // sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
 // and at the auto thread count), and writes machine-readable results to
 // BENCH_analyze.json. The stage times are each path's phase spans, as
-// `gganalyze --timing` reads them, and a spool path's `recover` object
-// holds its load's recovery phases; every load, the spool's included,
+// `gganalyze --timing` reads them; each path's `graph` object holds the
+// graph build's phases and a spool path's `recover` object its load's
+// recovery phases; every load, the spool's included,
 // validates the trace. Exit 1 on any parse error, recovery failure, invalid
 // trace or output mismatch (so CI can gate on correctness without gating on
 // timing).
@@ -25,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -115,23 +117,33 @@ bool run_path(const std::string& path, int threads, PathResult& out) {
 constexpr const char* kRecoverPhases[] = {"walk", "verify", "apply", "place",
                                           "finalize"};
 
-/// One path's stage times; a spool path adds its recovery phases.
+/// The grain graph build's phase spans inside the graph stage, in order.
+constexpr const char* kGraphPhases[] = {"fragments", "count", "wire",
+                                        "epilogue", "finalize"};
+
+/// `"<key>": {"<phase>_ns": ...}` from the spans named `<scope>.<phase>`.
+void emit_phases(std::ofstream& os, const char* key, const char* scope,
+                 const PathResult& r, std::span<const char* const> phases) {
+  os << ", \"" << key << "\": {";
+  const char* sep = "";
+  for (const char* phase : phases) {
+    os << sep << "\"" << phase << "_ns\": "
+       << obs::span_ns(r.spans, std::string(scope) + "." + phase);
+    sep = ", ";
+  }
+  os << "}";
+}
+
+/// One path's stage times, the graph build's phases, and for a spool path
+/// its recovery phases.
 void emit_stages(std::ofstream& os, const std::string& name,
                  const PathResult& r, bool spool = false) {
   os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns();
-  if (spool) {
-    os << ", \"recover\": {";
-    const char* sep = "";
-    for (const char* phase : kRecoverPhases) {
-      os << sep << "\"" << phase << "_ns\": "
-         << obs::span_ns(r.spans, std::string("spool.") + phase);
-      sep = ", ";
-    }
-    os << "}";
-  }
+  if (spool) emit_phases(os, "recover", "spool", r, kRecoverPhases);
   for (const char* stage : kAnalysisStages) {
     os << ", \"" << stage << "_ns\": " << r.stage_ns(stage);
   }
+  emit_phases(os, "graph", "graph", r, kGraphPhases);
   os << ", \"total_ns\": " << r.total_ns() << "}";
 }
 

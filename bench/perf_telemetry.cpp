@@ -43,8 +43,9 @@ namespace {
 using namespace gg;
 
 /// Obs call sites executed by one pipeline run: four analysis stage spans,
-/// five metric pass spans, and three registry probes in analyze().
-constexpr double kSitesPerRun = 12.0;
+/// five graph build phase spans, five metric pass spans, and three registry
+/// probes in analyze().
+constexpr double kSitesPerRun = 17.0;
 
 struct RunResult {
   u64 wall_ns = 0;

@@ -40,9 +40,11 @@ void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace,
        << color << "\"";
     if (opts.labels) {
       std::string label{trace.strings.get(n.src)};
-      if (n.kind == NodeKind::Chunk)
-        label += "\\n[" + std::to_string(n.iter_begin) + "," +
-                 std::to_string(n.iter_end) + ")";
+      if (n.kind == NodeKind::Chunk) {
+        const auto [begin, end] = chunk_iterations(trace, n);
+        label += "\\n[" + std::to_string(begin) + "," + std::to_string(end) +
+                 ")";
+      }
       if (n.kind == NodeKind::Fragment || n.kind == NodeKind::Chunk)
         label += "\\n" + strings::human_time(n.busy);
       if (n.group_size > 1) label += " x" + std::to_string(n.group_size);

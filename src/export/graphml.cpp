@@ -38,12 +38,11 @@ void write_graphml(std::ostream& os, const GrainGraph& graph,
   const auto& nodes = graph.nodes();
   const auto& edges = graph.edges();
 
-  // Map graph nodes to grain-table indices (for problem-view coloring).
-  std::optional<GrainLookup> lookup;
-  if (grains != nullptr) lookup.emplace(*grains);
+  // Map graph nodes to grain-table rows (problem-view coloring and the
+  // critical-path border), by position in the trace.
   auto grain_index = [&](const GraphNode& n) -> std::optional<size_t> {
-    if (!lookup.has_value()) return std::nullopt;
-    return lookup->row_of(n);
+    if (grains == nullptr) return std::nullopt;
+    return grains->row_of(trace, n);
   };
 
   // Problem view (optional).
@@ -121,10 +120,11 @@ void write_graphml(std::ostream& os, const GrainGraph& graph,
     if (n.kind == NodeKind::Fragment || n.kind == NodeKind::Chunk) {
       label = std::string(trace.strings.get(n.src));
       if (n.kind == NodeKind::Chunk) {
+        const auto [begin, end] = chunk_iterations(trace, n);
         label += " [";
-        label += std::to_string(n.iter_begin);
+        label += std::to_string(begin);
         label += ',';
-        label += std::to_string(n.iter_end);
+        label += std::to_string(end);
         label += ')';
       }
       if (n.group_size > 1) {

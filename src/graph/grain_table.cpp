@@ -65,10 +65,13 @@ GrainTable& GrainTable::operator=(GrainTable&&) noexcept = default;
 // copy: the copy gets a fresh (unbuilt) index over its own strings. Moves
 // keep the index — the Grain objects (and their string buffers) stay put.
 GrainTable::GrainTable(const GrainTable& other)
-    : grains_(other.grains_), index_(std::make_unique<PathIndex>()) {}
+    : grains_(other.grains_),
+      chunk_base_(other.chunk_base_),
+      index_(std::make_unique<PathIndex>()) {}
 GrainTable& GrainTable::operator=(const GrainTable& other) {
   if (this != &other) {
     grains_ = other.grains_;
+    chunk_base_ = other.chunk_base_;
     index_ = std::make_unique<PathIndex>();
   }
   return *this;
@@ -91,7 +94,8 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
   // Chunk grain rows follow the task grains, one run per loop in loop
   // order; prefix-summed bases let every shard fill its loops in place.
   const size_t nloops = trace.loops.size();
-  std::vector<size_t> chunk_base(nloops + 1, ntask_grains);
+  std::vector<size_t>& chunk_base = table.chunk_base_;
+  chunk_base.assign(nloops + 1, ntask_grains);
   for (size_t l = 0; l < nloops; ++l) {
     chunk_base[l + 1] =
         chunk_base[l] + trace.chunks_span(trace.loops[l].uid).size();
@@ -129,22 +133,13 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
     }
   });
 
-  // Row of a task grain by uid; duplicate uids (damaged traces) resolve to
-  // the last occurrence, matching the serial builder's insert order.
-  FlatMap<TaskId, size_t> index_of;
-  index_of.reserve(ntask_grains);
-  for (size_t i = nroots; i < ntasks; ++i)
-    index_of[trace.tasks[i].uid] = i - nroots;
-
   // Second pass: synchronization-cost shares. Walk every task's fragment
   // stream matching forked children to the join they synchronize at (the
   // same pending-children discipline as the graph builder). Children left
-  // unjoined synchronize at the root's last join (the implicit barrier).
-  const JoinRec* root_last_join = nullptr;
-  {
-    const auto rjoins = trace.joins_span(kRootTask);
-    if (!rjoins.empty()) root_last_join = &rjoins.back();
-  }
+  // unjoined synchronize at the region's implicit barrier, the join the
+  // graph builder wires them to. A child's row is found by position; on a
+  // duplicated uid (damaged traces) it is the last record's.
+  const JoinRec* root_last_join = implicit_barrier(trace);
   const size_t sync_shards = ntasks == 0 ? 1 : std::min(t, ntasks);
   std::vector<SyncShard> sync(sync_shards);
   par_for_shard(sync_shards, [&](size_t s) {
@@ -169,7 +164,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
           // (or helping while) children run is not a parallelization cost.
           TimeNs last_child_end = jr->start;
           for (TaskId c : pending) {
-            if (const size_t* row = index_of.find(c)) {
+            if (const auto row = task_row(trace, c)) {
               last_child_end =
                   std::max(last_child_end, table.grains_[*row].last_end);
             }
@@ -178,7 +173,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
               jr->end > last_child_end ? jr->end - last_child_end : 0;
           const TimeNs share = pending.empty() ? 0 : overhead / pending.size();
           for (TaskId c : pending) {
-            if (const size_t* row = index_of.find(c))
+            if (const auto row = task_row(trace, c))
               sh.assigns.emplace_back(*row, share);
           }
           if (tr.uid == kRootTask && jr == root_last_join) {
@@ -203,7 +198,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
     const size_t total = unjoined.size() + root_barrier_extra;
     TimeNs last_child_end = root_last_join->start;
     for (TaskId c : unjoined) {
-      if (const size_t* row = index_of.find(c)) {
+      if (const auto row = task_row(trace, c)) {
         last_child_end =
             std::max(last_child_end, table.grains_[*row].last_end);
       }
@@ -213,7 +208,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
                                 : 0;
     const TimeNs share = overhead / total;
     for (TaskId c : unjoined) {
-      if (const size_t* row = index_of.find(c))
+      if (const auto row = task_row(trace, c))
         table.grains_[*row].sync_cost = share;
     }
   }
@@ -293,38 +288,55 @@ std::vector<const Grain*> GrainTable::children_of(TaskId parent) const {
   return out;
 }
 
-GrainLookup::GrainLookup(const GrainTable& table) {
-  const auto& grains = table.grains();
-  task_.reserve(grains.size());
-  chunk_.reserve(grains.size());
-  for (size_t i = 0; i < grains.size(); ++i) {
-    const Grain& g = grains[i];
-    if (g.kind == GrainKind::Task) {
-      task_[g.task] = i;
-    } else {
-      chunk_[ChunkKey{g.loop, g.chunk_seq, g.thread}] = i;
-    }
-  }
+namespace {
+
+/// One past the last record of `uid` in the uid-sorted trace.tasks, or the
+/// position it would take. Recorded uids are dense from the root's 0, so a
+/// task usually sits at its uid: that position is tried before a search.
+size_t task_end(const std::vector<TaskRec>& tasks, TaskId uid) {
+  if (uid < tasks.size() && tasks[uid].uid == uid &&
+      (uid + 1 == tasks.size() || tasks[uid + 1].uid != uid))
+    return static_cast<size_t>(uid) + 1;
+  return static_cast<size_t>(
+      std::upper_bound(tasks.begin(), tasks.end(), uid,
+                       [](TaskId v, const TaskRec& t) { return v < t.uid; }) -
+      tasks.begin());
 }
 
-std::optional<size_t> GrainLookup::task_row(TaskId uid) const {
-  const size_t* row = task_.find(uid);
-  if (row == nullptr) return std::nullopt;
-  return *row;
+}  // namespace
+
+std::optional<size_t> GrainTable::task_row(const Trace& trace, TaskId uid) {
+  const auto& tasks = trace.tasks;
+  if (uid == kRootTask) return std::nullopt;
+  const size_t end = task_end(tasks, uid);
+  if (end == 0 || tasks[end - 1].uid != uid) return std::nullopt;
+  const size_t nroots = task_end(tasks, kRootTask);
+  return end - 1 - nroots;
 }
 
-std::optional<size_t> GrainLookup::chunk_row(LoopId loop, u16 thread,
-                                             u32 seq) const {
-  const size_t* row = chunk_.find(ChunkKey{loop, seq, thread});
-  if (row == nullptr) return std::nullopt;
-  return *row;
-}
-
-std::optional<size_t> GrainLookup::row_of(const GraphNode& n) const {
-  if (n.kind == NodeKind::Fragment && n.task != kRootTask)
-    return task_row(n.task);
-  if (n.kind == NodeKind::Chunk) return chunk_row(n.loop, n.thread, n.seq);
-  return std::nullopt;
+std::optional<size_t> GrainTable::row_of(const Trace& trace,
+                                         const GraphNode& n) const {
+  if (n.kind == NodeKind::Fragment) return task_row(trace, n.task);
+  if (n.kind != NodeKind::Chunk || n.chunk >= trace.chunks.size())
+    return std::nullopt;
+  const auto& loops = trace.loops;
+  const auto loop_end = std::upper_bound(
+      loops.begin(), loops.end(), n.loop,
+      [](LoopId v, const LoopRec& l) { return v < l.uid; });
+  if (loop_end == loops.begin() || (loop_end - 1)->uid != n.loop)
+    return std::nullopt;
+  const size_t l = static_cast<size_t>(loop_end - loops.begin()) - 1;
+  const auto chunks = trace.chunks_span(n.loop);
+  if (chunks.empty()) return std::nullopt;
+  const size_t first =
+      static_cast<size_t>(chunks.data() - trace.chunks.data());
+  if (n.chunk < first || n.chunk - first >= chunks.size()) return std::nullopt;
+  size_t k = n.chunk - first;
+  // Equal (thread, seq) records are adjacent; the last one's row wins.
+  while (k + 1 < chunks.size() && chunks[k + 1].thread == chunks[k].thread &&
+         chunks[k + 1].seq_on_thread == chunks[k].seq_on_thread)
+    ++k;
+  return chunk_base_[l] + k;
 }
 
 }  // namespace gg

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "graph/grain_graph.hpp"
 #include "trace/trace.hpp"
 
@@ -85,48 +84,30 @@ class GrainTable {
   /// All task grains that are children of `parent`, in creation order.
   std::vector<const Grain*> children_of(TaskId parent) const;
 
+  // --- rows by position ------------------------------------------------------
+  // Rows are a pure function of record positions in the trace the table was
+  // built from, so the grain of a task uid or of a graph node is found by
+  // position, not through a hash index. On damaged traces the last of
+  // several equal identities wins, as the build's row order lays them out.
+
+  /// Row of the task grain of `uid`: the position of its last record in the
+  /// uid-sorted trace.tasks, minus the root prefix; nullopt for the root and
+  /// for unknown uids.
+  static std::optional<size_t> task_row(const Trace& trace, TaskId uid);
+
+  /// Row of the grain a node of a graph built from `trace` represents: the
+  /// task grain of a non-root fragment node; for a chunk node, its loop's
+  /// row base plus the chunk's offset in the loop's chunk span. nullopt for
+  /// everything else (forks, joins, book-keeping, root fragments).
+  std::optional<size_t> row_of(const Trace& trace, const GraphNode& n) const;
+
  private:
   struct PathIndex;  // lazy path → row map; keys view into grains_[i].path
 
   std::vector<Grain> grains_;
+  /// Row of each loop's first chunk grain, by loop position (+1 sentinel).
+  std::vector<size_t> chunk_base_;
   mutable std::unique_ptr<PathIndex> index_;
-};
-
-/// Flat-hash index from trace identities to grain-table rows, shared by the
-/// metric passes and the exporters (both need to map graph nodes back to
-/// grains; each used to build its own ordered std::map).
-class GrainLookup {
- public:
-  explicit GrainLookup(const GrainTable& table);
-
-  /// Row of a task grain; nullopt for the root and unknown uids.
-  std::optional<size_t> task_row(TaskId uid) const;
-
-  /// Row of a chunk grain by its (loop, thread, seq-on-thread) identity.
-  std::optional<size_t> chunk_row(LoopId loop, u16 thread, u32 seq) const;
-
-  /// Row of the grain a graph node represents: task grains for non-root
-  /// fragment nodes, chunk grains for chunk nodes; nullopt for everything
-  /// else (forks, joins, book-keeping, root fragments).
-  std::optional<size_t> row_of(const GraphNode& n) const;
-
- private:
-  struct ChunkKey {
-    LoopId loop = 0;
-    u32 seq = 0;
-    u16 thread = 0;
-    bool operator==(const ChunkKey&) const = default;
-  };
-  struct ChunkKeyHash {
-    size_t operator()(const ChunkKey& k) const {
-      return static_cast<size_t>(flat_hash_mix64(
-          k.loop ^ (static_cast<u64>(k.thread) << 48) ^
-          (static_cast<u64>(k.seq) << 16)));
-    }
-  };
-
-  FlatMap<TaskId, size_t> task_;
-  FlatMap<ChunkKey, size_t, ChunkKeyHash> chunk_;
 };
 
 }  // namespace gg

@@ -16,11 +16,8 @@ void merge_into(GraphNode& dst, const GraphNode& src) {
   dst.start = std::min(dst.start, src.start);
   dst.end = std::max(dst.end, src.end);
   dst.seq = std::min(dst.seq, src.seq);
-  dst.counters += src.counters;
   dst.busy += src.busy;
   dst.group_size += src.group_size;
-  dst.iter_begin = std::min(dst.iter_begin, src.iter_begin);
-  dst.iter_end = std::max(dst.iter_end, src.iter_end);
 }
 
 }  // namespace

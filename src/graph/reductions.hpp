@@ -1,7 +1,8 @@
 // Graph reductions (paper §3.1, Fig. 3d-e,h): node groupings that shrink the
 // graph for fast rendering. Grouped nodes retain the aggregate weights of
-// their members (summed busy time and counters, spanning interval,
-// group_size = member count).
+// their members: summed busy time, spanning interval, group_size = member
+// count. Nodes carry no counters to sum (grains read them from the records),
+// and chunk nodes, which name their record, are never grouped.
 //
 // Reduced graphs are for export/visualization only — join-back edges into a
 // merged task node make them cyclic in general, so they are finalized

@@ -17,7 +17,6 @@ void fold_into(GraphNode& summary, const GraphNode& n) {
   summary.start = std::min(summary.start, n.start);
   summary.end = std::max(summary.end, n.end);
   summary.busy += n.busy;
-  summary.counters += n.counters;
   summary.group_size += n.group_size;
 }
 
@@ -110,8 +109,7 @@ SummarizeResult summarize_graph(const GrainGraph& g, size_t max_nodes) {
     const TaskId root = anchor_at(n.task, chosen);
     auto it = summaries.find(root);
     if (it == summaries.end()) {
-      GraphNode s;
-      s.kind = NodeKind::Fragment;
+      GraphNode s(NodeKind::Fragment);
       s.task = root;
       s.src = n.src;
       s.start = n.start;

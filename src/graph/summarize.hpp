@@ -3,7 +3,8 @@
 // collections of nodes and replacing them with a single summary node."
 //
 // Collapses every task subtree rooted at a chosen depth into one summary
-// node (aggregated busy time, counters, span, member count), picking the
+// node (summed busy time, spanning interval, member count; nodes carry no
+// counters to sum), picking the
 // deepest cut that still fits the node budget — so the viewer keeps the
 // most top-of-graph structure possible.
 #pragma once

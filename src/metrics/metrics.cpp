@@ -295,10 +295,9 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
                             ? 0.0
                             : static_cast<double>(res.total_work) /
                                   static_cast<double>(cp.length);
-  // Map graph nodes on the path back to grains.
-  const GrainLookup lookup(grains);
+  // Map graph nodes on the path back to grains, by position.
   for (u32 v : cp.nodes) {
-    if (const auto row = lookup.row_of(graph.nodes()[v]))
+    if (const auto row = grains.row_of(trace, graph.nodes()[v]))
       res.per_grain[*row].on_critical_path = true;
   }
   cp_span.end();

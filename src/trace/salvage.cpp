@@ -379,6 +379,20 @@ SalvageReport salvage_trace(Trace& t) {
             break;
         }
       }
+      // The region's implicit barrier is the root's last join. A root that
+      // forked after it lost its barrier join (a crash or a cut before the
+      // region ended): its closing fragment synchronizes at a synthesized
+      // join again, and a zero-length fragment ends the task.
+      if (task.uid == kRootTask && fork_after_last_join(fr) != nullptr) {
+        FragmentRec end = fr.back();
+        fr.back().end_reason = FragmentEnd::Join;
+        fr.back().end_ref = fresh_join(fr.back());
+        end.seq = static_cast<u32>(fr.size());
+        end.start = end.end;
+        end.counters = Counters{};
+        fr.push_back(end);
+        ++rep.synthesized_fragments;
+      }
       repaired.insert(repaired.end(), fr.begin(), fr.end());
     }
     t.fragments.swap(repaired);

@@ -272,8 +272,32 @@ const JoinRec* find_join(std::span<const JoinRec> joins, u64 seq) {
   return j->seq == seq ? j : nullptr;
 }
 
+const JoinRec* implicit_barrier(const Trace& trace) {
+  const auto frags = trace.fragments_span(kRootTask);
+  for (size_t i = frags.size(); i-- > 0;) {
+    if (frags[i].end_reason == FragmentEnd::Join)
+      return find_join(trace.joins_span(kRootTask), frags[i].end_ref);
+  }
+  return nullptr;
+}
+
+const FragmentRec* fork_after_last_join(std::span<const FragmentRec> frags) {
+  size_t i = frags.size();
+  while (i > 0 && frags[i - 1].end_reason != FragmentEnd::Join) --i;
+  if (i == 0) return nullptr;
+  for (; i < frags.size(); ++i) {
+    if (frags[i].end_reason == FragmentEnd::Fork) return &frags[i];
+  }
+  return nullptr;
+}
+
 std::optional<size_t> Trace::task_index(TaskId uid) const {
   if (!finalized_) return std::nullopt;
+  // Recorded uids are dense from the root's 0, so a task usually sits at
+  // its uid: that position is checked before searching.
+  if (uid < tasks.size() && tasks[uid].uid == uid &&
+      (uid == 0 || tasks[uid - 1].uid != uid))
+    return static_cast<size_t>(uid);
   auto it = std::lower_bound(
       tasks.begin(), tasks.end(), uid,
       [](const TaskRec& t, TaskId v) { return t.uid < v; });

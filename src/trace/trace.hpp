@@ -91,8 +91,9 @@ class Trace {
   /// every thread count.
   void finalize(int threads = 1);
 
-  /// Index of a task by uid after finalize() (a binary search of the
-  /// uid-sorted tasks; the first one on duplicate uids); nullopt if absent.
+  /// Index of a task by uid after finalize() (its uid's position when uids
+  /// are dense, else a binary search of the uid-sorted tasks; the first one
+  /// on duplicate uids); nullopt if absent.
   std::optional<size_t> task_index(TaskId uid) const;
 
   /// Index of a loop by uid after finalize(), as task_index().
@@ -157,6 +158,20 @@ class Trace {
 /// match would select — every caller that resolves a fragment's
 /// FragmentEnd::Join end_ref must use this so they agree on damaged inputs.
 const JoinRec* find_join(std::span<const JoinRec> joins, u64 seq);
+
+/// The region's implicit barrier: the join the root task's last Join-ending
+/// fragment synchronizes at, or nullptr when the root never joins. Children
+/// left unjoined synchronize there: the grain graph wires them to its node
+/// and the grain table charges them its overhead.
+const JoinRec* implicit_barrier(const Trace& trace);
+
+/// The first fragment of one task's seq-ordered fragments that forks after
+/// the task's last Join-ending fragment, or nullptr (also when it never
+/// joins). For the root such a fork breaks the barrier rule above: the
+/// child would synchronize at a barrier that precedes its own creation, a
+/// cycle in the grain graph. validate_trace refuses it; salvage_trace
+/// restores the lost barrier instead.
+const FragmentRec* fork_after_last_join(std::span<const FragmentRec> frags);
 
 /// Interns a "file:line(func)" source identifier, the format the paper uses
 /// to name task/loop definitions (e.g. "sparselu.c:246(bmod)").

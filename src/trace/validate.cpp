@@ -152,6 +152,15 @@ ValidationReport validate_trace_structured(const Trace& trace) {
     }
   }
 
+  // The region's implicit barrier is the root's last join: a root that
+  // forks after it leaves children that would synchronize before they were
+  // created.
+  if (const FragmentRec* f =
+          fork_after_last_join(trace.fragments_span(kRootTask))) {
+    report(S::Fragment, kRootTask, "root task forks task ", f->end_ref,
+           " after its last join (the implicit barrier)");
+  }
+
   // Loops, chunks, bookkeeping.
   for (const LoopRec& loop : trace.loops) {
     if (loop.iter_end < loop.iter_begin)

@@ -13,6 +13,7 @@
 #include <functional>
 #include <sstream>
 
+#include "analysis/report.hpp"
 #include "fault/fault.hpp"
 #include "serve/tailer.hpp"
 #include "trace/recorder.hpp"
@@ -1011,6 +1012,105 @@ TEST(SpoolCorpusTest, EmptyAndGarbageSpoolsFailCleanly) {
       EXPECT_FALSE(rr.report.clean_footer);
     }
   }
+}
+
+// A root that forks after its last join: the children it forked there
+// would synchronize at the implicit barrier, which precedes their creation.
+Trace root_forking_after_its_barrier() {
+  Trace t;
+  t.meta.num_workers = 1;
+  t.meta.num_cores = 1;
+  t.meta.region_end = 40;
+  auto task = [&](TaskId uid, TaskId parent, u32 child_index) {
+    TaskRec r;
+    r.uid = uid;
+    r.parent = parent;
+    r.child_index = child_index;
+    t.tasks.push_back(r);
+  };
+  auto frag = [&](TaskId task_uid, u32 seq, TimeNs s, TimeNs e,
+                  FragmentEnd why, u64 ref) {
+    FragmentRec f;
+    f.task = task_uid;
+    f.seq = seq;
+    f.start = s;
+    f.end = e;
+    f.end_reason = why;
+    f.end_ref = ref;
+    t.fragments.push_back(f);
+  };
+  task(kRootTask, kNoTask, 0);
+  task(1, kRootTask, 0);
+  task(2, kRootTask, 1);
+  frag(kRootTask, 0, 0, 10, FragmentEnd::Fork, 1);
+  frag(kRootTask, 1, 12, 20, FragmentEnd::Join, 0);
+  frag(kRootTask, 2, 22, 30, FragmentEnd::Fork, 2);
+  frag(kRootTask, 3, 31, 32, FragmentEnd::TaskEnd, 0);
+  frag(1, 0, 11, 15, FragmentEnd::TaskEnd, 0);
+  frag(2, 0, 31, 35, FragmentEnd::TaskEnd, 0);
+  JoinRec j;
+  j.task = kRootTask;
+  j.start = 20;
+  j.end = 21;
+  t.joins.push_back(j);
+  t.finalize();
+  return t;
+}
+
+TEST(SalvageBarrierTest, ValidateRefusesARootForkAfterItsLastJoin) {
+  const std::vector<std::string> v =
+      validate_trace(root_forking_after_its_barrier());
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], "root task forks task 2 after its last join (the implicit "
+                  "barrier)");
+}
+
+TEST(SalvageBarrierTest, SalvageRestoresTheBarrierJoin) {
+  Trace t = root_forking_after_its_barrier();
+  const SalvageReport rep = salvage_trace(t);
+  EXPECT_TRUE(validate_trace(t).empty());
+  EXPECT_EQ(rep.synthesized_joins, 1u);
+  EXPECT_EQ(rep.synthesized_fragments, 1u);
+  const auto root = t.fragments_span(kRootTask);
+  ASSERT_EQ(root.size(), 5u);
+  EXPECT_EQ(root[3].end_reason, FragmentEnd::Join);
+  EXPECT_EQ(root[4].end_reason, FragmentEnd::TaskEnd);
+  ASSERT_NE(implicit_barrier(t), nullptr);
+  EXPECT_EQ(implicit_barrier(t)->seq, 1u);
+  const Analysis a = analyze(t, Topology::generic4());
+  EXPECT_EQ(a.graph.topo_order().size(), a.graph.node_count());
+}
+
+// Cuts of a spool whose root keeps forking between its joins: where the cut
+// falls after a join and later forks, salvage used to leave the root forking
+// after its last join, and the graph build aborted on the cycle. Every
+// 4 KiB cut must recover, salvage, validate and analyze in-process.
+TEST(SalvageBarrierTest, EveryCutOfASpoolIsAnalyzed) {
+  SynthOptions so;
+  so.seed = 31;
+  so.workers = 4;
+  so.grains = 4000;
+  const std::string bytes = spool::spool_trace_bytes(synth_trace(so), 512);
+  size_t cuts = 0, analyzed = 0, barrier_restored = 0;
+  for (size_t keep = 4096; keep < bytes.size(); keep += 4096) {
+    ++cuts;
+    spool::RecoverResult rr = spool::recover_spool_bytes(bytes.substr(0, keep));
+    if (!rr.usable) continue;
+    const size_t root_joins = rr.trace.joins_span(kRootTask).size();
+    const SalvageReport rep = salvage_trace(rr.trace);
+    ASSERT_TRUE(validate_trace(rr.trace).empty())
+        << "cut at " << keep << ": " << rep.summary();
+    if (rr.trace.joins_span(kRootTask).size() > root_joins &&
+        fork_after_last_join(rr.trace.fragments_span(kRootTask)) == nullptr)
+      ++barrier_restored;
+    const Analysis a = analyze(rr.trace, Topology::generic4());
+    EXPECT_EQ(a.graph.topo_order().size(), a.graph.node_count())
+        << "cut at " << keep;
+    ++analyzed;
+  }
+  EXPECT_EQ(cuts, 212u);
+  EXPECT_EQ(analyzed, cuts);
+  EXPECT_GT(barrier_restored, 0u);
 }
 
 }  // namespace

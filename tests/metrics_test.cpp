@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "graph/grain_graph.hpp"
 #include "graph/grain_table.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/capture.hpp"
 #include "sim/des.hpp"
+#include "trace/salvage.hpp"
+#include "trace/serialize.hpp"
+#include "trace/spool.hpp"
+#include "trace/synth.hpp"
 #include "trace/validate.hpp"
 
 namespace gg {
@@ -309,6 +317,131 @@ TEST(MetricsTest, RegionLoadBalanceUniformVersusSkewed) {
   const double lb_s =
       region_load_balance(rs.grains, rs.trace.meta.num_cores);
   EXPECT_GT(lb_s, lb_u * 2);
+}
+
+// --- grain rows by position ---------------------------------------------------
+
+/// The hash lookup positional rows replaced, rebuilt from the table: task
+/// uid -> last row, and (loop, thread, seq) -> last row.
+struct ReferenceRows {
+  explicit ReferenceRows(const GrainTable& table) {
+    for (size_t i = 0; i < table.size(); ++i) {
+      const Grain& g = table.grains()[i];
+      if (g.kind == GrainKind::Task) {
+        task[g.task] = i;
+      } else {
+        chunk[{g.loop, g.thread, g.chunk_seq}] = i;
+      }
+    }
+  }
+
+  std::optional<size_t> row_of(const GraphNode& n) const {
+    if (n.kind == NodeKind::Fragment && n.task != kRootTask) {
+      const auto it = task.find(n.task);
+      if (it != task.end()) return it->second;
+    } else if (n.kind == NodeKind::Chunk) {
+      const auto it = chunk.find({n.loop, n.thread, n.seq});
+      if (it != chunk.end()) return it->second;
+    }
+    return std::nullopt;
+  }
+
+  std::map<TaskId, size_t> task;
+  std::map<std::tuple<LoopId, u16, u32>, size_t> chunk;
+};
+
+/// Every node's positional row equals the reference's, and the critical-path
+/// marks are the same at every thread count.
+void expect_positional_rows(const Trace& t, const std::string& what) {
+  const GrainGraph graph = GrainGraph::build(t);
+  const GrainTable table = GrainTable::build(t);
+  const ReferenceRows ref(table);
+  size_t mapped = 0;
+  for (const GraphNode& n : graph.nodes()) {
+    const auto want = ref.row_of(n);
+    EXPECT_EQ(table.row_of(t, n), want) << what;
+    if (want.has_value()) ++mapped;
+  }
+  EXPECT_GT(mapped, 0u) << what;
+  std::vector<bool> marks;
+  for (const int threads : {1, 2, 4, 8}) {
+    const GrainGraph g = GrainGraph::build(t, threads);
+    const GrainTable gt = GrainTable::build(t, threads);
+    MetricOptions mo;
+    mo.threads = threads;
+    const MetricsResult m =
+        compute_metrics(t, g, gt, Topology::opteron48(), mo);
+    std::vector<bool> got;
+    for (const GrainMetrics& gm : m.per_grain) got.push_back(gm.on_critical_path);
+    if (marks.empty()) {
+      marks = got;
+    } else {
+      EXPECT_EQ(got, marks) << what << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(GrainRowsTest, GoldenCorpusRowsMatchTheHashLookup) {
+  for (const char* name : {"tasks_mir4", "loops_gcc2", "exact_zero1"}) {
+    const auto t =
+        load_trace_file(std::string(GG_GOLDEN_DIR) + "/" + name + ".ggtrace");
+    ASSERT_TRUE(t.has_value()) << name;
+    expect_positional_rows(*t, name);
+  }
+}
+
+TEST(GrainRowsTest, SynthTracesWithLoopsMatchTheHashLookup) {
+  for (const u64 seed : {3u, 4u}) {
+    SynthOptions so;
+    so.seed = seed;
+    so.grains = 6000;
+    so.loop_fraction = 0.5;
+    const Trace t = synth_trace(so);
+    ASSERT_FALSE(t.chunks.empty());
+    expect_positional_rows(t, "synth seed " + std::to_string(seed));
+  }
+}
+
+TEST(GrainRowsTest, SalvagedCutsMatchTheHashLookup) {
+  SynthOptions so;
+  so.seed = 31;
+  so.workers = 4;
+  so.grains = 4000;
+  const std::string bytes = spool::spool_trace_bytes(synth_trace(so), 512);
+  for (size_t keep = 4096; keep < bytes.size(); keep += 64 * 1024) {
+    spool::RecoverResult rr = spool::recover_spool_bytes(bytes.substr(0, keep));
+    if (!rr.usable) continue;
+    salvage_trace(rr.trace);
+    ASSERT_TRUE(validate_trace(rr.trace).empty()) << keep;
+    expect_positional_rows(rr.trace, "cut at " + std::to_string(keep));
+  }
+}
+
+TEST(GrainRowsTest, DuplicatedUidAndOrphanChunkMatchTheHashLookup) {
+  SynthOptions so;
+  so.seed = 9;
+  so.grains = 3000;
+  so.loop_fraction = 0.5;
+  Trace t = synth_trace(so);
+  ASSERT_FALSE(t.loops.empty());
+  // Loop uids move up by one, so that an orphan chunk of loop 0 sorts first
+  // and shifts every other chunk's position.
+  for (LoopRec& l : t.loops) ++l.uid;
+  for (ChunkRec& c : t.chunks) ++c.loop;
+  for (BookkeepRec& b : t.bookkeeps) ++b.loop;
+  for (FragmentRec& f : t.fragments)
+    if (f.end_reason == FragmentEnd::Loop) ++f.end_ref;
+  ChunkRec orphan = t.chunks.front();
+  orphan.loop = 0;
+  t.chunks.push_back(orphan);
+  // A second record of a task that forks and has fragments of its own.
+  const FragmentRec* forker = nullptr;
+  for (const FragmentRec& f : t.fragments)
+    if (f.task != kRootTask && f.end_reason == FragmentEnd::Fork) forker = &f;
+  ASSERT_NE(forker, nullptr);
+  t.tasks.push_back(t.tasks[*t.task_index(forker->task)]);
+  t.finalize();
+  expect_positional_rows(t, "duplicated uid and orphan chunk");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "front/front.hpp"
+#include "graph/grain_graph.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -257,6 +258,37 @@ TEST(ObsSpanTest, SpoolRecoveryPhasesNestInTheCallersSpan) {
   const std::vector<std::string> want = {"spool.walk", "spool.verify",
                                          "spool.apply", "spool.place",
                                          "spool.finalize", "caller.load"};
+  ASSERT_EQ(spans.size(), want.size());
+  const obs::SpanRec& caller = spans.back();
+  u64 prev_end = caller.start_ns;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(spans[i].name, want[i]);
+    if (i + 1 == want.size()) break;
+    EXPECT_GE(spans[i].start_ns, prev_end) << spans[i].name;
+    EXPECT_LE(spans[i].end_ns, caller.end_ns) << spans[i].name;
+    prev_end = spans[i].end_ns;
+  }
+}
+
+TEST(ObsSpanTest, GraphBuildPhasesNestInTheCallersSpan) {
+  SynthOptions so;
+  so.seed = 5;
+  so.grains = 2000;
+  const Trace trace = synth_trace(so);
+  obs::Telemetry telem;
+  obs::install(&telem);
+  size_t nodes = 0;
+  {
+    obs::PhaseSpan caller("caller.graph");
+    nodes = GrainGraph::build(trace, 2).node_count();
+  }
+  obs::install(nullptr);
+  EXPECT_GT(nodes, 0u);
+  // Each phase once, in order, inside the caller's span.
+  const std::vector<obs::SpanRec> spans = telem.tracer.spans();
+  const std::vector<std::string> want = {
+      "graph.fragments", "graph.count",    "graph.wire",
+      "graph.epilogue",  "graph.finalize", "caller.graph"};
   ASSERT_EQ(spans.size(), want.size());
   const obs::SpanRec& caller = spans.back();
   u64 prev_end = caller.start_ns;

@@ -1057,6 +1057,7 @@ TEST(ServerWireTest, LiveWireSessionAnswersWhileFramesArrive) {
     if (summary.find("frames=") != std::string::npos) ++live_answers;
     fx.server->query("SESSIONS");
     fx.server->query("STATUS");
+    fx.server->query("REPORT live");
   }
   pusher.join();
   EXPECT_GT(live_answers, 0u);
