@@ -116,7 +116,8 @@ void BM_LoadBinary(benchmark::State& state) {
   const std::string bytes = os.str();
   for (auto _ : state) {
     std::istringstream is(bytes);
-    benchmark::DoNotOptimize(load_trace_binary(is));
+    benchmark::DoNotOptimize(
+        load_trace_binary_ex(is, {LoadMode::Strict, false}));
   }
 }
 BENCHMARK(BM_LoadBinary);

@@ -40,7 +40,6 @@
 #include "trace/serialize.hpp"
 #include "trace/spool.hpp"
 #include "trace/synth.hpp"
-#include "trace/validate.hpp"
 
 namespace {
 
@@ -61,34 +60,20 @@ struct PathResult {
   }
 };
 
-/// Loads `path` inside the load span. A GGSPOOL1 spool is recovered and then
-/// validated, as a file load validates, so every path's load does the same
-/// work. nullopt after an error line on a load failure, an incomplete
-/// recovery or an invalid trace.
+/// Loads `path` inside the load span: a strict, validated file load, or a
+/// spool's recovery and validation, so every path's load does the same
+/// work. nullopt after an error line unless the load is clean (a degraded
+/// spool recovery counts as a failure).
 std::optional<Trace> load(const std::string& path, int threads) {
   obs::PhaseSpan span(kLoadSpan);
-  if (!spool::spool_file_magic(path)) {
-    LoadOptions lo;
-    lo.mode = LoadMode::Strict;
-    lo.threads = threads;
-    LoadResult lr = load_trace_file_ex(path, lo);
-    if (lr.usable()) return std::move(lr.trace);
-    std::fprintf(stderr, "error: %s", lr.describe().c_str());
-    return std::nullopt;
-  }
-  spool::RecoverResult rr = spool::recover_spool_file(path, nullptr, threads);
-  if (!rr.usable || rr.report.partial()) {
-    std::fprintf(stderr, "error: recovery of %s: %s\n", path.c_str(),
-                 rr.report.summary().c_str());
-    return std::nullopt;
-  }
-  const std::vector<std::string> violations = validate_trace(rr.trace);
-  if (!violations.empty()) {
-    std::fprintf(stderr, "error: recovered %s is invalid: %s\n", path.c_str(),
-                 violations.front().c_str());
-    return std::nullopt;
-  }
-  return std::move(rr.trace);
+  LoadOptions lo;
+  lo.mode = LoadMode::Strict;
+  lo.threads = threads;
+  LoadResult lr = load_trace_file_ex(path, lo);
+  if (lr.ok()) return std::move(lr.trace);
+  std::fprintf(stderr, "error: %s did not load cleanly\n%s", path.c_str(),
+               lr.describe().c_str());
+  return std::nullopt;
 }
 
 /// Loads `path` and runs the full pipeline with `threads` workers in every

@@ -62,7 +62,7 @@ int main() {
   std::printf("%s", render_report(trace, analysis).c_str());
 
   // 3. Export the annotated graph (open in yEd / Cytoscape) and the raw
-  //    trace (reload later with load_trace_file).
+  //    trace (reload later with load_trace_file_ex).
   GraphMlOptions gopts;
   gopts.view = Problem::LowParallelBenefit;
   write_graphml_file("quickstart.graphml", analysis.graph, trace,

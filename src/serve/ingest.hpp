@@ -20,8 +20,8 @@
 //                    deadlines (slowloris), connection caps, MSG_NOSIGNAL
 //
 // A wire session finalizes through the same path as a tailed file, so a
-// stream pushed over the wire finalizes byte-identical to batch
-// `gganalyze --recover` of the source spool (the chaos tests pin this).
+// stream pushed over the wire finalizes byte-identical to a batch load of
+// the source spool (load_trace_file_ex; the chaos tests pin this).
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,7 @@
 // (spool::next_frame) and folding every complete frame into an
 // IncrementalTrace (trace/incremental.hpp) — the exact applier batch
 // recovery uses, so the tail converges on the same trace a post-mortem
-// `gganalyze --recover` would build from the final file.
+// load of the final file (load_trace_file_ex) would build.
 //
 // The robustness contract:
 //  * A partially written frame at EOF is "in progress", not corrupt. The

@@ -28,7 +28,7 @@
 //              One complete spool frame (any inner type: M/S/E/D/C/F/T)
 //              plus the byte offset it occupies in the source stream, so
 //              the server's recovery diagnostics are byte-identical to a
-//              batch `gganalyze --recover` over the same spool.
+//              batch load of the same spool (load_trace_file_ex).
 //   'S' SEAL   client→server  u8 end_kind | u64 end_offset | u64 end_len
 //              End of stream. end_kind mirrors what a tailer would find at
 //              the source's EOF: 0 clean end, 1 torn header, 2 garbled

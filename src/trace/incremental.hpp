@@ -8,9 +8,9 @@
 // tailer (src/serve/tailer.hpp) each drain's frames at one thread, and the
 // GGWIRE1 ingest (src/serve/ingest.hpp) one frame at a time. So a
 // long-running ingestion daemon makes byte-for-byte the same
-// keep/skip/degrade decisions as a post-mortem `gganalyze --recover` over
-// the same stream — the equivalence the serve chaos and wire parity tests
-// pin.
+// keep/skip/degrade decisions as a post-mortem load of the same stream
+// (load_trace_file_ex, trace/serialize.hpp) — the equivalence the serve
+// chaos and wire parity tests pin.
 //
 // Contract (identical to batch recovery):
 //  * a frame whose checksum fails is skipped and counted in frames_corrupt

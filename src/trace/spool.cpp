@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
 
 #include "common/par_for.hpp"
@@ -720,15 +719,6 @@ std::string RecoverReport::summary() const {
 bool looks_like_spool(std::string_view bytes) {
   return bytes.size() >= kSpoolMagic.size() &&
          bytes.substr(0, kSpoolMagic.size()) == kSpoolMagic;
-}
-
-bool spool_file_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[9];
-  in.read(magic, sizeof magic);
-  return in.gcount() == static_cast<std::streamsize>(sizeof magic) &&
-         looks_like_spool(std::string_view(magic, sizeof magic));
 }
 
 // --- the frame walker -------------------------------------------------------

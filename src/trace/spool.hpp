@@ -361,10 +361,9 @@ RecoverResult recover_spool_file(const std::string& path,
                                  std::string* error = nullptr,
                                  int threads = 0);
 
-/// True if `bytes`/the file starts with the spool magic (cheap sniffing
-/// for tools that accept .ggtrace/.ggbin/.ggspool alike).
+/// True if `bytes` starts with the spool magic (how the file loader tells
+/// a spool from a text or binary trace).
 bool looks_like_spool(std::string_view bytes);
-bool spool_file_magic(const std::string& path);
 
 // --- whole-trace spooling (modeled path: sim + deterministic tests) --------
 

@@ -232,13 +232,13 @@ TEST(DependSerializeTest, RoundTripsBothFormats) {
   std::stringstream text, bin;
   save_trace(t, text);
   save_trace_binary(t, bin);
-  auto t1 = load_trace(text);
-  auto t2 = load_trace_binary(bin);
-  ASSERT_TRUE(t1.has_value());
-  ASSERT_TRUE(t2.has_value());
-  EXPECT_EQ(t1->depends.size(), 1u);
-  EXPECT_EQ(t2->depends.size(), 1u);
-  EXPECT_EQ(t2->depends[0].pred, t.depends[0].pred);
+  const LoadResult t1 = load_trace_ex(text, {LoadMode::Strict, false});
+  const LoadResult t2 = load_trace_binary_ex(bin, {LoadMode::Strict, false});
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(t2.ok());
+  EXPECT_EQ(t1.trace->depends.size(), 1u);
+  EXPECT_EQ(t2.trace->depends.size(), 1u);
+  EXPECT_EQ(t2.trace->depends[0].pred, t.depends[0].pred);
 }
 
 TEST(DependValidateTest, RejectsBrokenDependences) {

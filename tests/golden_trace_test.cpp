@@ -26,6 +26,9 @@
 namespace gg {
 namespace {
 
+/// Strict and unvalidated: each test validates where it means to.
+constexpr LoadOptions kStrictRaw{LoadMode::Strict, false};
+
 const char* const kEntries[] = {"tasks_mir4", "loops_gcc2", "exact_zero1"};
 
 /// Epoch size the committed .ggspool files were spooled with. Must stay in
@@ -44,26 +47,29 @@ class GoldenTraceTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenTraceTest, BothFormatsLoadToTheSameValidTrace) {
   const std::string base = std::string(GG_GOLDEN_DIR) + "/" + GetParam();
-  const auto text = load_trace_file(base + ".ggtrace");
-  const auto binary = load_trace_file(base + ".ggbin");
-  ASSERT_TRUE(text.has_value());
-  ASSERT_TRUE(binary.has_value());
-  EXPECT_TRUE(validate_trace(*text).empty());
-  EXPECT_TRUE(validate_trace(*binary).empty());
-  EXPECT_EQ(check::canonical_signature(*text),
-            check::canonical_signature(*binary));
-  EXPECT_EQ(text->makespan(), binary->makespan());
-  EXPECT_EQ(text->meta.clock_source, binary->meta.clock_source);
-  EXPECT_EQ(text->worker_stats.size(), binary->worker_stats.size());
+  const LoadResult text_lr =
+      load_trace_file_ex(base + ".ggtrace", kStrictRaw);
+  const LoadResult binary_lr = load_trace_file_ex(base + ".ggbin", kStrictRaw);
+  ASSERT_TRUE(text_lr.ok());
+  ASSERT_TRUE(binary_lr.ok());
+  const Trace& text = *text_lr.trace;
+  const Trace& binary = *binary_lr.trace;
+  EXPECT_TRUE(validate_trace(text).empty());
+  EXPECT_TRUE(validate_trace(binary).empty());
+  EXPECT_EQ(check::canonical_signature(text),
+            check::canonical_signature(binary));
+  EXPECT_EQ(text.makespan(), binary.makespan());
+  EXPECT_EQ(text.meta.clock_source, binary.meta.clock_source);
+  EXPECT_EQ(text.worker_stats.size(), binary.worker_stats.size());
 }
 
 TEST_P(GoldenTraceTest, PipelineMatchesCommittedExpectation) {
   const std::string base = std::string(GG_GOLDEN_DIR) + "/" + GetParam();
   const std::string expected = read_file(base + ".expect");
   for (const char* ext : {".ggtrace", ".ggbin"}) {
-    const auto t = load_trace_file(base + ext);
-    ASSERT_TRUE(t.has_value()) << ext;
-    EXPECT_EQ(golden::summary(*t) + "\n", expected)
+    const LoadResult lr = load_trace_file_ex(base + ext, kStrictRaw);
+    ASSERT_TRUE(lr.ok()) << ext;
+    EXPECT_EQ(golden::summary(*lr.trace) + "\n", expected)
         << ext << ": load -> graph -> metrics drifted from the committed "
         << "expectation; if the change is intentional, regenerate with "
         << "make_golden";
@@ -73,26 +79,26 @@ TEST_P(GoldenTraceTest, PipelineMatchesCommittedExpectation) {
 TEST_P(GoldenTraceTest, SerializationRoundTripsByteExactly) {
   const std::string base = std::string(GG_GOLDEN_DIR) + "/" + GetParam();
   {
-    const auto t = load_trace_file(base + ".ggtrace");
-    ASSERT_TRUE(t.has_value());
+    const LoadResult lr = load_trace_file_ex(base + ".ggtrace", kStrictRaw);
+    ASSERT_TRUE(lr.ok());
     std::ostringstream os;
-    save_trace(*t, os);
+    save_trace(*lr.trace, os);
     EXPECT_EQ(os.str(), read_file(base + ".ggtrace")) << "text format";
   }
   {
-    const auto t = load_trace_file(base + ".ggbin");
-    ASSERT_TRUE(t.has_value());
+    const LoadResult lr = load_trace_file_ex(base + ".ggbin", kStrictRaw);
+    ASSERT_TRUE(lr.ok());
     std::ostringstream os(std::ios::binary);
-    save_trace_binary(*t, os);
+    save_trace_binary(*lr.trace, os);
     EXPECT_EQ(os.str(), read_file(base + ".ggbin")) << "binary format";
   }
 }
 
 TEST_P(GoldenTraceTest, SpoolRoundTripsByteExactly) {
   const std::string base = std::string(GG_GOLDEN_DIR) + "/" + GetParam();
-  const auto t = load_trace_file(base + ".ggtrace");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(spool::spool_trace_bytes(*t, kGoldenEpochBytes),
+  const LoadResult lr = load_trace_file_ex(base + ".ggtrace", kStrictRaw);
+  ASSERT_TRUE(lr.ok());
+  EXPECT_EQ(spool::spool_trace_bytes(*lr.trace, kGoldenEpochBytes),
             read_file(base + ".ggspool"))
       << "spool format";
 }

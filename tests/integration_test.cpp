@@ -23,6 +23,9 @@
 namespace gg {
 namespace {
 
+/// Strict and unvalidated: the round trips compare records, not structure.
+constexpr LoadOptions kStrictRaw{LoadMode::Strict, false};
+
 using front::Ctx;
 
 std::set<std::string> path_set(const Trace& t) {
@@ -100,23 +103,23 @@ TEST(IntegrationTest, TextAndBinarySerializationAgree) {
   std::stringstream text, binary;
   save_trace(original, text);
   save_trace_binary(original, binary);
-  auto from_text = load_trace(text);
-  auto from_binary = load_trace_binary(binary);
-  ASSERT_TRUE(from_text.has_value());
-  ASSERT_TRUE(from_binary.has_value());
+  const LoadResult from_text = load_trace_ex(text, kStrictRaw);
+  const LoadResult from_binary = load_trace_binary_ex(binary, kStrictRaw);
+  ASSERT_TRUE(from_text.ok());
+  ASSERT_TRUE(from_binary.ok());
 
   // Both round trips re-serialize to identical text.
   std::stringstream a, b, c;
   save_trace(original, a);
-  save_trace(*from_text, b);
-  save_trace(*from_binary, c);
+  save_trace(*from_text.trace, b);
+  save_trace(*from_binary.trace, c);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(a.str(), c.str());
 }
 
 TEST(IntegrationTest, BinaryRejectsGarbageAndTruncation) {
   std::stringstream bad("not a binary trace at all");
-  EXPECT_FALSE(load_trace_binary(bad).has_value());
+  EXPECT_FALSE(load_trace_binary_ex(bad, kStrictRaw).ok());
 
   sim::SimOptions o;
   o.num_cores = 2;
@@ -130,9 +133,10 @@ TEST(IntegrationTest, BinaryRejectsGarbageAndTruncation) {
   const std::string bytes = full.str();
   for (size_t cut : {size_t{3}, bytes.size() / 2, bytes.size() - 4}) {
     std::stringstream truncated(bytes.substr(0, cut));
-    std::string error;
-    EXPECT_FALSE(load_trace_binary(truncated, &error).has_value()) << cut;
-    EXPECT_FALSE(error.empty());
+    const LoadResult lr = load_trace_binary_ex(truncated, kStrictRaw);
+    EXPECT_FALSE(lr.ok()) << cut;
+    ASSERT_NE(lr.first_error(), nullptr) << cut;
+    EXPECT_FALSE(lr.first_error()->message.empty());
   }
 }
 
@@ -146,11 +150,10 @@ TEST(IntegrationTest, FileRoundTripByExtension) {
   const Trace t = eng.run("fib", apps::fib_program(eng, p));
   for (const char* path : {"/tmp/gg_it.ggtrace", "/tmp/gg_it.ggbin"}) {
     ASSERT_TRUE(save_trace_file(t, path));
-    std::string error;
-    auto loaded = load_trace_file(path, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->tasks.size(), t.tasks.size());
-    EXPECT_EQ(loaded->makespan(), t.makespan());
+    const LoadResult loaded = load_trace_file_ex(path, kStrictRaw);
+    ASSERT_TRUE(loaded.ok()) << loaded.describe();
+    EXPECT_EQ(loaded.trace->tasks.size(), t.tasks.size());
+    EXPECT_EQ(loaded.trace->makespan(), t.makespan());
   }
 }
 
@@ -164,11 +167,11 @@ TEST(IntegrationTest, AnalysisSurvivesSerializationRoundTrip) {
   const Trace t = eng.run("sparselu", apps::sparselu_program(eng, p));
   std::stringstream ss;
   save_trace_binary(t, ss);
-  auto loaded = load_trace_binary(ss);
-  ASSERT_TRUE(loaded.has_value());
+  const LoadResult loaded = load_trace_binary_ex(ss, kStrictRaw);
+  ASSERT_TRUE(loaded.ok());
 
   const Analysis a1 = analyze(t, Topology::opteron48());
-  const Analysis a2 = analyze(*loaded, Topology::opteron48());
+  const Analysis a2 = analyze(*loaded.trace, Topology::opteron48());
   EXPECT_EQ(a1.grains.size(), a2.grains.size());
   EXPECT_EQ(a1.metrics.critical_path_time, a2.metrics.critical_path_time);
   for (size_t i = 0; i < kProblemCount; ++i) {

@@ -9,9 +9,9 @@
 //    past a deadline when a later valid frame proves real damage — one bad
 //    frame loses one epoch, never the session;
 //  * writer death is detected via the crash-provenance footer or footer-
-//    less staleness, and the session hands itself to the batch recovery
-//    pipeline (salvage + validate), so its final metrics are byte-identical
-//    to `gganalyze --recover` over the same spool;
+//    less staleness, and the session hands itself to the batch loader's
+//    spool hand-off (load_recovered: salvage + validate), so its final
+//    metrics are byte-identical to `gganalyze` over the same spool;
 //  * one global admission budget bounds resident memory: heavy queries and
 //    new wire streams are shed first, then tailers pause, then idle
 //    finalized sessions are evicted — the daemon degrades, it never aborts;

@@ -2,8 +2,8 @@
 //
 // The network twin of dropping a spool file into the daemon's --dir: each
 // complete frame ships as one GGWIRE1 EPOCH, acked durably by the daemon,
-// and the final report is byte-identical to `gganalyze --recover` over the
-// same file. Two modes:
+// and the final report is byte-identical to `gganalyze` over the same file.
+// Two modes:
 //
 //   batch (default)  read the whole file, push it, seal, exit;
 //   --follow         tail a growing spool like the daemon's own tailer,

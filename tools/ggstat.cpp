@@ -1,7 +1,7 @@
 // ggstat — live spool monitor: pretty-prints the telemetry ('T') frames a
 // running (or finished, or crashed) engine streams into its GGSPOOL1 file.
 //
-// Unlike gganalyze --recover, ggstat never replays records: it walks frame
+// Unlike gganalyze on a spool, ggstat never replays records: it walks frame
 // headers, verifies only the frames it reads, and decodes the 'M' meta and
 // 'T' telemetry payloads. That makes it cheap enough to run against a live
 // spool while workers are still appending to it.
