@@ -29,7 +29,7 @@ int main() {
   Table t("per-loop view");
   t.set_header({"loop (source)", "chunks", "load balance", "low benefit %"});
   for (const LoopRec& loop : b.trace.loops) {
-    const auto chunks = b.trace.chunks_of(loop.uid);
+    const auto chunks = b.trace.chunks_span(loop.uid);
     size_t low = 0, idx = 0;
     const auto& view = b.analysis.problems[static_cast<size_t>(
         Problem::LowParallelBenefit)];

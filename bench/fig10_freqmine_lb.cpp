@@ -28,7 +28,7 @@ int main() {
 
   const Trace full = run_with_team(0);
   const LoopRec& fpgf = full.loops[1];  // the 2nd instance
-  const auto chunks = full.chunks_of(fpgf.uid);
+  const auto chunks = full.chunks_span(fpgf.uid);
   std::printf("FPGF (2nd loop instance): %zu chunks (paper: 1292)\n",
               chunks.size());
   const double lb48 = loop_load_balance(full, fpgf);
@@ -37,7 +37,7 @@ int main() {
   // Bin-pack the chunk durations against the loop's makespan.
   std::vector<u64> durations;
   TimeNs loop_span = fpgf.end - fpgf.start;
-  for (const ChunkRec* c : chunks) durations.push_back(c->end - c->start);
+  for (const ChunkRec& c : chunks) durations.push_back(c.end - c.start);
   const BinPackResult pack = min_bins(durations, loop_span);
   std::printf("bin-packer: minimum cores retaining the %.2fms makespan = %d "
               "(%s; paper: 7)\n",

@@ -35,7 +35,7 @@ int main() {
   std::printf("== step 1: profile the loop on the full machine ==\n");
   const Trace full = run_freqmine(0);
   const LoopRec& fpgf = full.loops[1];  // the dominant FPGF instance
-  const auto chunks = full.chunks_of(fpgf.uid);
+  const auto chunks = full.chunks_span(fpgf.uid);
   std::printf("FPGF: %zu chunks, load balance %.1f on 48 cores — a few "
               "single-iteration chunks dwarf the rest\n",
               chunks.size(), loop_load_balance(full, fpgf));
@@ -43,7 +43,7 @@ int main() {
   std::printf("\n== step 2: bin-pack chunk durations against the observed "
               "makespan ==\n");
   std::vector<u64> durations;
-  for (const ChunkRec* c : chunks) durations.push_back(c->end - c->start);
+  for (const ChunkRec& c : chunks) durations.push_back(c.end - c.start);
   const TimeNs span = fpgf.end - fpgf.start;
   const BinPackResult pack = min_bins(durations, span);
   std::printf("minimum cores that fit every chunk under the %.2fms makespan: "

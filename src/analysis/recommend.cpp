@@ -103,8 +103,8 @@ std::vector<Recommendation> recommend(const Trace& trace, const Analysis& a) {
     if (it == a.metrics.loop_load_balance.end() || it->second < 3.0) continue;
     if (loop.sched == ScheduleKind::Dynamic && loop.chunk_param <= 1) {
       std::vector<u64> durations;
-      for (const ChunkRec* c : trace.chunks_of(loop.uid))
-        durations.push_back(c->end - c->start);
+      for (const ChunkRec& c : trace.chunks_span(loop.uid))
+        durations.push_back(c.end - c.start);
       const int cores =
           min_cores_for_makespan(durations, loop.end - loop.start);
       if (cores < trace.meta.num_workers) {

@@ -72,16 +72,16 @@ std::string canonical_signature(const Trace& trace) {
     line << "task " << p << " src=" << str_of(trace, t.src) << " parent="
          << (t.parent == kNoTask ? std::string("-") : path_of(t.parent))
          << " frags=";
-    for (const FragmentRec* f : trace.fragments_of(t.uid)) {
-      switch (f->end_reason) {
+    for (const FragmentRec& f : trace.fragments_span(t.uid)) {
+      switch (f.end_reason) {
         case FragmentEnd::Fork:
-          line << "F(" << path_of(static_cast<TaskId>(f->end_ref)) << ")";
+          line << "F(" << path_of(static_cast<TaskId>(f.end_ref)) << ")";
           break;
         case FragmentEnd::Join:
-          line << "J(" << f->end_ref << ")";
+          line << "J(" << f.end_ref << ")";
           break;
         case FragmentEnd::Loop:
-          line << "L(" << loop_seq(static_cast<LoopId>(f->end_ref)) << ")";
+          line << "L(" << loop_seq(static_cast<LoopId>(f.end_ref)) << ")";
           break;
         case FragmentEnd::TaskEnd:
           line << "E";
@@ -89,7 +89,7 @@ std::string canonical_signature(const Trace& trace) {
       }
       line << ";";
     }
-    line << " joins=" << trace.joins_of(t.uid).size();
+    line << " joins=" << trace.joins_span(t.uid).size();
     task_lines.emplace(p, line.str());
   }
 
@@ -108,12 +108,12 @@ std::string canonical_signature(const Trace& trace) {
          << " src=" << str_of(trace, l.src) << " sched=" << to_string(l.sched)
          << " chunk=" << l.chunk_param << " range=[" << l.iter_begin << ","
          << l.iter_end << ") team=" << l.num_threads << "\n";
-    const auto chunks = trace.chunks_of(l.uid);
+    const auto chunks = trace.chunks_span(l.uid);
     if (l.sched == ScheduleKind::Static) {
       // Static: ranges AND thread assignment are schedule-independent.
       std::map<u16, std::vector<std::pair<u64, u64>>> per_thread;
-      for (const ChunkRec* c : chunks) {
-        per_thread[c->thread].emplace_back(c->iter_begin, c->iter_end);
+      for (const ChunkRec& c : chunks) {
+        per_thread[c.thread].emplace_back(c.iter_begin, c.iter_end);
       }
       for (auto& [t, ranges] : per_thread) {
         std::sort(ranges.begin(), ranges.end());
@@ -124,8 +124,8 @@ std::string canonical_signature(const Trace& trace) {
     } else {
       // Dynamic/guided: only the range multiset is schedule-independent.
       std::vector<std::pair<u64, u64>> ranges;
-      for (const ChunkRec* c : chunks) {
-        ranges.emplace_back(c->iter_begin, c->iter_end);
+      for (const ChunkRec& c : chunks) {
+        ranges.emplace_back(c.iter_begin, c.iter_end);
       }
       std::sort(ranges.begin(), ranges.end());
       line << "  chunks * =";

@@ -126,7 +126,7 @@ void write_html_report(std::ostream& os, const Trace& trace,
                             : 0.0;
       os << "<tr><td>" << esc(trace.strings.get(loop.src)) << "</td><td>"
          << to_string(loop.sched) << "</td><td>"
-         << trace.chunks_of(loop.uid).size() << "</td><td>"
+         << trace.chunks_span(loop.uid).size() << "</td><td>"
          << loop.num_threads << "</td><td"
          << (lb > 1.5 ? " class='bad'" : "") << ">"
          << strings::trim_double(lb, 2) << "</td></tr>";

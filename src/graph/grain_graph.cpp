@@ -49,30 +49,6 @@ std::span<const u32> GrainGraph::out_edges(u32 node) const {
           out_offsets_[node + 1] - out_offsets_[node]};
 }
 
-std::span<const u32> GrainGraph::in_edges(u32 node) const {
-  GG_CHECK(finalized_ && node < nodes_.size());
-  return {in_edge_ids_.data() + in_offsets_[node],
-          in_offsets_[node + 1] - in_offsets_[node]};
-}
-
-std::optional<u32> GrainGraph::first_fragment(TaskId task) const {
-  GG_CHECK(finalized_);
-  auto it = std::lower_bound(
-      frag_range_.begin(), frag_range_.end(), task,
-      [](const auto& p, TaskId v) { return p.first < v; });
-  if (it == frag_range_.end() || it->first != task) return std::nullopt;
-  return it->second.first;
-}
-
-std::optional<u32> GrainGraph::last_fragment(TaskId task) const {
-  GG_CHECK(finalized_);
-  auto it = std::lower_bound(
-      frag_range_.begin(), frag_range_.end(), task,
-      [](const auto& p, TaskId v) { return p.first < v; });
-  if (it == frag_range_.end() || it->first != task) return std::nullopt;
-  return it->second.first + it->second.second - 1;
-}
-
 std::vector<u32> GrainGraph::nodes_of_kind(NodeKind kind) const {
   std::vector<u32> out;
   for (u32 i = 0; i < nodes_.size(); ++i) {
@@ -89,45 +65,18 @@ void GrainGraph::finalize() {
   finalize_impl(true);
 }
 
-void GrainGraph::finalize_impl(bool require_dag, bool index_fragments) {
+void GrainGraph::finalize_impl(bool require_dag) {
   const size_t n = nodes_.size();
   // CSR adjacency via counting sort over the edge list. Filling in edge-id
   // order keeps each node's list ascending, exactly as repeated push_back
   // into per-node vectors produced before.
   out_offsets_.assign(n + 1, 0);
-  in_offsets_.assign(n + 1, 0);
-  for (const GraphEdge& e : edges_) {
-    out_offsets_[e.from + 1]++;
-    in_offsets_[e.to + 1]++;
-  }
-  for (size_t v = 0; v < n; ++v) {
-    out_offsets_[v + 1] += out_offsets_[v];
-    in_offsets_[v + 1] += in_offsets_[v];
-  }
+  for (const GraphEdge& e : edges_) out_offsets_[e.from + 1]++;
+  for (size_t v = 0; v < n; ++v) out_offsets_[v + 1] += out_offsets_[v];
   out_edge_ids_.resize(edges_.size());
-  in_edge_ids_.resize(edges_.size());
   std::vector<u32> out_cur(out_offsets_.begin(), out_offsets_.end() - 1);
-  std::vector<u32> in_cur(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (u32 e = 0; e < edges_.size(); ++e) {
+  for (u32 e = 0; e < edges_.size(); ++e)
     out_edge_ids_[out_cur[edges_[e].from]++] = e;
-    in_edge_ids_[in_cur[edges_[e].to]++] = e;
-  }
-  // Fragment index of reduced and hand-built graphs: contiguous runs per
-  // task (build() sets it from its fragment phase instead).
-  if (index_fragments) {
-    frag_range_.clear();
-    for (u32 i = 0; i < n; ++i) {
-      if (nodes_[i].kind != NodeKind::Fragment) continue;
-      if (!frag_range_.empty() &&
-          frag_range_.back().first == nodes_[i].task) {
-        frag_range_.back().second.second++;
-      } else {
-        frag_range_.emplace_back(nodes_[i].task, std::make_pair(i, 1u));
-      }
-    }
-    std::sort(frag_range_.begin(), frag_range_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
   topo_.clear();
   if (!require_dag) {
     finalized_ = true;
@@ -609,16 +558,7 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   epilogue_span.end();
 
   obs::PhaseSpan finalize_span("graph.finalize");
-  // The fragment index comes from the fragment phase, already in uid order.
-  g.frag_range_.reserve(ntasks);
-  for (size_t p = 0; p < ntasks; ++p) {
-    const FragRun& run = fi.runs[p];
-    if (run.has()) {
-      g.frag_range_.emplace_back(trace.tasks[p].uid,
-                                 std::make_pair(run.node, run.count));
-    }
-  }
-  g.finalize_impl(/*require_dag=*/true, /*index_fragments=*/false);
+  g.finalize();
   return g;
 }
 
@@ -635,15 +575,15 @@ std::vector<std::string> validate_graph(const GrainGraph& g) {
 
   const auto& nodes = g.nodes();
   const auto& edges = g.edges();
+  std::vector<u32> join_in(nodes.size(), 0);
+  for (const GraphEdge& e : edges) {
+    if (e.kind == EdgeKind::Join) ++join_in[e.to];
+  }
   for (u32 i = 0; i < nodes.size(); ++i) {
     const GraphNode& n = nodes[i];
-    size_t creation_out = 0, continuation_out = 0, join_in = 0;
+    size_t creation_out = 0;
     for (u32 e : g.out_edges(i)) {
       if (edges[e].kind == EdgeKind::Creation) ++creation_out;
-      if (edges[e].kind == EdgeKind::Continuation) ++continuation_out;
-    }
-    for (u32 e : g.in_edges(i)) {
-      if (edges[e].kind == EdgeKind::Join) ++join_in;
     }
     switch (n.kind) {
       case NodeKind::Fork:
@@ -655,7 +595,7 @@ std::vector<std::string> validate_graph(const GrainGraph& g) {
         // Root implicit barrier and loop joins of empty loops may be
         // childless; all other joins synchronize at least one child.
         const bool childless_ok = n.task == kRootTask || n.loop != 0;
-        if (join_in == 0 && !childless_ok)
+        if (join_in[i] == 0 && !childless_ok)
           report("join node " + std::to_string(i) + " has no join in-edges");
         break;
       }

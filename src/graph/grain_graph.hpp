@@ -23,7 +23,6 @@
 // shape depends on the profiled thread count (§3.1).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -112,14 +111,9 @@ class GrainGraph {
   const std::vector<GraphNode>& nodes() const { return nodes_; }
   const std::vector<GraphEdge>& edges() const { return edges_; }
 
-  /// Outgoing / incoming edge indices of a node (views into the CSR
-  /// adjacency arrays; valid until the next finalize()).
+  /// Outgoing edge indices of a node (a view into the CSR adjacency
+  /// arrays; valid until the next finalize()).
   std::span<const u32> out_edges(u32 node) const;
-  std::span<const u32> in_edges(u32 node) const;
-
-  /// Node index of the first/last fragment of a task, if present.
-  std::optional<u32> first_fragment(TaskId task) const;
-  std::optional<u32> last_fragment(TaskId task) const;
 
   /// All node indices of a given kind.
   std::vector<u32> nodes_of_kind(NodeKind kind) const;
@@ -133,25 +127,22 @@ class GrainGraph {
   /// Builder-side mutation API (used by build() and by reductions).
   u32 add_node(GraphNode node);
   void add_edge(u32 from, u32 to, EdgeKind kind);
-  /// Recomputes adjacency, fragment indices, and the topological order;
-  /// aborts on cycles. Must be called after mutation before queries.
+  /// Recomputes adjacency and the topological order; aborts on cycles.
+  /// Must be called after mutation before queries.
   void finalize();
   /// finalize() without the DAG requirement — reduced graphs may contain
   /// join-back cycles. topo_order() is empty afterwards.
   void finalize_lenient();
 
  private:
-  /// `index_fragments` false keeps a fragment index build() already set.
-  void finalize_impl(bool require_dag, bool index_fragments = true);
+  void finalize_impl(bool require_dag);
 
   std::vector<GraphNode> nodes_;
   std::vector<GraphEdge> edges_;
   // CSR adjacency: edge ids of node v live at [offsets[v], offsets[v+1]),
   // in ascending edge-id order (matching the old per-node push_back order).
   std::vector<u32> out_offsets_, out_edge_ids_;
-  std::vector<u32> in_offsets_, in_edge_ids_;
   std::vector<u32> topo_;
-  std::vector<std::pair<TaskId, std::pair<u32, u32>>> frag_range_;  // sorted
   bool finalized_ = false;
 };
 

@@ -314,48 +314,6 @@ std::optional<size_t> Trace::loop_index(LoopId uid) const {
   return static_cast<size_t>(it - loops.begin());
 }
 
-std::vector<const FragmentRec*> Trace::fragments_of(TaskId uid) const {
-  if (!finalized_) return {};
-  std::vector<const FragmentRec*> out;
-  auto lo = std::lower_bound(
-      fragments.begin(), fragments.end(), uid,
-      [](const FragmentRec& f, TaskId v) { return f.task < v; });
-  for (auto it = lo; it != fragments.end() && it->task == uid; ++it)
-    out.push_back(&*it);
-  return out;
-}
-
-std::vector<const JoinRec*> Trace::joins_of(TaskId uid) const {
-  if (!finalized_) return {};
-  std::vector<const JoinRec*> out;
-  auto lo = std::lower_bound(joins.begin(), joins.end(), uid,
-                             [](const JoinRec& j, TaskId v) { return j.task < v; });
-  for (auto it = lo; it != joins.end() && it->task == uid; ++it)
-    out.push_back(&*it);
-  return out;
-}
-
-std::vector<const ChunkRec*> Trace::chunks_of(LoopId uid) const {
-  if (!finalized_) return {};
-  std::vector<const ChunkRec*> out;
-  auto lo = std::lower_bound(chunks.begin(), chunks.end(), uid,
-                             [](const ChunkRec& c, LoopId v) { return c.loop < v; });
-  for (auto it = lo; it != chunks.end() && it->loop == uid; ++it)
-    out.push_back(&*it);
-  return out;
-}
-
-std::vector<const BookkeepRec*> Trace::bookkeeps_of(LoopId uid) const {
-  if (!finalized_) return {};
-  std::vector<const BookkeepRec*> out;
-  auto lo = std::lower_bound(
-      bookkeeps.begin(), bookkeeps.end(), uid,
-      [](const BookkeepRec& b, LoopId v) { return b.loop < v; });
-  for (auto it = lo; it != bookkeeps.end() && it->loop == uid; ++it)
-    out.push_back(&*it);
-  return out;
-}
-
 std::vector<const TaskRec*> Trace::children_of(TaskId uid) const {
   if (!finalized_) return {};
   auto lo = std::lower_bound(

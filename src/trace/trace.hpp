@@ -100,9 +100,7 @@ class Trace {
   std::optional<size_t> loop_index(LoopId uid) const;
 
   // Zero-copy range accessors. After finalize() each record vector is sorted
-  // with its owner's records contiguous, so one binary search yields a view;
-  // these are what the analysis hot paths use (the *_of pointer-vector
-  // accessors below allocate per call and remain for convenience).
+  // with its owner's records contiguous, so one binary search yields a view.
 
   /// Fragments of one task in seq order; empty before finalize().
   std::span<const FragmentRec> fragments_span(TaskId uid) const;
@@ -115,18 +113,6 @@ class Trace {
 
   /// Book-keeping records of one loop in (thread, seq_on_thread) order.
   std::span<const BookkeepRec> bookkeeps_span(LoopId uid) const;
-
-  /// Fragments of one task in seq order (contiguous after finalize()).
-  std::vector<const FragmentRec*> fragments_of(TaskId uid) const;
-
-  /// Joins of one task in seq order.
-  std::vector<const JoinRec*> joins_of(TaskId uid) const;
-
-  /// Chunks of one loop.
-  std::vector<const ChunkRec*> chunks_of(LoopId uid) const;
-
-  /// Book-keeping records of one loop.
-  std::vector<const BookkeepRec*> bookkeeps_of(LoopId uid) const;
 
   /// Children of a task in creation order. Indexed after finalize()
   /// (O(log n + k) per call rather than a scan over all tasks).

@@ -156,7 +156,7 @@ TEST(SparseLuTest, PhaseStructure) {
   EXPECT_TRUE(validate_trace(t).empty());
   // Two joins per outer iteration (fwd/bdiv barrier + bmod barrier), except
   // iterations with no spawned work near the end.
-  EXPECT_GE(t.joins_of(kRootTask).size(), static_cast<size_t>(p.blocks));
+  EXPECT_GE(t.joins_span(kRootTask).size(), static_cast<size_t>(p.blocks));
   // bmod dominates the task mix.
   size_t bmod = 0;
   for (const TaskRec& task : t.tasks) {
@@ -255,7 +255,7 @@ TEST(FreqmineTest, SecondLoopHas1292Chunks) {
   EXPECT_TRUE(validate_trace(t).empty());
   ASSERT_EQ(t.loops.size(), 3u);
   const LoopRec& fpgf = t.loops[1];
-  EXPECT_EQ(t.chunks_of(fpgf.uid).size(), 1292u);  // chunk size 1
+  EXPECT_EQ(t.chunks_span(fpgf.uid).size(), 1292u);  // chunk size 1
   EXPECT_GT(patterns, 0);
 }
 
@@ -267,8 +267,8 @@ TEST(FreqmineTest, NumThreadsLimitsTeam) {
   const Trace t = eng.run("freqmine", freqmine_program(eng, p));
   ASSERT_EQ(t.loops.size(), 3u);
   EXPECT_EQ(t.loops[1].num_threads, 7);
-  for (const ChunkRec* c : t.chunks_of(t.loops[1].uid))
-    EXPECT_LT(c->thread, 7);
+  for (const ChunkRec& c : t.chunks_span(t.loops[1].uid))
+    EXPECT_LT(c.thread, 7);
 }
 
 TEST(FreqmineTest, DeterministicPatternCount) {

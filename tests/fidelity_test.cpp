@@ -177,11 +177,11 @@ TEST(FidelityTest, FreqmineBinPackerSaysSevenCores) {
   const Trace t = simulate_fpgf_team(0);
   ASSERT_EQ(t.loops.size(), 3u);
   const LoopRec& fpgf = t.loops[1];
-  EXPECT_EQ(t.chunks_of(fpgf.uid).size(), 1292u);  // the paper's count
+  EXPECT_EQ(t.chunks_span(fpgf.uid).size(), 1292u);  // the paper's count
   EXPECT_GT(loop_load_balance(t, fpgf), 5.0);      // irreparably imbalanced
   std::vector<u64> durations;
-  for (const ChunkRec* c : t.chunks_of(fpgf.uid))
-    durations.push_back(c->end - c->start);
+  for (const ChunkRec& c : t.chunks_span(fpgf.uid))
+    durations.push_back(c.end - c.start);
   EXPECT_EQ(min_cores_for_makespan(durations, fpgf.end - fpgf.start), 7);
 
   // Re-run with num_threads(7) on FPGF. The paper's 7-core loop keeps the

@@ -108,8 +108,8 @@ TEST_P(RandomProgramTest, SimInvariantsHoldAcrossConfigurations) {
       for (const Grain& grain : grains.grains()) {
         if (grain.kind != GrainKind::Task) continue;
         TimeNs sum = 0;
-        for (const FragmentRec* f : t.fragments_of(grain.task))
-          sum += f->end - f->start;
+        for (const FragmentRec& f : t.fragments_span(grain.task))
+          sum += f.end - f.start;
         EXPECT_EQ(sum, grain.exec_time);
       }
     }

@@ -168,7 +168,7 @@ TEST(ThreadedEngineTest, SpawnAndTaskwaitComputesCorrectResult) {
     const auto errs = validate_trace(t);
     EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs.front());
     EXPECT_EQ(t.tasks.size(), 11u);
-    EXPECT_EQ(t.joins_of(kRootTask).size(), 1u);
+    EXPECT_EQ(t.joins_span(kRootTask).size(), 1u);
   }
 }
 
@@ -265,7 +265,7 @@ TEST(ThreadedEngineTest, UnjoinedChildrenDrainAtImplicitBarrier) {
   EXPECT_EQ(count.load(), 5);
   EXPECT_TRUE(validate_trace(t).empty());
   // The implicit barrier shows up as a join on the root task.
-  EXPECT_EQ(t.joins_of(kRootTask).size(), 1u);
+  EXPECT_EQ(t.joins_span(kRootTask).size(), 1u);
 }
 
 TEST(ThreadedEngineTest, InlineQueueLimitMarksTasksInlined) {
@@ -307,8 +307,8 @@ TEST(ThreadedEngineTest, TaskwaitWithoutChildrenIsStructuralNoop) {
     ctx.taskwait();
   });
   EXPECT_TRUE(validate_trace(t).empty());
-  EXPECT_TRUE(t.joins_of(kRootTask).empty());
-  EXPECT_EQ(t.fragments_of(kRootTask).size(), 1u);
+  EXPECT_TRUE(t.joins_span(kRootTask).empty());
+  EXPECT_EQ(t.fragments_span(kRootTask).size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,10 +347,10 @@ TEST_P(ParallelForTest, AllIterationsExecuteExactlyOnce) {
   // per thread, #bookkeeps == #chunks + 1 when the thread worked, else 0.
   for (u16 th = 0; th < loop.num_threads; ++th) {
     size_t nchunks = 0, nbooks = 0;
-    for (const auto* c : t.chunks_of(loop.uid))
-      if (c->thread == th) ++nchunks;
-    for (const auto* b : t.bookkeeps_of(loop.uid))
-      if (b->thread == th) ++nbooks;
+    for (const auto& c : t.chunks_span(loop.uid))
+      if (c.thread == th) ++nchunks;
+    for (const auto& b : t.bookkeeps_span(loop.uid))
+      if (b.thread == th) ++nbooks;
     if (nchunks > 0) {
       EXPECT_EQ(nbooks, nchunks + 1);
     } else {
@@ -377,7 +377,7 @@ TEST(ThreadedEngineTest, EmptyLoopProducesNoChunks) {
   });
   EXPECT_TRUE(validate_trace(t).empty());
   ASSERT_EQ(t.loops.size(), 1u);
-  EXPECT_TRUE(t.chunks_of(t.loops.front().uid).empty());
+  EXPECT_TRUE(t.chunks_span(t.loops.front().uid).empty());
 }
 
 TEST(ThreadedEngineTest, NumThreadsRestrictsTeam) {
@@ -432,11 +432,11 @@ TEST(ThreadedEngineTest, TasksThenLoopThenTasks) {
   const auto errs = validate_trace(t);
   EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs.front());
   EXPECT_EQ(t.loops.size(), 1u);
-  EXPECT_EQ(t.joins_of(kRootTask).size(), 2u);
+  EXPECT_EQ(t.joins_span(kRootTask).size(), 2u);
   // Root fragment stream contains a Loop-terminated fragment.
   bool saw_loop_fragment = false;
-  for (const auto* f : t.fragments_of(kRootTask))
-    saw_loop_fragment |= f->end_reason == FragmentEnd::Loop;
+  for (const auto& f : t.fragments_span(kRootTask))
+    saw_loop_fragment |= f.end_reason == FragmentEnd::Loop;
   EXPECT_TRUE(saw_loop_fragment);
 }
 
@@ -521,16 +521,16 @@ TEST(ThreadedEngineTest, FragmentsSplitAtForkAndJoin) {
     ctx.taskwait();
   });
   EXPECT_TRUE(validate_trace(t).empty());
-  const auto frags = t.fragments_of(kRootTask);
+  const auto frags = t.fragments_span(kRootTask);
   // fork, fork, join, end -> 4 fragments.
   ASSERT_EQ(frags.size(), 4u);
-  EXPECT_EQ(frags[0]->end_reason, FragmentEnd::Fork);
-  EXPECT_EQ(frags[1]->end_reason, FragmentEnd::Fork);
-  EXPECT_EQ(frags[2]->end_reason, FragmentEnd::Join);
-  EXPECT_EQ(frags[3]->end_reason, FragmentEnd::TaskEnd);
+  EXPECT_EQ(frags[0].end_reason, FragmentEnd::Fork);
+  EXPECT_EQ(frags[1].end_reason, FragmentEnd::Fork);
+  EXPECT_EQ(frags[2].end_reason, FragmentEnd::Join);
+  EXPECT_EQ(frags[3].end_reason, FragmentEnd::TaskEnd);
   // Fork refs point at the two children in creation order.
-  EXPECT_EQ(frags[0]->end_ref, t.children_of(kRootTask)[0]->uid);
-  EXPECT_EQ(frags[1]->end_ref, t.children_of(kRootTask)[1]->uid);
+  EXPECT_EQ(frags[0].end_ref, t.children_of(kRootTask)[0]->uid);
+  EXPECT_EQ(frags[1].end_ref, t.children_of(kRootTask)[1]->uid);
 }
 
 TEST(ThreadedEngineTest, OversubscriptionStress) {

@@ -217,7 +217,7 @@ TEST(SimulateTest, UnjoinedTasksDrainAtImplicitBarrier) {
   });
   const Trace t = simulate(p, small_opts(4));
   EXPECT_TRUE(validate_trace(t).empty());
-  EXPECT_EQ(t.joins_of(kRootTask).size(), 1u);
+  EXPECT_EQ(t.joins_span(kRootTask).size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,10 +240,10 @@ TEST_P(SimLoopTest, ChunksPartitionAndValidate) {
   const auto errs = validate_trace(t);
   EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs[0]);
   ASSERT_EQ(t.loops.size(), 1u);
-  const auto chunks = t.chunks_of(t.loops[0].uid);
+  const auto chunks = t.chunks_span(t.loops[0].uid);
   EXPECT_FALSE(chunks.empty());
   u64 covered = 0;
-  for (const auto* c : chunks) covered += c->iter_end - c->iter_begin;
+  for (const auto& c : chunks) covered += c.iter_end - c.iter_begin;
   EXPECT_EQ(covered, 100u);
 }
 

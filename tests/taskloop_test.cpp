@@ -45,8 +45,8 @@ TEST(TaskloopTest, GrainsizeControlsTaskCount) {
     for (const TaskRec& task : t.tasks) {
       if (task.uid == kRootTask) continue;
       bool has_child = false;
-      for (const FragmentRec* f : t.fragments_of(task.uid)) {
-        if (f->end_reason == FragmentEnd::Fork) has_child = true;
+      for (const FragmentRec& f : t.fragments_span(task.uid)) {
+        if (f.end_reason == FragmentEnd::Fork) has_child = true;
       }
       if (!has_child) ++leaves;
     }
