@@ -65,7 +65,7 @@ bool run_once(const std::string& path, obs::Telemetry* telemetry,
   LoadResult lr = load_trace_file_ex(path, lo);
   if (!lr.usable()) {
     obs::install(nullptr);
-    std::fprintf(stderr, "error: %s", lr.describe().c_str());
+    std::fputs(lr.describe().c_str(), stderr);
     return false;
   }
   const Analysis a = analyze(*lr.trace, Topology::generic4());

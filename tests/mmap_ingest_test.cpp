@@ -228,29 +228,43 @@ TEST(MmapIngestTest, CorruptedSectionsDecodeIdenticallyAcrossThreadCounts) {
 
 TEST(MmapIngestTest, FifoFallsBackToShortReadLoop) {
   // A FIFO is not mappable: the mmap source must quietly fall back to the
-  // EINTR-safe read() loop. The writer dribbles the trace in small odd-sized
-  // chunks so the reader sees genuinely short reads.
+  // EINTR-safe read() loop. The writer dribbles each input in small
+  // odd-sized chunks so the reader sees genuinely short reads. The spool's
+  // name does not say what it is, so the loader finds it by its magic after
+  // the pipe has been drained, and must recover the bytes it already read.
   const Trace t = small_trace();
-  const std::string bytes = binary_bytes(t);
-  const std::string path = temp_path("pipe.ggbin");
-  ::unlink(path.c_str());
-  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << strerror(errno);
-  std::thread writer([&] {
-    std::ofstream os(path, std::ios::binary);
-    size_t pos = 0;
-    while (pos < bytes.size()) {
-      const size_t n = std::min<size_t>(613, bytes.size() - pos);
-      os.write(bytes.data() + pos, static_cast<std::streamsize>(n));
-      os.flush();
-      pos += n;
-    }
-  });
-  const LoadResult lr = load_file(path, LoadMode::Strict);
-  writer.join();
-  ::unlink(path.c_str());
-  ASSERT_TRUE(lr.usable()) << lr.describe();
-  EXPECT_EQ(lr.status, LoadStatus::Ok);
-  EXPECT_EQ(binary_bytes(*lr.trace), binary_bytes(t));
+  const std::string spool = spool::spool_trace_bytes(t, /*epoch_bytes=*/128);
+  const struct {
+    const char* name;
+    std::string bytes;
+    std::string want;  // the loaded trace, re-serialized
+  } inputs[] = {
+      {"pipe.ggbin", binary_bytes(t), binary_bytes(t)},
+      {"pipe.dat", spool,
+       binary_bytes(spool::recover_spool_bytes(spool, 1).trace)},
+  };
+  for (const auto& in : inputs) {
+    const std::string path = temp_path(in.name);
+    ::unlink(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << strerror(errno);
+    std::thread writer([&] {
+      std::ofstream os(path, std::ios::binary);
+      size_t pos = 0;
+      while (pos < in.bytes.size()) {
+        const size_t n = std::min<size_t>(613, in.bytes.size() - pos);
+        os.write(in.bytes.data() + pos, static_cast<std::streamsize>(n));
+        os.flush();
+        pos += n;
+      }
+    });
+    const LoadResult lr = load_file(path, LoadMode::Strict);
+    writer.join();
+    ::unlink(path.c_str());
+    ASSERT_TRUE(lr.usable()) << in.name << ": " << lr.describe();
+    EXPECT_EQ(lr.status, LoadStatus::Ok) << in.name;
+    EXPECT_EQ(lr.recovery.has_value(), in.bytes == spool) << in.name;
+    EXPECT_EQ(binary_bytes(*lr.trace), in.want) << in.name;
+  }
 }
 
 // --- spool recovery: the file path mmaps too ------------------------------
