@@ -40,10 +40,9 @@ int main() {
 
   auto depth_histogram = [](const GrainTable& grains) {
     std::map<size_t, size_t> hist;  // path depth -> count
-    for (const Grain& g : grains.grains()) {
-      const size_t depth =
-          static_cast<size_t>(std::count(g.path.begin(), g.path.end(), '.'));
-      hist[depth]++;
+    for (size_t i = 0; i < grains.size(); ++i) {
+      const std::string path = grains.path(i);
+      hist[static_cast<size_t>(std::count(path.begin(), path.end(), '.'))]++;
     }
     return hist;
   };

@@ -12,9 +12,9 @@
 // sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
 // and at the auto thread count), and writes machine-readable results to
 // BENCH_analyze.json. The stage times are each path's phase spans, as
-// `gganalyze --timing` reads them; each path's `graph` object holds the
-// graph build's phases and a spool path's `recover` object its load's
-// recovery phases; every load, the spool's included,
+// `gganalyze --timing` reads them; each path's `graph`, `grains` and
+// `problems` objects hold those stages' phases and a spool path's `recover`
+// object its load's recovery phases; every load, the spool's included,
 // validates the trace. Exit 1 on any parse error, recovery failure, invalid
 // trace or output mismatch (so CI can gate on correctness without gating on
 // timing).
@@ -106,6 +106,12 @@ constexpr const char* kRecoverPhases[] = {"walk", "verify", "apply", "place",
 constexpr const char* kGraphPhases[] = {"fragments", "count", "wire",
                                         "epilogue", "finalize"};
 
+/// The grain table build's phase spans inside the grains stage, in order.
+constexpr const char* kGrainPhases[] = {"tasks", "sync", "chunks"};
+
+/// The problems stage's phase spans, in order.
+constexpr const char* kProblemPhases[] = {"views", "sources"};
+
 /// `"<key>": {"<phase>_ns": ...}` from the spans named `<scope>.<phase>`.
 void emit_phases(std::ofstream& os, const char* key, const char* scope,
                  const PathResult& r, std::span<const char* const> phases) {
@@ -119,8 +125,8 @@ void emit_phases(std::ofstream& os, const char* key, const char* scope,
   os << "}";
 }
 
-/// One path's stage times, the graph build's phases, and for a spool path
-/// its recovery phases.
+/// One path's stage times, the graph, grain table and problem stages'
+/// phases, and for a spool path its recovery phases.
 void emit_stages(std::ofstream& os, const std::string& name,
                  const PathResult& r, bool spool = false) {
   os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns();
@@ -129,6 +135,8 @@ void emit_stages(std::ofstream& os, const std::string& name,
     os << ", \"" << stage << "_ns\": " << r.stage_ns(stage);
   }
   emit_phases(os, "graph", "graph", r, kGraphPhases);
+  emit_phases(os, "grains", "grains", r, kGrainPhases);
+  emit_phases(os, "problems", "problems", r, kProblemPhases);
   os << ", \"total_ns\": " << r.total_ns() << "}";
 }
 

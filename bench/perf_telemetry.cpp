@@ -43,9 +43,10 @@ namespace {
 using namespace gg;
 
 /// Obs call sites executed by one pipeline run: four analysis stage spans,
-/// five graph build phase spans, five metric pass spans, and three registry
-/// probes in analyze().
-constexpr double kSitesPerRun = 17.0;
+/// five graph build phase spans, three grain table phase spans, five metric
+/// pass spans, two problem phase spans, and three registry probes in
+/// analyze().
+constexpr double kSitesPerRun = 22.0;
 
 struct RunResult {
   u64 wall_ns = 0;

@@ -47,9 +47,10 @@ RunResult run_kdtree(bool fixed) {
 
 size_t max_depth(const GrainTable& grains) {
   size_t depth = 0;
-  for (const Grain& g : grains.grains()) {
-    depth = std::max(depth, static_cast<size_t>(std::count(
-                                g.path.begin(), g.path.end(), '.')));
+  for (size_t i = 0; i < grains.size(); ++i) {
+    const std::string path = grains.path(i);
+    depth = std::max(depth, static_cast<size_t>(
+                                std::count(path.begin(), path.end(), '.')));
   }
   return depth;
 }

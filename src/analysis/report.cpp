@@ -36,9 +36,14 @@ Analysis analyze(const Trace& trace, const Topology& topo,
     obs::PhaseSpan span("analysis.problems");
     a.thresholds = opts.thresholds.value_or(
         ProblemThresholds::defaults(trace.meta.num_workers, topo));
-    a.problems = evaluate_all(a.grains, a.metrics, a.thresholds);
+    {
+      obs::PhaseSpan views("problems.views");
+      a.problems =
+          evaluate_all(a.grains, a.metrics, a.thresholds, build_threads);
+    }
+    obs::PhaseSpan sources("problems.sources");
     a.sources = source_profile(trace, a.grains, a.metrics, a.thresholds,
-                               SourceSort::ByCount);
+                               SourceSort::ByCount, build_threads);
   }
   if (reg != nullptr) {
     reg->counter("analyze.runs")->add();

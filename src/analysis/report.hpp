@@ -26,9 +26,10 @@ struct AnalysisOptions {
   std::optional<ProblemThresholds> thresholds;
   /// 1-core grain table of the same program, enabling work deviation.
   const GrainTable* baseline = nullptr;
-  /// Worker threads for the sharded graph build and grain derivation.
-  /// 0 = auto (GG_THREADS env, then hardware concurrency). Results are
-  /// bit-identical for every setting, same contract as metrics.threads.
+  /// Worker threads for the sharded graph build, grain derivation and
+  /// problem views. 0 = auto (GG_THREADS env, then hardware concurrency).
+  /// Results are bit-identical for every setting, same contract as
+  /// metrics.threads.
   int threads = 0;
 };
 
@@ -42,7 +43,8 @@ struct Analysis {
 };
 
 /// Runs the full pipeline on a finalized trace. Each stage runs inside a
-/// phase span named "analysis.<stage>" (kAnalysisStages).
+/// phase span named "analysis.<stage>" (kAnalysisStages); the problems
+/// stage's two parts inside "problems.views" and "problems.sources".
 Analysis analyze(const Trace& trace, const Topology& topo,
                  const AnalysisOptions& opts = {});
 

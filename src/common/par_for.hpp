@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -46,27 +47,40 @@ inline size_t par_block_count(size_t n, int threads) {
   return std::min(static_cast<size_t>(threads), n);
 }
 
-/// Runs `fn(block, begin, end)` over a static block partition of [0, n).
-/// Block b covers [n*b/t, n*(b+1)/t) with t = par_block_count(n, threads);
-/// the partition depends only on (n, t), never on timing. Blocks run
-/// concurrently; block 0 runs on the caller. The serial fallback (t == 1)
-/// is a single fn(0, 0, n) call, so callers need no separate serial code
-/// path.
+/// Runs `fn(block, begin, end)` over a static block partition of [0, n),
+/// each inner edge rounded down to a multiple of `align`: block b covers
+/// [e(b), e(b+1)) with e(b) = n*b/t rounded down to `align`, e(t) = n and
+/// t = par_block_count(n, threads). Blocks writing packed per-item bits
+/// (std::vector<bool>, 64 to a word) pass align 64, so that no two blocks
+/// write one word; a block may then be empty. The partition depends only on
+/// (n, align, t), never on timing. Blocks run concurrently; block 0 runs on
+/// the caller. The serial fallback (t == 1) is a single fn(0, 0, n) call, so
+/// callers need no separate serial code path.
 template <class Fn>
-void par_for_blocks(size_t n, int threads, Fn&& fn) {
+void par_for_aligned_blocks(size_t n, size_t align, int threads, Fn&& fn) {
   if (n == 0) return;
   const size_t t = par_block_count(n, threads);
   if (t == 1) {
     fn(size_t{0}, size_t{0}, n);
     return;
   }
+  const auto edge = [n, t, align](size_t b) {
+    return b == t ? n : n * b / t / align * align;
+  };
   std::vector<std::thread> workers;
   workers.reserve(t - 1);
   for (size_t b = 1; b < t; ++b) {
-    workers.emplace_back([&fn, n, t, b] { fn(b, n * b / t, n * (b + 1) / t); });
+    workers.emplace_back([&fn, &edge, b] { fn(b, edge(b), edge(b + 1)); });
   }
-  fn(size_t{0}, size_t{0}, n * 1 / t);
+  fn(size_t{0}, size_t{0}, edge(1));
   for (auto& w : workers) w.join();
+}
+
+/// par_for_aligned_blocks with no rounding: block b covers
+/// [n*b/t, n*(b+1)/t).
+template <class Fn>
+void par_for_blocks(size_t n, int threads, Fn&& fn) {
+  par_for_aligned_blocks(n, 1, threads, std::forward<Fn>(fn));
 }
 
 /// Convenience wrapper: `fn(i)` for each i in [0, n), partitioned as above.

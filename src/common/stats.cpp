@@ -5,9 +5,7 @@
 
 namespace gg::stats {
 
-namespace {
-
-double median_sorted(std::vector<double>& v) {
+double median_in_place(std::span<double> v) {
   if (v.empty()) return 0.0;
   const size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -19,16 +17,14 @@ double median_sorted(std::vector<double>& v) {
   return (lo + hi) / 2.0;
 }
 
-}  // namespace
-
 double median(std::span<const double> values) {
   std::vector<double> v(values.begin(), values.end());
-  return median_sorted(v);
+  return median_in_place(v);
 }
 
 double median(std::span<const u64> values) {
   std::vector<double> v = to_doubles(values);
-  return median_sorted(v);
+  return median_in_place(v);
 }
 
 double mean(std::span<const double> values) {

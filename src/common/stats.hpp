@@ -13,6 +13,8 @@ namespace gg::stats {
 /// input. Even-length inputs return the mean of the two middle elements.
 double median(std::span<const double> values);
 double median(std::span<const u64> values);
+/// The same median, reordering `values` instead of copying them.
+double median_in_place(std::span<double> values);
 
 /// Arithmetic mean; 0 for empty input.
 double mean(std::span<const double> values);

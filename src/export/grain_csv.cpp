@@ -43,7 +43,7 @@ void write_grain_csv(std::ostream& os, const Trace& trace,
   for (size_t i = 0; i < table.size(); ++i) {
     const Grain& g = table[i];
     const GrainMetrics& m = metrics.per_grain[i];
-    csv_cell(buf, g.path);
+    csv_cell(buf, grains.path(i));
     buf << ',' << (g.kind == GrainKind::Task ? "task" : "chunk") << ',';
     csv_cell(buf, trace.strings.get(g.src));
     buf << ',' << g.core << ',' << g.first_start << ',' << g.last_end << ','

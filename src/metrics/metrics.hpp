@@ -51,14 +51,19 @@ struct MetricOptions {
   int threads = 0;
 };
 
+/// Per-grain metrics. The default constructor leaves every field unset, so
+/// MetricsResult::per_grain is sized with no serial zero-fill: the benefit
+/// pass writes every field of every row, the later passes overwrite theirs.
 struct GrainMetrics {
-  double parallel_benefit = std::numeric_limits<double>::infinity();
-  double work_deviation = std::numeric_limits<double>::quiet_NaN();
-  double mem_util = std::numeric_limits<double>::infinity();
-  int inst_parallelism = 0;             ///< conservative flavor
-  int inst_parallelism_optimistic = 0;  ///< optimistic flavor
-  double scatter = 0.0;
-  bool on_critical_path = false;
+  GrainMetrics() {}
+
+  double parallel_benefit;
+  double work_deviation;  ///< NaN without a baseline or a counterpart
+  double mem_util;
+  int inst_parallelism;             ///< conservative flavor
+  int inst_parallelism_optimistic;  ///< optimistic flavor
+  double scatter;
+  bool on_critical_path;
 };
 
 struct MetricsResult {
@@ -85,10 +90,14 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
 double loop_load_balance(const Trace& trace, const LoopRec& loop);
 
 /// Region-wide load balance: longest grain / median per-core busy time.
-double region_load_balance(const GrainTable& grains, int num_cores);
+/// `threads` splits the pass over the rows; the result is the same for
+/// every thread count.
+double region_load_balance(const GrainTable& grains, int num_cores,
+                           int threads = 1);
 
-/// Work deviation for one grain against a baseline table (NaN if the grain
-/// has no counterpart).
-double work_deviation(const Grain& grain, const GrainTable& baseline);
+/// Work deviation of row `row` of `grains` against a baseline table,
+/// matched by path (NaN if the grain has no counterpart).
+double work_deviation(const GrainTable& grains, size_t row,
+                      const GrainTable& baseline);
 
 }  // namespace gg

@@ -1,14 +1,13 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <array>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/par_for.hpp"
+#include "common/radix_sort.hpp"
 
 namespace gg {
 
@@ -22,89 +21,6 @@ const char* to_string(ScheduleKind k) {
 }
 
 namespace {
-
-/// A record's sort key, (hi, lo), and its position in the unsorted vector.
-template <class Lo>
-struct SortKey {
-  u64 hi;
-  Lo lo;
-  u32 index;
-};
-
-/// Sorts keys[0, n) by (hi, lo), keeping equal keys in their current
-/// order. The keys start in arrival (index) order, so the result is the
-/// (hi, lo, index) order: the permutation std::stable_sort by (hi, lo)
-/// gives, duplicate keys of a damaged trace included.
-///
-/// A least-significant-digit radix sort, 11 bits a pass, lo's digits then
-/// hi's, skipping every digit in which all keys agree. A pass counts the
-/// digits of each par_for_blocks block in parallel, turns the counts into
-/// one output offset per (block, digit), and scatters every block in
-/// order. Each pass is a stable counting sort whatever the partition, so
-/// every thread count gives the same result. Returns the buffer holding
-/// the sorted keys.
-template <class Key>
-std::unique_ptr<Key[]> radix_sort(std::unique_ptr<Key[]> keys, size_t n,
-                                  int threads) {
-  if (n < 2) return keys;
-  constexpr int kDigitBits = 11;
-  constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
-  const size_t blocks = par_block_count(n, threads);
-
-  // Bits in which some key differs from the first one.
-  std::vector<std::pair<u64, u64>> block_diff(blocks);
-  par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
-    u64 diff_hi = 0, diff_lo = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      diff_hi |= keys[i].hi ^ keys[0].hi;
-      diff_lo |= static_cast<u64>(keys[i].lo ^ keys[0].lo);
-    }
-    block_diff[b] = {diff_hi, diff_lo};
-  });
-  u64 diff_hi = 0, diff_lo = 0;
-  for (const auto& [hi, lo] : block_diff) {
-    diff_hi |= hi;
-    diff_lo |= lo;
-  }
-
-  std::unique_ptr<Key[]> scratch;
-  std::vector<std::array<size_t, kDigitMask + 1>> offsets(blocks);
-  auto pass = [&](auto digit) {
-    if (!scratch) scratch = std::make_unique_for_overwrite<Key[]>(n);
-    const Key* src = keys.get();
-    Key* dst = scratch.get();
-    par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
-      offsets[b].fill(0);
-      for (size_t i = lo; i < hi; ++i) ++offsets[b][digit(src[i])];
-    });
-    size_t next = 0;
-    for (size_t d = 0; d <= kDigitMask; ++d) {
-      for (size_t b = 0; b < blocks; ++b) {
-        const size_t count = offsets[b][d];
-        offsets[b][d] = next;
-        next += count;
-      }
-    }
-    par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i)
-        dst[offsets[b][digit(src[i])]++] = src[i];
-    });
-    std::swap(keys, scratch);
-  };
-  for (int shift = 0; shift < 64; shift += kDigitBits) {
-    if ((diff_lo >> shift & kDigitMask) == 0) continue;
-    pass([shift](const Key& k) {
-      return static_cast<size_t>(static_cast<u64>(k.lo) >> shift & kDigitMask);
-    });
-  }
-  for (int shift = 0; shift < 64; shift += kDigitBits) {
-    if ((diff_hi >> shift & kDigitMask) == 0) continue;
-    pass([shift](const Key& k) {
-      return static_cast<size_t>(k.hi >> shift & kDigitMask);
-    });
-  }
-  return keys;
-}
 
 /// True when `recs` is already in key order, i.e. std::stable_sort by the
 /// key would leave it as it is.
@@ -120,22 +36,6 @@ bool in_key_order(const std::vector<Rec>& recs, int threads, KeyFn key) {
     }
   });
   return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
-}
-
-/// The keys of `recs` in sorted order. `key(rec)` returns a (u64, Lo) pair.
-template <class Rec, class KeyFn>
-auto sorted_keys(const std::vector<Rec>& recs, int threads, KeyFn key) {
-  using Lo = decltype(key(recs.front()).second);
-  const size_t n = recs.size();
-  GG_CHECK(n <= std::numeric_limits<u32>::max());
-  auto keys = std::make_unique_for_overwrite<SortKey<Lo>[]>(n);
-  par_for_blocks(n, threads, [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const auto [k_hi, k_lo] = key(recs[i]);
-      keys[i] = {k_hi, k_lo, static_cast<u32>(i)};
-    }
-  });
-  return radix_sort(std::move(keys), n, threads);
 }
 
 /// Puts `recs` in key order, equal keys in arrival order: the order

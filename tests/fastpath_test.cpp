@@ -278,9 +278,10 @@ TEST(FastPathThreadsTest, ShardedBuildersDeterministicAtScale) {
   };
   auto table_bytes = [&](const GrainTable& t) {
     std::ostringstream os;
-    for (const Grain& g : t.grains()) {
+    for (size_t i = 0; i < t.size(); ++i) {
+      const Grain& g = t.grains()[i];
       os << static_cast<int>(g.kind) << '|' << g.task << '|' << g.loop << '|'
-         << g.thread << '|' << g.chunk_seq << '|' << g.path << '|' << g.src
+         << g.thread << '|' << g.chunk_seq << '|' << t.path(i) << '|' << g.src
          << '|' << g.parent << '|' << g.first_start << '|' << g.last_end
          << '|' << g.exec_time << '|' << g.core << '|' << g.n_fragments
          << '|' << g.n_children << '|' << g.inlined << '|' << g.creation_cost

@@ -31,7 +31,7 @@ using front::Ctx;
 std::set<std::string> path_set(const Trace& t) {
   std::set<std::string> out;
   const GrainTable table = GrainTable::build(t);
-  for (const Grain& g : table.grains()) out.insert(g.path);
+  for (size_t i = 0; i < table.size(); ++i) out.insert(table.path(i));
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/report.hpp"
 #include "front/front.hpp"
 #include "graph/grain_graph.hpp"
 #include "obs/exposition.hpp"
@@ -299,6 +300,49 @@ TEST(ObsSpanTest, GraphBuildPhasesNestInTheCallersSpan) {
     EXPECT_LE(spans[i].end_ns, caller.end_ns) << spans[i].name;
     prev_end = spans[i].end_ns;
   }
+}
+
+TEST(ObsSpanTest, GrainTableAndProblemPhasesNestInTheirStages) {
+  SynthOptions so;
+  so.seed = 5;
+  so.grains = 2000;
+  so.loop_fraction = 0.4;
+  const Trace trace = synth_trace(so);
+  obs::Telemetry telem;
+  obs::install(&telem);
+  AnalysisOptions opts;
+  opts.threads = 2;
+  opts.metrics.threads = 2;
+  const Analysis a = analyze(trace, Topology::generic4(), opts);
+  obs::install(nullptr);
+  EXPECT_GT(a.grains.size(), 0u);
+  const std::vector<obs::SpanRec> spans = telem.tracer.spans();
+  // Each phase once, in order, inside its stage's span.
+  auto expect_nested = [&](const std::string& stage,
+                           const std::vector<std::string>& phases) {
+    const auto find = [&](const std::string& name) {
+      size_t at = spans.size();
+      for (size_t i = 0; i < spans.size(); ++i) {
+        if (spans[i].name != name) continue;
+        EXPECT_EQ(at, spans.size()) << name << " recorded twice";
+        at = i;
+      }
+      return at;
+    };
+    const size_t s = find(stage);
+    ASSERT_LT(s, spans.size()) << stage;
+    u64 prev_end = spans[s].start_ns;
+    for (const std::string& phase : phases) {
+      const size_t p = find(phase);
+      ASSERT_LT(p, spans.size()) << phase;
+      EXPECT_GE(spans[p].start_ns, prev_end) << phase;
+      EXPECT_LE(spans[p].end_ns, spans[s].end_ns) << phase;
+      prev_end = spans[p].end_ns;
+    }
+  };
+  expect_nested("analysis.grains",
+                {"grains.tasks", "grains.sync", "grains.chunks"});
+  expect_nested("analysis.problems", {"problems.views", "problems.sources"});
 }
 
 // ---------------------------------------------------------------------------

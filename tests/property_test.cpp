@@ -129,11 +129,12 @@ TEST_P(RandomProgramTest, WorkDeviationIsOneWithoutMemoryModel) {
   const GrainTable base = GrainTable::build(sim::simulate(prog, o1));
   const Trace tN = sim::simulate(prog, oN);
   const GrainTable gN = GrainTable::build(tN);
-  for (const Grain& g : gN.grains()) {
-    if (g.kind != GrainKind::Task) continue;  // chunk splits differ by team
-    const double dev = work_deviation(g, base);
-    ASSERT_FALSE(std::isnan(dev)) << g.path;
-    EXPECT_NEAR(dev, 1.0, 1e-9) << g.path;
+  for (size_t i = 0; i < gN.size(); ++i) {
+    // Chunk splits differ by team.
+    if (gN.grains()[i].kind != GrainKind::Task) continue;
+    const double dev = work_deviation(gN, i, base);
+    ASSERT_FALSE(std::isnan(dev)) << gN.path(i);
+    EXPECT_NEAR(dev, 1.0, 1e-9) << gN.path(i);
   }
 }
 
@@ -157,8 +158,8 @@ TEST_P(RandomProgramTest, ThreadedEngineAgreesStructurally) {
   auto task_paths = [](const Trace& t) {
     std::set<std::string> out;
     const GrainTable table = GrainTable::build(t);
-    for (const Grain& g : table.grains()) {
-      if (g.kind == GrainKind::Task) out.insert(g.path);
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (table.grains()[i].kind == GrainKind::Task) out.insert(table.path(i));
     }
     return out;
   };
