@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/radix_sort.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -178,6 +181,49 @@ TEST(TableTest, MixedRowFormatsDoubles) {
   t.set_header({"a", "b"});
   t.add_row_mixed({1.0, 2.25});
   EXPECT_NE(t.to_text().find("2.25"), std::string::npos);
+}
+
+TEST(RadixSortTest, KeyRunsTileTheSortedKeysAtEveryThreadCount) {
+  // A few keys in long runs, so that block edges fall inside runs.
+  Xoshiro256 rng(11);
+  std::vector<u64> items(20000);
+  for (u64& v : items) v = rng.bounded(21);
+  const size_t n = items.size();
+  auto key = [](u64 v) { return std::pair{v % 7, u32(v / 7)}; };
+  std::vector<std::pair<size_t, size_t>> serial_runs;
+  for (const int threads : {1, 2, 3, 8}) {
+    const auto keys = sorted_keys(items, threads, key);
+    for (size_t k = 1; k < n; ++k) {
+      const auto a = std::tuple(keys[k - 1].hi, keys[k - 1].lo,
+                                keys[k - 1].index);
+      ASSERT_LT(a, std::tuple(keys[k].hi, keys[k].lo, keys[k].index));
+    }
+    for (size_t k = 0; k < n; ++k)
+      ASSERT_EQ(key(items[keys[k].index]), std::pair(keys[k].hi, keys[k].lo));
+    std::vector<std::vector<std::pair<size_t, size_t>>> blocks(
+        par_block_count(n, threads));
+    par_for_key_runs(keys.get(), n, threads,
+                     [&](size_t b, size_t begin, size_t end) {
+                       blocks[b].emplace_back(begin, end);
+                     });
+    std::vector<std::pair<size_t, size_t>> runs;
+    for (const auto& block : blocks)
+      runs.insert(runs.end(), block.begin(), block.end());
+    ASSERT_EQ(runs.size(), 21u) << threads;
+    size_t next = 0;
+    for (const auto& [begin, end] : runs) {
+      ASSERT_EQ(begin, next);
+      ASSERT_LT(begin, end);
+      for (size_t k = begin; k < end; ++k) {
+        EXPECT_EQ(keys[k].hi, keys[begin].hi);
+        EXPECT_EQ(keys[k].lo, keys[begin].lo);
+      }
+      next = end;
+    }
+    EXPECT_EQ(next, n);
+    if (threads == 1) serial_runs = runs;
+    EXPECT_EQ(runs, serial_runs) << threads << " threads";
+  }
 }
 
 }  // namespace
