@@ -9,6 +9,9 @@ namespace gg::check {
 
 namespace {
 
+/// Loop trip-count bound.
+constexpr u64 kMaxIters = 24;
+
 /// Deterministic per-iteration cost (pure in the iteration index).
 Cycles iter_cost(const GenAction& a, u64 i) {
   return a.iter_base + (i % 7) * a.iter_step;
@@ -105,7 +108,7 @@ class Generator {
         a.lo = pick(4);
         // Occasionally an empty loop (hi == lo) to cover the zero-width
         // LoopRec path in every engine.
-        a.hi = a.lo + (pick(10) == 0 ? 0 : 1 + pick(opts_.max_iters));
+        a.hi = a.lo + (pick(10) == 0 ? 0 : 1 + pick(kMaxIters));
         a.iter_base = 30 + pick(600);
         a.iter_step = pick(90);
         a.src_line = next_line_++;

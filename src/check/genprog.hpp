@@ -35,7 +35,6 @@ struct GenOptions {
   int max_depth = 3;     ///< spawn nesting depth
   int max_actions = 7;   ///< actions per task body
   int max_loops = 2;     ///< parallel_for count (root only)
-  u64 max_iters = 24;    ///< loop trip-count bound
   bool with_deps = true;
   bool with_taskloop = true;
 };

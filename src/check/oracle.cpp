@@ -33,7 +33,7 @@ struct Analysis {
 /// Validates, signs, and (when valid) builds graph + table + metrics.
 /// Validation failures land in `out` prefixed with `who`.
 Analysis analyze(Trace trace, const Topology& topo, const std::string& who,
-                 bool check_metrics, std::vector<std::string>& out) {
+                 std::vector<std::string>& out) {
   Analysis a;
   a.trace = std::move(trace);
   bool ok = true;
@@ -50,9 +50,7 @@ Analysis analyze(Trace trace, const Topology& topo, const std::string& who,
   }
   if (!ok) return a;
   a.grains = GrainTable::build(a.trace);
-  if (check_metrics) {
-    a.metrics = compute_metrics(a.trace, graph, a.grains, topo);
-  }
+  a.metrics = compute_metrics(a.trace, graph, a.grains, topo);
   a.valid = true;
   return a;
 }
@@ -156,7 +154,7 @@ struct RtsRun {
 
 RtsRun run_rts_schedule(const ProgramSpec& spec, const ScheduleOptions& sopts,
                         rts::SchedulerKind scheduler, const Topology& topo,
-                        bool check_metrics, std::vector<std::string>& out) {
+                        std::vector<std::string>& out) {
   ScheduleController ctrl(sopts);
   std::ostringstream who;
   who << "rts[workers=" << sopts.num_threads << " "
@@ -183,7 +181,7 @@ RtsRun run_rts_schedule(const ProgramSpec& spec, const ScheduleOptions& sopts,
   RtsRun run;
   run.desc = who.str();
   run.trail = ctrl.trail();
-  run.analysis = analyze(std::move(trace), topo, run.desc, check_metrics, out);
+  run.analysis = analyze(std::move(trace), topo, run.desc, out);
   run.stats = run.analysis.trace.worker_stats;
   return run;
 }
@@ -241,7 +239,7 @@ OracleResult check_program(const ProgramSpec& spec,
                .emplace(team, analyze(run_spec(spec, eng), topo,
                                       who("serial(team=" +
                                           std::to_string(team) + ")"),
-                                      opts.check_metrics, out))
+                                      out))
                .first;
     }
     return it->second;
@@ -255,16 +253,9 @@ OracleResult check_program(const ProgramSpec& spec,
     so.policy = sim::SimPolicy::zero_overhead();
     so.memory_model = false;
     sim::SimEngine eng(so);
-    Analysis a = analyze(run_spec(spec, eng), topo,
-                         who("sim(zero,cores=1,mem=off)"), opts.check_metrics,
-                         out);
-    if (opts.check_metrics) {
-      check_exact_match(serial_for(1), a, who("sim(zero,cores=1,mem=off)"),
-                        out);
-    } else {
-      check_signature_match(serial_for(1), a,
-                            who("sim(zero,cores=1,mem=off)"), out);
-    }
+    const std::string w = who("sim(zero,cores=1,mem=off)");
+    Analysis a = analyze(run_spec(spec, eng), topo, w, out);
+    check_exact_match(serial_for(1), a, w, out);
   }
 
   // ---- Structural tier: serial(N) vs sim(zero-overhead, N cores).
@@ -272,7 +263,7 @@ OracleResult check_program(const ProgramSpec& spec,
   // the signature; without a memory model their total work still equals the
   // serial reference exactly (overheads land between fragments, never
   // inside), and with one it can only grow.
-  for (int cores : opts.sim_cores) {
+  for (int cores : {2, 4}) {
     const Analysis& ref = serial_for(cores);
     struct PolicyCase {
       sim::SimPolicy policy;
@@ -297,10 +288,9 @@ OracleResult check_program(const ProgramSpec& spec,
       const std::string w =
           who("sim(" + pc.policy.name + ",cores=" + std::to_string(cores) +
               ",mem=" + (pc.memory ? "on" : "off") + ")");
-      Analysis a =
-          analyze(run_spec(spec, eng), topo, w, opts.check_metrics, out);
+      Analysis a = analyze(run_spec(spec, eng), topo, w, out);
       check_signature_match(ref, a, w, out);
-      if (opts.check_metrics && a.valid && ref.valid) {
+      if (a.valid && ref.valid) {
         check_self_invariants(a, w, out);
         if (!pc.memory &&
             a.metrics.total_work != ref.metrics.total_work) {
@@ -332,27 +322,22 @@ OracleResult check_program(const ProgramSpec& spec,
                                     static_cast<u64>(s + 1)));
     sopts.num_threads = 2 + (s % 2);
     sopts.max_preemptions = (s % 4 == 3) ? (s % 7) : -1;
-    sopts.timeout_seconds = opts.timeout_seconds;
     // The central-queue scheduler takes every 7th schedule.
     const rts::SchedulerKind kind = (s % 7 == 6)
                                         ? rts::SchedulerKind::CentralQueue
                                         : rts::SchedulerKind::WorkStealing;
 
-    RtsRun run = run_rts_schedule(spec, sopts, kind, topo, opts.check_metrics,
-                                  out);
+    RtsRun run = run_rts_schedule(spec, sopts, kind, topo, out);
     ++res.schedules_explored;
     const Analysis& ref = serial_for(sopts.num_threads);
     check_signature_match(ref, run.analysis, who(run.desc), out);
-    if (opts.check_metrics) {
-      check_self_invariants(run.analysis, who(run.desc), out);
-    }
+    check_self_invariants(run.analysis, who(run.desc), out);
 
     if (s < 5) {
       // Replay tier: the same {strategy, seed, bound} must reproduce the
       // decision trail, the structure, and the worker counters.
       std::vector<std::string> replay_out;
-      RtsRun again = run_rts_schedule(spec, sopts, kind, topo,
-                                      opts.check_metrics, replay_out);
+      RtsRun again = run_rts_schedule(spec, sopts, kind, topo, replay_out);
       out.insert(out.end(), replay_out.begin(), replay_out.end());
       if (again.trail != run.trail) {
         out.push_back(who(run.desc) + ": replay produced a different " +
@@ -385,8 +370,8 @@ OracleResult check_many(u64 first_seed, int num_programs,
                         const OracleOptions& opts) {
   OracleResult all;
   for (int i = 0; i < num_programs; ++i) {
-    const ProgramSpec spec = generate_program(first_seed + static_cast<u64>(i),
-                                              opts.gen);
+    const ProgramSpec spec =
+        generate_program(first_seed + static_cast<u64>(i));
     if (opts.log) {
       std::fprintf(stderr, "[oracle] %s (%d/%d): %zu tasks\n",
                    spec.name().c_str(), i + 1, num_programs,

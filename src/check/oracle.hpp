@@ -39,13 +39,6 @@ struct OracleOptions {
   /// rts schedules explored per program (strategies, seeds, preemption
   /// bounds, and the central-queue scheduler are cycled deterministically).
   int schedules = 6;
-  /// Core counts for the structural/envelope simulator runs.
-  std::vector<int> sim_cores = {2, 4};
-  /// Run the metric-envelope checks (moderately costly on large graphs).
-  bool check_metrics = true;
-  /// Watchdog handed to every schedule controller.
-  int timeout_seconds = 120;
-  GenOptions gen;
   /// Progress lines on stderr (one per program), for the deep suite.
   bool log = false;
 };
@@ -63,8 +56,8 @@ struct OracleResult {
 OracleResult check_program(const ProgramSpec& spec,
                            const OracleOptions& opts = {});
 
-/// Generates `num_programs` programs from consecutive seeds starting at
-/// `first_seed` and accumulates all violations.
+/// Generates `num_programs` programs (default GenOptions) from consecutive
+/// seeds starting at `first_seed` and accumulates all violations.
 OracleResult check_many(u64 first_seed, int num_programs,
                         const OracleOptions& opts = {});
 

@@ -20,10 +20,8 @@ std::string dot_escape(std::string_view s) {
 
 }  // namespace
 
-void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace,
-               const DotOptions& opts) {
-  os << "digraph \"" << dot_escape(opts.title.empty() ? trace.meta.program
-                                                      : opts.title)
+void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace) {
+  os << "digraph \"" << dot_escape(trace.meta.program)
      << "\" {\n  rankdir=TB;\n  node [fontsize=9];\n";
   const auto& nodes = graph.nodes();
   for (u32 i = 0; i < nodes.size(); ++i) {
@@ -36,23 +34,17 @@ void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace,
       case NodeKind::Chunk: shape = "box"; color = "palegreen"; break;
       case NodeKind::Fragment: break;
     }
-    os << "  n" << i << " [shape=" << shape << ", style=filled, fillcolor=\""
-       << color << "\"";
-    if (opts.labels) {
-      std::string label{trace.strings.get(n.src)};
-      if (n.kind == NodeKind::Chunk) {
-        const auto [begin, end] = chunk_iterations(trace, n);
-        label += "\\n[" + std::to_string(begin) + "," + std::to_string(end) +
-                 ")";
-      }
-      if (n.kind == NodeKind::Fragment || n.kind == NodeKind::Chunk)
-        label += "\\n" + strings::human_time(n.busy);
-      if (n.group_size > 1) label += " x" + std::to_string(n.group_size);
-      os << ", label=\"" << dot_escape(label) << "\"";
-    } else {
-      os << ", label=\"\"";
+    std::string label{trace.strings.get(n.src)};
+    if (n.kind == NodeKind::Chunk) {
+      const auto [begin, end] = chunk_iterations(trace, n);
+      label += "\\n[" + std::to_string(begin) + "," + std::to_string(end) +
+               ")";
     }
-    os << "];\n";
+    if (n.kind == NodeKind::Fragment || n.kind == NodeKind::Chunk)
+      label += "\\n" + strings::human_time(n.busy);
+    if (n.group_size > 1) label += " x" + std::to_string(n.group_size);
+    os << "  n" << i << " [shape=" << shape << ", style=filled, fillcolor=\""
+       << color << "\", label=\"" << dot_escape(label) << "\"];\n";
   }
   for (const GraphEdge& e : graph.edges()) {
     const char* color = e.kind == EdgeKind::Creation     ? "green"
@@ -66,10 +58,10 @@ void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace,
 }
 
 bool write_dot_file(const std::string& path, const GrainGraph& graph,
-                    const Trace& trace, const DotOptions& opts) {
+                    const Trace& trace) {
   std::ofstream os(path);
   if (!os) return false;
-  write_dot(os, graph, trace, opts);
+  write_dot(os, graph, trace);
   return static_cast<bool>(os);
 }
 

@@ -10,15 +10,11 @@
 
 namespace gg {
 
-struct DotOptions {
-  bool labels = true;  ///< node labels (source + time)
-  std::string title;
-};
-
-void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace,
-               const DotOptions& opts = {});
+/// Writes the graph, titled with the program name; each node is labelled
+/// with its source location and, for fragments and chunks, its time.
+void write_dot(std::ostream& os, const GrainGraph& graph, const Trace& trace);
 
 bool write_dot_file(const std::string& path, const GrainGraph& graph,
-                    const Trace& trace, const DotOptions& opts = {});
+                    const Trace& trace);
 
 }  // namespace gg

@@ -12,6 +12,10 @@ namespace gg {
 
 namespace {
 
+/// Rectangle length per millisecond of execution time (log-compressed
+/// above 100 px to keep big grains on screen).
+constexpr double kPxPerMs = 40.0;
+
 struct NodeStyle {
   std::string fill;
   std::string border = "#000000";
@@ -79,8 +83,7 @@ void write_graphml(std::ostream& os, const GrainGraph& graph,
       << "  <key id=\"exec\" for=\"node\" attr.name=\"exec_ns\" attr.type=\"long\"/>\n"
       << "  <key id=\"grp\" for=\"node\" attr.name=\"group_size\" attr.type=\"int\"/>\n"
       << "  <key id=\"ekind\" for=\"edge\" attr.name=\"kind\" attr.type=\"string\"/>\n"
-      << "  <graph id=\"" << strings::xml_escape(
-             opts.title.empty() ? trace.meta.program : opts.title)
+      << "  <graph id=\"" << strings::xml_escape(trace.meta.program)
       << "\" edgedefault=\"directed\">\n";
 
   for (u32 i = 0; i < nodes.size(); ++i) {
@@ -97,7 +100,7 @@ void write_graphml(std::ostream& os, const GrainGraph& graph,
       }
     }
     bool on_cp = false;
-    if (opts.mark_critical_path && metrics != nullptr) {
+    if (metrics != nullptr) {
       const auto gi = grain_index(n);
       if (gi.has_value()) on_cp = metrics->per_grain[*gi].on_critical_path;
     }
@@ -105,7 +108,7 @@ void write_graphml(std::ostream& os, const GrainGraph& graph,
     // Rectangle length linearly scaled to execution time, log-compressed
     // beyond 100 px so huge grains stay on screen.
     const double ms = static_cast<double>(n.busy) / 1e6;
-    double len = opts.px_per_ms * ms;
+    double len = kPxPerMs * ms;
     if (len > 100.0) len = 100.0 + 40.0 * std::log2(len / 100.0);
     style.width = std::max(6.0, len);
     if (n.kind == NodeKind::Fork || n.kind == NodeKind::Join) {

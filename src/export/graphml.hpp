@@ -25,16 +25,12 @@ struct GraphMlOptions {
   /// Color grains by this problem view (red-to-yellow severity; others are
   /// dimmed). nullopt = color by node kind only.
   std::optional<Problem> view;
-  /// Mark critical-path nodes/edges red (needs metrics).
-  bool mark_critical_path = true;
-  /// Rectangle length per millisecond of execution time (log-compressed
-  /// above 100 px to keep big grains on screen).
-  double px_per_ms = 40.0;
-  std::string title;
 };
 
-/// Writes the graph. `grains` and `metrics` may be null when exporting a
-/// reduced graph for structure only (no problem view / critical path then).
+/// Writes the graph, titled with the program name. `grains` and `metrics`
+/// may be null when exporting a reduced graph for structure only (no
+/// problem view / critical path then); with metrics, critical-path nodes
+/// get a red border.
 void write_graphml(std::ostream& os, const GrainGraph& graph,
                    const Trace& trace, const GrainTable* grains,
                    const MetricsResult* metrics, const GraphMlOptions& opts);

@@ -118,7 +118,10 @@ class GrainGraph {
   /// All node indices of a given kind.
   std::vector<u32> nodes_of_kind(NodeKind kind) const;
 
-  /// Topological order (creation order is already topological; verified).
+  /// Topological order, from finalize()'s Kahn sort (which aborts on a
+  /// cycle). Node ids are not in topological order: fragment nodes take the
+  /// lowest ids, so a fork's creation edge points at a lower id. Empty
+  /// after finalize_lenient().
   const std::vector<u32>& topo_order() const { return topo_; }
 
   size_t node_count() const { return nodes_.size(); }

@@ -13,7 +13,6 @@ CriticalPath critical_path(const GrainGraph& g) {
   const auto& topo = g.topo_order();
   GG_CHECK_MSG(topo.size() == nodes.size(),
                "critical path requires a finalized DAG (unreduced graph)");
-  cp.on_path.assign(nodes.size(), false);
   if (nodes.empty()) return cp;
 
   std::vector<TimeNs> dist(nodes.size(), 0);
@@ -40,10 +39,8 @@ CriticalPath critical_path(const GrainGraph& g) {
     if (dist[i] > dist[sink]) sink = i;
   }
   cp.length = dist[sink];
-  for (i64 v = static_cast<i64>(sink); v >= 0; v = pred[static_cast<size_t>(v)]) {
+  for (i64 v = static_cast<i64>(sink); v >= 0; v = pred[static_cast<size_t>(v)])
     cp.nodes.push_back(static_cast<u32>(v));
-    cp.on_path[static_cast<size_t>(v)] = true;
-  }
   std::reverse(cp.nodes.begin(), cp.nodes.end());
   return cp;
 }

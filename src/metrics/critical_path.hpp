@@ -13,7 +13,6 @@ namespace gg {
 struct CriticalPath {
   TimeNs length = 0;           ///< summed busy time along the path
   std::vector<u32> nodes;      ///< node indices, source to sink
-  std::vector<bool> on_path;   ///< per-node membership flags
 };
 
 /// Computes the critical path of an (unreduced, acyclic) grain graph using

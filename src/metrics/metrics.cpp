@@ -16,6 +16,10 @@ namespace gg {
 
 namespace {
 
+/// Scatter's pairwise distances sample at most this many siblings of one
+/// group, to bound their quadratic cost.
+constexpr size_t kScatterSample = 512;
+
 /// Visits the execution intervals of one grain: fragment intervals for
 /// tasks (a zero-copy span lookup), the chunk interval for chunks.
 template <class Fn>
@@ -63,14 +67,10 @@ TimeNs choose_interval(const Trace& trace, const GrainTable& grains,
       interval = best;
       break;
     }
-    case IntervalPreset::Fixed:
-      interval = opts.fixed_interval_ns;
-      break;
   }
   if (interval == 0) interval = makespan / 100 + 1;
   // Bound post-processing time.
-  const TimeNs floor_interval =
-      (makespan + opts.max_intervals - 1) / opts.max_intervals;
+  const TimeNs floor_interval = (makespan + kMaxIntervals - 1) / kMaxIntervals;
   return std::max<TimeNs>({interval, floor_interval, 1});
 }
 
@@ -289,8 +289,8 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
     // Deterministically sample large groups to bound the pairwise cost.
     std::vector<size_t>& sample = samples[b];
     sample.clear();
-    if (count > opts.scatter_sample) {
-      const size_t stride = count / opts.scatter_sample;
+    if (count > kScatterSample) {
+      const size_t stride = count / kScatterSample;
       for (size_t k = 0; k < count; k += stride) sample.push_back(member(k));
     } else {
       for (size_t k = 0; k < count; ++k) sample.push_back(member(k));

@@ -33,17 +33,15 @@ namespace gg {
 
 /// Interval-size presets for instantaneous parallelism (§3.2 offers minimum
 /// grain length, smallest start/end gap, and median grain length).
-enum class IntervalPreset : u8 { MinGrain, MinGap, MedianGrain, Fixed };
+enum class IntervalPreset : u8 { MinGrain, MinGap, MedianGrain };
+
+/// Post-processing-time bound: the interval is widened so the parallelism
+/// timeline has at most this many slots (the paper notes interval size
+/// balances accuracy and post-processing time).
+inline constexpr size_t kMaxIntervals = 20000;
 
 struct MetricOptions {
   IntervalPreset interval = IntervalPreset::MedianGrain;
-  TimeNs fixed_interval_ns = 0;  ///< used when interval == Fixed
-  /// Post-processing-time bound: the interval is widened so the timeline
-  /// has at most this many slots (the paper notes interval size balances
-  /// accuracy and post-processing time).
-  size_t max_intervals = 20000;
-  /// Pairwise-distance computations sample at most this many siblings.
-  size_t scatter_sample = 512;
   /// Worker threads for the per-grain metric passes. 0 = auto (GG_THREADS
   /// env, then hardware concurrency). Results are bit-identical for every
   /// setting: parallel passes write per-grain slots or merge integer

@@ -1,9 +1,6 @@
-// Runtime supervision: watchdog options, stall reports, and the modeled
-// post-hoc scan. Header-only so both engines share one vocabulary — the
-// threaded runtime (rts/threaded_engine.cpp) runs a live watchdog thread
-// over per-worker heartbeats, while the simulator applies the modeled
-// trace scan (supervisor_scan_trace) to its deterministic output, so the
-// reporting/provenance code paths are exercised by both.
+// Runtime supervision: watchdog options and stall reports. The threaded
+// runtime (rts/threaded_engine.cpp) runs a live watchdog thread over
+// per-worker heartbeats.
 //
 // What the watchdog detects: the profiled region making *no progress*
 // (no task, chunk or join completed) for longer than the stall deadline
@@ -16,13 +13,11 @@
 // provenance so the recovered trace explains why the run died.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "trace/trace.hpp"
 
 namespace gg::rts {
 
@@ -57,11 +52,10 @@ struct SupervisorOptions {
   TimeNs poll_interval_ns = 10'000'000;
   /// Emit the diagnostic dump (stderr + spool 'D' frame) on stall.
   bool dump_on_stall = true;
-  /// Graceful abort-with-flush on stall: spool an emergency crash footer
-  /// ("supervisor stall") and std::abort(). Ignored when on_stall is set.
-  bool abort_on_stall = true;
   /// Test hook: invoked instead of aborting; may unblock the program (the
-  /// watchdog keeps running and can fire again).
+  /// watchdog keeps running and can fire again). Unset, a stall is a
+  /// graceful abort-with-flush: an emergency crash footer ("supervisor
+  /// stall") is spooled, then std::abort().
   std::function<void(const SupervisorReport&)> on_stall;
 };
 
@@ -90,13 +84,10 @@ struct SupervisorReport {
   /// Non-empty when the blocked tasks' wait-for edges close a cycle (a
   /// dependence deadlock); lists the uids along the cycle.
   std::vector<TaskId> dep_cycle;
-  bool modeled = false;  ///< produced by the post-hoc trace scan (sim)
 
   /// Multi-line human-readable diagnostic (what lands in the 'D' frame).
   std::string render() const {
-    std::string out;
-    out += modeled ? "supervisor (modeled): " : "supervisor: ";
-    out += "no progress for ";
+    std::string out = "supervisor: no progress for ";
     out += std::to_string(stalled_for_ns / 1000000);
     out += "ms with ";
     out += std::to_string(live_tasks);
@@ -178,56 +169,5 @@ struct SupervisorReport {
     }
   }
 };
-
-/// The simulator's modeled equivalent of the live watchdog: scans a
-/// finalized trace for the largest wall-clock window with no grain
-/// boundary (fragment/chunk/bookkeep/join start or end) inside the
-/// profiled region. Returns a report when that window exceeds the stall
-/// deadline; per-worker snapshots are synthesized from worker stats. A
-/// healthy deterministic simulation never trips this — which is itself the
-/// property the sim contract test asserts.
-inline bool supervisor_scan_trace(const Trace& trace,
-                                  const SupervisorOptions& opts,
-                                  SupervisorReport* out) {
-  std::vector<TimeNs> events;
-  events.push_back(trace.meta.region_start);
-  events.push_back(trace.meta.region_end);
-  for (const auto& f : trace.fragments) {
-    events.push_back(f.start);
-    events.push_back(f.end);
-  }
-  for (const auto& j : trace.joins) {
-    events.push_back(j.start);
-    events.push_back(j.end);
-  }
-  for (const auto& c : trace.chunks) {
-    events.push_back(c.start);
-    events.push_back(c.end);
-  }
-  for (const auto& b : trace.bookkeeps) {
-    events.push_back(b.start);
-    events.push_back(b.end);
-  }
-  std::sort(events.begin(), events.end());
-  TimeNs max_gap = 0;
-  for (size_t i = 1; i < events.size(); ++i) {
-    const TimeNs gap = events[i] - events[i - 1];
-    max_gap = std::max(max_gap, gap);
-  }
-  if (max_gap < opts.stall_timeout_ns) return false;
-  SupervisorReport rep;
-  rep.modeled = true;
-  rep.stalled_for_ns = max_gap;
-  rep.progress = trace.grain_count();
-  for (const auto& s : trace.worker_stats) {
-    WorkerSnapshot w;
-    w.worker = s.worker;
-    w.state = WorkerState::Idle;
-    w.heartbeat = s.tasks_executed;
-    rep.workers.push_back(w);
-  }
-  if (out != nullptr) *out = std::move(rep);
-  return true;
-}
 
 }  // namespace gg::rts

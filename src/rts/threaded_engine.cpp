@@ -970,13 +970,10 @@ void ThreadedEngine::watchdog_main() {
       rearm();
       continue;
     }
-    if (opts_.supervisor.abort_on_stall) {
-      // Graceful abort-with-flush: make everything already sealed durable
-      // and stamp the crash footer with the stall reason, then die loudly.
-      if (spool_sink_) spool_sink_->emergency_flush(0, "supervisor stall");
-      std::abort();
-    }
-    rearm();  // note-only mode: keep watching
+    // Graceful abort-with-flush: stamp the crash footer with the stall
+    // reason (every sealed frame is already written), then die loudly.
+    if (spool_sink_) spool_sink_->emergency_flush(0, "supervisor stall");
+    std::abort();
   }
 }
 

@@ -19,6 +19,10 @@ namespace gg::serve {
 
 namespace {
 
+/// Max time one operation blocks waiting for ACK progress before the
+/// connection is declared dead and the reconnect path runs.
+constexpr u64 kAckDeadlineNs = 5'000'000'000;
+
 bool raw_send_all(int fd, const char* data, size_t len) {
   while (len > 0) {
     const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
@@ -134,7 +138,7 @@ bool WireClient::send_bytes(const std::string& bytes, u32 seq,
   return false;
 }
 
-bool WireClient::read_ack(wire::AckMsg* ack, u64 deadline_ns) {
+bool WireClient::read_ack(wire::AckMsg* ack) {
   const u64 start = obs::mono_ns();
   char buf[16 * 1024];
   while (true) {
@@ -153,13 +157,12 @@ bool WireClient::read_ack(wire::AckMsg* ack, u64 deadline_ns) {
         break;
     }
     const u64 elapsed = obs::mono_ns() - start;
-    if (elapsed >= deadline_ns) return false;
+    if (elapsed >= kAckDeadlineNs) return false;
     pollfd pfd{fd_, POLLIN, 0};
     const int ready = ::poll(
         &pfd, 1,
-        static_cast<int>(std::min<u64>((deadline_ns - elapsed) / 1'000'000,
-                                       1000) |
-                         1));
+        static_cast<int>(
+            std::min<u64>((kAckDeadlineNs - elapsed) / 1'000'000, 1000) | 1));
     if (ready < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -209,7 +212,7 @@ bool WireClient::drain_acks_until(size_t max_window, bool need_sealed,
                                   std::string* error) {
   while (window_.size() > max_window || (need_sealed && !sealed_)) {
     wire::AckMsg ack;
-    if (!read_ack(&ack, opts_.ack_deadline_ns)) return false;
+    if (!read_ack(&ack)) return false;
     if (!process_ack(ack, error)) return false;
   }
   return true;
@@ -254,8 +257,7 @@ bool WireClient::ensure_session(std::string* error) {
       const std::string hello =
           wire::encode_hello(token_, acked_, opts_.name);
       wire::AckMsg ack;
-      if (!send_bytes(hello, 0, /*is_epoch=*/false) ||
-          !read_ack(&ack, opts_.ack_deadline_ns)) {
+      if (!send_bytes(hello, 0, /*is_epoch=*/false) || !read_ack(&ack)) {
         close_fd();
         continue;
       }
@@ -295,8 +297,7 @@ bool WireClient::ensure_session(std::string* error) {
     if (begun_ && !offer_done_ && !sealed_) {
       const std::string offer = wire::encode_offer(num_workers_, 0);
       wire::AckMsg ack;
-      if (!send_bytes(offer, 0, /*is_epoch=*/false) ||
-          !read_ack(&ack, opts_.ack_deadline_ns)) {
+      if (!send_bytes(offer, 0, /*is_epoch=*/false) || !read_ack(&ack)) {
         close_fd();
         continue;
       }

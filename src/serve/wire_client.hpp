@@ -46,9 +46,6 @@ struct WireClientOptions {
   /// Connect + handshake attempts per operation before giving up. Covers
   /// daemon startup races: ECONNREFUSED/ENOENT while the socket appears.
   u32 max_attempts = 30;
-  /// Max time one operation blocks waiting for ACK progress before the
-  /// connection is declared dead and the reconnect path runs.
-  u64 ack_deadline_ns = 5'000'000'000;
   /// Max sent-but-unacked EPOCH frames in flight.
   size_t window = 32;
   /// Armed send-path faults (tests); null sends clean.
@@ -107,9 +104,9 @@ class WireClient {
   /// matches an armed plan). False on any send failure — the caller runs
   /// the reconnect path.
   bool send_bytes(const std::string& bytes, u32 seq, bool is_epoch);
-  /// Reads one ACK frame within the deadline. False on disconnect/poison/
-  /// timeout — caller reconnects.
-  bool read_ack(wire::AckMsg* ack, u64 deadline_ns);
+  /// Reads one ACK frame within 5 s. False on disconnect/poison/timeout:
+  /// the connection is declared dead and the caller reconnects.
+  bool read_ack(wire::AckMsg* ack);
   /// Reads and applies ACKs until the window shrinks to `max_window` (and
   /// the stream is sealed, when `need_sealed`).
   bool drain_acks_until(size_t max_window, bool need_sealed,

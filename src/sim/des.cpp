@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
-#include "obs/exposition.hpp"
 #include "trace/recorder.hpp"
 
 namespace gg::sim {
@@ -918,49 +917,6 @@ Trace simulate(const Program& prog, const SimOptions& opts) {
     telemetry->gauge("engine.progress")
         ->set(static_cast<double>(trace.grain_count()));
     telemetry->gauge("engine.live_tasks")->set(0.0);
-  }
-  // Modeled supervision: the scan must precede the spool round-trip so a
-  // detected stall's provenance note survives in the spooled footer.
-  if (opts.supervisor.enabled) {
-    rts::SupervisorReport rep;
-    if (rts::supervisor_scan_trace(trace, opts.supervisor, &rep)) {
-      std::string line = rep.render();
-      while (!line.empty() && line.back() == '\n') line.pop_back();
-      for (char& c : line) {
-        if (c == '\n') c = ';';
-      }
-      trace.meta.notes.push_back("supervisor " + line);
-    }
-  }
-  // Modeled crash-safe spooling: write the finished trace through the real
-  // sink and reconstruct it with the real recovery pass, so the simulator
-  // exercises the same frame format and recovery invariants as the
-  // threaded runtime — deterministically.
-  if (opts.spool.enabled()) {
-    spool::SpoolOptions sopts = opts.spool;
-    if (telemetry != nullptr) {
-      // Deterministic modeled 'T' frames: one snapshot per seal round (the
-      // registry is already fully populated, so every frame is identical —
-      // what matters is that the frame/recover/ggstat path is exercised).
-      sopts.telemetry = telemetry;
-      if (!sopts.telemetry_source) {
-        sopts.telemetry_source = [telemetry] {
-          return obs::encode_telemetry_payload(telemetry->snapshot());
-        };
-      }
-    }
-    std::string err;
-    if (spool::spool_trace(trace, sopts, &err)) {
-      spool::RecoverResult rr = spool::recover_spool_file(opts.spool.path);
-      if (rr.usable) {
-        trace = std::move(rr.trace);
-      } else {
-        trace.meta.notes.push_back("spool recovery failed: " +
-                                   rr.report.summary());
-      }
-    } else {
-      trace.meta.notes.push_back("spool disabled: " + err);
-    }
   }
   if (opts.fault_plan) {
     const fault::InjectionReport rep = fault::inject(trace, *opts.fault_plan);

@@ -23,13 +23,11 @@
 #include <optional>
 
 #include "fault/fault.hpp"
-#include "rts/supervisor.hpp"
 #include "sim/memory_model.hpp"
 #include "sim/policy.hpp"
 #include "sim/program.hpp"
 #include "obs/metrics.hpp"
 #include "topology/topology.hpp"
-#include "trace/spool.hpp"
 #include "trace/trace.hpp"
 
 namespace gg::sim {
@@ -43,21 +41,12 @@ struct SimOptions {
   /// Fault-injection harness hook: when set, the plan's record-level faults
   /// are applied deterministically to the simulated trace. Testing only.
   std::optional<fault::FaultPlan> fault_plan;
-  /// Modeled crash-safe spooling: when spool.path is set, the simulated
-  /// trace is written through the real spool sink (partitioned per worker,
-  /// interleaved epoch frames) and reconstructed via the real recovery
-  /// pass — the deterministic twin of the threaded engine's spooled run.
-  spool::SpoolOptions spool;
-  /// Modeled supervision: after simulation the trace is scanned for
-  /// no-progress windows exceeding the stall deadline (supervisor.enabled);
-  /// a hit stamps a "supervisor ..." provenance note. A healthy simulation
-  /// never trips this.
-  rts::SupervisorOptions supervisor;
   /// Modeled self-telemetry: when set (or GG_TELEMETRY=1 falls back to the
   /// process registry), the simulator publishes the same `engine.*` metric
   /// schema the threaded runtime emits — modeled counterparts, so analyses
-  /// built on one engine's telemetry read the other's unchanged. With
-  /// spooling, deterministic 'T' frames are interleaved into the spool.
+  /// built on one engine's telemetry read the other's unchanged. It is
+  /// published after the event loop, so the trace is the same with or
+  /// without a registry.
   obs::Registry* telemetry = nullptr;
 };
 

@@ -167,6 +167,9 @@ const char* signal_name(int sig) noexcept {
   }
 }
 
+/// How often the background flusher asks every worker to seal.
+constexpr u64 kFlushIntervalNs = 50'000'000;
+
 // --- crash-handler registry (process-global, async-signal-safe) -------------
 
 constexpr int kHandledSignals[] = {SIGSEGV, SIGABRT, SIGTERM};
@@ -410,7 +413,6 @@ std::unique_ptr<SpoolSink> SpoolSink::open(const SpoolOptions& opts,
       std::vector<std::atomic<u32>>(static_cast<size_t>(num_workers));
   sink->flush_due_ =
       std::vector<std::atomic<bool>>(static_cast<size_t>(num_workers));
-  sink->ring_ = std::vector<Slot>(kRingSlots);
 
   // Preassemble the crash-footer frame; the signal handler only patches the
   // payload and checksum fields in place.
@@ -444,10 +446,7 @@ std::unique_ptr<SpoolSink> SpoolSink::open(const SpoolOptions& opts,
     register_sink(sink.get());
     sink->handlers_registered_ = true;
   }
-  if (opts.flush_interval_ns > 0 || !opts.durable_epochs ||
-      (opts.telemetry_interval_ns > 0 && opts.telemetry_source)) {
-    sink->flusher_ = std::thread([s = sink.get()] { s->flusher_main(); });
-  }
+  sink->flusher_ = std::thread([s = sink.get()] { s->flusher_main(); });
   return sink;
 }
 
@@ -467,42 +466,24 @@ void SpoolSink::write_all(const char* data, size_t len) noexcept {
   }
 }
 
-void SpoolSink::enqueue_or_write(std::string frame_bytes) {
-  if (m_frames_ != nullptr) {
-    m_frames_->add();
-    m_bytes_->add(frame_bytes.size());
-  }
-  // The tap sees frames in emission order (callers hold file_mutex_) at the
-  // offset they will occupy in the file, even in ring mode — the ring
-  // preserves order, so the mirrored stream matches the eventual file.
-  if (opts_.frame_tap) opts_.frame_tap(frame_bytes, tap_offset_);
-  tap_offset_ += frame_bytes.size();
-  if (opts_.durable_epochs) {
-    if (m_flush_ns_ != nullptr) {
-      const u64 t0 = obs::mono_ns();
-      write_all(frame_bytes.data(), frame_bytes.size());
-      m_flush_ns_->observe(obs::mono_ns() - t0);
-      return;
-    }
-    write_all(frame_bytes.data(), frame_bytes.size());
-    return;
-  }
-  // Producers are serialized by file_mutex_, so the ring is single-producer;
-  // wait (bounded ring, bounded memory) for the flusher to free a slot.
-  const u64 idx = ring_head_.load(std::memory_order_relaxed);
-  Slot& slot = ring_[idx % kRingSlots];
-  while (slot.state.load(std::memory_order_acquire) != 0) {
-    if (crashed_.load(std::memory_order_acquire)) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  slot.data = new std::string(std::move(frame_bytes));
-  slot.state.store(1, std::memory_order_release);
-  ring_head_.store(idx + 1, std::memory_order_release);
-}
-
 void SpoolSink::write_frame_locked(FrameType type, u32 worker, u32 seq,
                                    std::string_view payload) {
-  enqueue_or_write(encode_frame(type, worker, seq, payload));
+  const std::string frame = encode_frame(type, worker, seq, payload);
+  if (m_frames_ != nullptr) {
+    m_frames_->add();
+    m_bytes_->add(frame.size());
+  }
+  // The tap sees frames in emission order (callers hold file_mutex_) at the
+  // offset they occupy in the file.
+  if (opts_.frame_tap) opts_.frame_tap(frame, tap_offset_);
+  tap_offset_ += frame.size();
+  if (m_flush_ns_ != nullptr) {
+    const u64 t0 = obs::mono_ns();
+    write_all(frame.data(), frame.size());
+    m_flush_ns_->observe(obs::mono_ns() - t0);
+    return;
+  }
+  write_all(frame.data(), frame.size());
 }
 
 void SpoolSink::seal_epoch(u32 worker, RecordBuffer& buf,
@@ -557,54 +538,25 @@ void SpoolSink::append_telemetry(std::string_view payload) {
 }
 
 void SpoolSink::flusher_main() {
-  auto last_request = std::chrono::steady_clock::now();
-  auto last_telemetry = last_request;
-  auto drain = [this] {
-    const u64 head = ring_head_.load(std::memory_order_acquire);
-    while (ring_tail_ < head) {
-      Slot& slot = ring_[ring_tail_ % kRingSlots];
-      const int st = slot.state.load(std::memory_order_acquire);
-      if (st == 0) break;  // producer mid-fill; come back next tick
-      if (st == 1) {
-        int expected = 1;
-        if (slot.state.compare_exchange_strong(expected, 2)) {
-          write_all(slot.data->data(), slot.data->size());
-        }
-      }
-      delete slot.data;
-      slot.data = nullptr;
-      slot.state.store(0, std::memory_order_release);
-      ++ring_tail_;
-    }
-  };
+  const bool telemetry =
+      opts_.telemetry_interval_ns > 0 && opts_.telemetry_source;
+  u64 last_request = obs::mono_ns();
+  u64 last_telemetry = last_request;
+  // stop_flusher joins this thread, so the poll period bounds how long
+  // finish() waits for it.
   while (!flusher_stop_.load(std::memory_order_acquire)) {
-    drain();
-    if (opts_.flush_interval_ns > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      const u64 since = static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                               last_request)
-              .count());
-      if (since >= opts_.flush_interval_ns) {
-        for (auto& due : flush_due_)
-          due.store(true, std::memory_order_relaxed);
-        last_request = now;
-      }
+    const u64 now = obs::mono_ns();
+    if (now - last_request >= kFlushIntervalNs) {
+      for (auto& due : flush_due_) due.store(true, std::memory_order_relaxed);
+      last_request = now;
     }
-    if (opts_.telemetry_interval_ns > 0 && opts_.telemetry_source) {
-      const auto now = std::chrono::steady_clock::now();
-      const u64 since = static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now - last_telemetry)
-              .count());
-      if (since >= static_cast<u64>(opts_.telemetry_interval_ns)) {
-        append_telemetry(opts_.telemetry_source());
-        last_telemetry = now;
-      }
+    if (telemetry &&
+        now - last_telemetry >= static_cast<u64>(opts_.telemetry_interval_ns)) {
+      append_telemetry(opts_.telemetry_source());
+      last_telemetry = now;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  drain();
 }
 
 void SpoolSink::stop_flusher() {
@@ -648,22 +600,10 @@ void SpoolSink::emergency_flush(int sig, const char* reason) noexcept {
   if (fd_ < 0) return;
   // Counter::add is a lock-free fetch_add: async-signal-safe.
   if (m_emergency_ != nullptr) m_emergency_->add();
-  // Drain already-framed bytes still queued for the background flusher. The
-  // state CAS makes this safe against a concurrently-running flusher: a
-  // blob is only freed after it leaves the Ready state, and this path never
-  // frees. A slot the flusher is mid-writing is skipped (at worst the file
-  // gains one torn frame, which recovery tolerates).
-  const u64 head = ring_head_.load(std::memory_order_acquire);
-  for (u64 i = ring_tail_; i < head; ++i) {
-    Slot& slot = ring_[i % kRingSlots];
-    int expected = 1;
-    if (slot.state.compare_exchange_strong(expected, 2)) {
-      write_all(slot.data->data(), slot.data->size());
-    }
-  }
-  // Patch the preassembled crash footer: payload = u32 signal, then a
-  // null-padded reason string. Manual formatting only — no allocation, no
-  // stdio in signal context.
+  // Every sealed frame is already in the file (written at seal time), so
+  // only the footer remains. Patch the preassembled crash footer: payload =
+  // u32 signal, then a null-padded reason string. Manual formatting only —
+  // no allocation, no stdio in signal context.
   char* payload = crash_frame_ + kFrameHeaderBytes;
   for (size_t i = 0; i < kCrashPayloadBytes; ++i) payload[i] = 0;
   write_le32(payload, static_cast<u32>(sig));
@@ -947,12 +887,7 @@ bool spool_trace(const Trace& trace, const SpoolOptions& opts,
   seal_rounds(
       trace, nw, opts.epoch_bytes,
       [&](u32 w, RecordBuffer& epoch) { sink->seal_epoch(w, epoch, delta); },
-      [&] {
-        // Modeled telemetry: one snapshot per seal round, at a deterministic
-        // point in the frame stream (the threaded sink emits on a timer).
-        if (opts.telemetry_source)
-          sink->append_telemetry(opts.telemetry_source());
-      });
+      [] {});
   sink->finish(trace.meta);
   return true;
 }

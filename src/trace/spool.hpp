@@ -5,12 +5,11 @@
 // The spool closes that gap. Workers still append to private buffers (the
 // hot path stays unsynchronized, the paper's <2.5% overhead budget holds);
 // periodically each buffer is *sealed* into a length-prefixed, checksummed
-// epoch frame and appended to a per-run spool file. By default sealed
-// frames are written through immediately ("durable epochs"), so a SIGKILL
-// loses at most the one epoch per worker that was still accumulating;
-// SIGSEGV/SIGABRT/SIGTERM and std::terminate additionally get an
-// async-signal-safe emergency flush that appends any already-framed bytes
-// plus a crash-provenance footer before the process dies.
+// epoch frame and appended to a per-run spool file. Sealed frames are
+// written through immediately, so a SIGKILL loses at most the one epoch per
+// worker that was still accumulating; SIGSEGV/SIGABRT/SIGTERM and
+// std::terminate additionally get an async-signal-safe emergency flush that
+// appends a crash-provenance footer before the process dies.
 //
 // File layout ("GGSPOOL1" format):
 //   header:  "GGSPOOL1\n" + u32 num_workers        (all integers LE)
@@ -100,14 +99,6 @@ struct SpoolOptions {
   /// Seal a worker's buffer into an epoch frame once it holds this many
   /// payload bytes (the at-most-one-epoch-per-worker loss bound).
   u64 epoch_bytes = 64 * 1024;
-  /// Write sealed frames through to the file at seal time (default). When
-  /// false, sealed frames queue in a bounded ring drained by the background
-  /// flusher; the emergency flush drains whatever is still queued.
-  bool durable_epochs = true;
-  /// Background flusher period: requests a time-based seal from every
-  /// worker so long idle phases cannot keep records buffered indefinitely.
-  /// 0 disables the flusher thread.
-  TimeNs flush_interval_ns = 50'000'000;
   /// Install SIGSEGV/SIGABRT/SIGTERM + std::terminate emergency-flush
   /// handlers for the lifetime of the sink.
   bool crash_handlers = true;
@@ -181,7 +172,9 @@ using StringsDeltaFn = std::function<void(u32 from, std::vector<std::string>* ou
 
 /// Appends frames to one spool file. seal_epoch() may be called from any
 /// worker concurrently; frames are written whole (one write(2) each on an
-/// O_APPEND fd), so a crash can tear at most the final frame.
+/// O_APPEND fd) at seal time, so a crash can tear at most the final frame.
+/// A background flusher asks every worker to seal every 50 ms, so a long
+/// idle phase cannot keep records buffered indefinitely.
 class SpoolSink {
  public:
   ~SpoolSink();
@@ -209,8 +202,8 @@ class SpoolSink {
   void append_dump(const std::string& text);
 
   /// Appends a self-telemetry snapshot ('T' frame, opaque payload). Called
-  /// by the background flusher on the telemetry interval; public so the
-  /// modeled path (spool_trace) and tests can emit snapshots directly.
+  /// by the background flusher on the telemetry interval and once more by
+  /// finish(); public so tests can emit snapshots directly.
   void append_telemetry(std::string_view payload);
 
   /// Writes the clean-shutdown footer ('F' frame with the final meta) and
@@ -237,8 +230,8 @@ class SpoolSink {
 
   const std::string& path() const { return path_; }
 
-  /// Async-signal-safe: drains queued frames with write(2) and appends a
-  /// 'C' crash footer naming the reason. Idempotent (first caller wins).
+  /// Async-signal-safe: appends a 'C' crash footer naming the reason with
+  /// write(2). Idempotent (first caller wins).
   /// Called from the signal/terminate handlers; public so the supervisor's
   /// abort path can flush explicitly before raising.
   void emergency_flush(int sig, const char* reason) noexcept;
@@ -248,21 +241,9 @@ class SpoolSink {
 
   void write_frame_locked(FrameType type, u32 worker, u32 seq,
                           std::string_view payload);
-  void enqueue_or_write(std::string frame_bytes);
   void write_all(const char* data, size_t len) noexcept;
   void flusher_main();
   void stop_flusher();
-
-  // Bounded queue of framed-but-unwritten byte blobs (durable_epochs=false
-  // mode). Producers claim slots with head_; the flusher (and the
-  // emergency flush) consume Ready slots in order. Slot states make the
-  // signal handler safe: a blob is freed only after leaving Ready, and the
-  // handler never frees.
-  struct Slot {
-    std::atomic<int> state{0};  // 0 empty, 1 ready, 2 consumed
-    std::string* data = nullptr;
-  };
-  static constexpr size_t kRingSlots = 256;
 
   std::string path_;
   SpoolOptions opts_;
@@ -284,9 +265,6 @@ class SpoolSink {
   std::vector<std::atomic<bool>> flush_due_;
   std::atomic<u64> payload_bytes_{0};
 
-  std::vector<Slot> ring_;
-  std::atomic<u64> ring_head_{0};
-  u64 ring_tail_ = 0;  // flusher-owned
   std::thread flusher_;
   std::atomic<bool> flusher_stop_{false};
 
@@ -365,12 +343,13 @@ RecoverResult recover_spool_file(const std::string& path,
 /// a spool from a text or binary trace).
 bool looks_like_spool(std::string_view bytes);
 
-// --- whole-trace spooling (modeled path: sim + deterministic tests) --------
+// --- whole-trace spooling (the file writer + deterministic tests) ----------
 
 /// Writes an existing trace through the real sink — records partitioned
-/// per worker and sealed in interleaved epochs — so the simulator and the
-/// fault corpus exercise the same frame/recover code paths as the threaded
-/// runtime. Returns false on I/O failure.
+/// per worker and sealed in interleaved epochs — so `.ggspool` files
+/// written from a trace and the fault corpus exercise the same
+/// frame/recover code paths as the threaded runtime. Returns false on I/O
+/// failure.
 bool spool_trace(const Trace& trace, const SpoolOptions& opts,
                  std::string* error = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -67,11 +66,6 @@ u64 thread_seq(u16 thread, u32 seq) {
   return static_cast<u64>(thread) << 32 | seq;
 }
 
-/// The parent's place in children_index_ order: uid + 1, so the root's
-/// parent kNoTask wraps to 0 and sorts first. That keeps the key as narrow
-/// as the uids for the radix sort; children_of searches by the same rank.
-u64 parent_rank(TaskId parent) { return parent + 1; }
-
 }  // namespace
 
 void Trace::finalize(int threads) {
@@ -99,20 +93,6 @@ void Trace::finalize(int threads) {
   sort_records(worker_stats, threads, [](const WorkerStatsRec& r) {
     return std::pair{u64{r.worker}, u32{0}};
   });
-
-  // Task positions in (parent rank, child_index) order.
-  const auto child_key = [](const TaskRec& r) {
-    return std::pair{parent_rank(r.parent), r.child_index};
-  };
-  children_index_.resize(tasks.size());
-  if (in_key_order(tasks, threads, child_key)) {
-    std::iota(children_index_.begin(), children_index_.end(), size_t{0});
-  } else {
-    const auto keys = sorted_keys(tasks, threads, child_key);
-    par_for_blocks(tasks.size(), threads, [&](size_t, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) children_index_[i] = keys[i].index;
-    });
-  }
   finalized_ = true;
 }
 
@@ -212,21 +192,6 @@ std::optional<size_t> Trace::loop_index(LoopId uid) const {
       [](const LoopRec& l, LoopId v) { return l.uid < v; });
   if (it == loops.end() || it->uid != uid) return std::nullopt;
   return static_cast<size_t>(it - loops.begin());
-}
-
-std::vector<const TaskRec*> Trace::children_of(TaskId uid) const {
-  if (!finalized_) return {};
-  auto lo = std::lower_bound(
-      children_index_.begin(), children_index_.end(), parent_rank(uid),
-      [this](size_t i, u64 rank) {
-        return parent_rank(tasks[i].parent) < rank;
-      });
-  std::vector<const TaskRec*> out;
-  for (auto it = lo; it != children_index_.end() && tasks[*it].parent == uid;
-       ++it) {
-    out.push_back(&tasks[*it]);
-  }
-  return out;
 }
 
 std::vector<TaskId> Trace::predecessors_of(TaskId uid) const {

@@ -77,10 +77,10 @@ class Trace {
   StringTable strings;
 
   /// Sorts all record vectors into canonical order (tasks by uid, fragments
-  /// by (task, seq), ...) and builds the children index. Must be called
-  /// after recording and after deserialization, before lookups. Lookups on
-  /// a not-yet-finalized trace return empty/nullopt instead of aborting, so
-  /// partially-ingested traces are safe to probe.
+  /// by (task, seq), ...). Must be called after recording and after
+  /// deserialization, before lookups. Lookups on a not-yet-finalized trace
+  /// return empty/nullopt instead of aborting, so partially-ingested traces
+  /// are safe to probe.
   ///
   /// Each vector's order is the one std::stable_sort by its key gives:
   /// records with equal keys, which damaged inputs can contain, keep their
@@ -114,10 +114,6 @@ class Trace {
   /// Book-keeping records of one loop in (thread, seq_on_thread) order.
   std::span<const BookkeepRec> bookkeeps_span(LoopId uid) const;
 
-  /// Children of a task in creation order. Indexed after finalize()
-  /// (O(log n + k) per call rather than a scan over all tasks).
-  std::vector<const TaskRec*> children_of(TaskId uid) const;
-
   /// Dependence predecessors of a task (sorted after finalize()).
   std::vector<TaskId> predecessors_of(TaskId uid) const;
 
@@ -134,8 +130,6 @@ class Trace {
 
  private:
   bool finalized_ = false;
-  std::vector<size_t> children_index_;  // task indices, sorted by
-                                        // (parent + 1, child_index)
 };
 
 /// Join with the given seq in one task's (seq-sorted) span, or nullptr.

@@ -294,7 +294,7 @@ TEST(MetricsTest, IntervalPresetsProduceSaneSlots) {
     mo.interval = preset;
     const MetricsResult m = metrics_of(r, nullptr, mo);
     EXPECT_GT(m.interval_used, 0u);
-    EXPECT_LE(m.parallelism_optimistic.size(), mo.max_intervals + 1);
+    EXPECT_LE(m.parallelism_optimistic.size(), kMaxIntervals + 1);
     EXPECT_FALSE(m.parallelism_optimistic.empty());
   }
 }

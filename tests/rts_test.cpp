@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -529,8 +530,17 @@ TEST(ThreadedEngineTest, FragmentsSplitAtForkAndJoin) {
   EXPECT_EQ(frags[2].end_reason, FragmentEnd::Join);
   EXPECT_EQ(frags[3].end_reason, FragmentEnd::TaskEnd);
   // Fork refs point at the two children in creation order.
-  EXPECT_EQ(frags[0].end_ref, t.children_of(kRootTask)[0]->uid);
-  EXPECT_EQ(frags[1].end_ref, t.children_of(kRootTask)[1]->uid);
+  std::vector<const TaskRec*> children;
+  for (const TaskRec& r : t.tasks) {
+    if (r.parent == kRootTask) children.push_back(&r);
+  }
+  std::sort(children.begin(), children.end(),
+            [](const TaskRec* a, const TaskRec* b) {
+              return a->child_index < b->child_index;
+            });
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_EQ(frags[0].end_ref, children[0]->uid);
+  EXPECT_EQ(frags[1].end_ref, children[1]->uid);
 }
 
 TEST(ThreadedEngineTest, OversubscriptionStress) {
