@@ -12,8 +12,7 @@ namespace gg {
 
 namespace {
 
-/// Rectangle length per millisecond of execution time (log-compressed
-/// above 100 px to keep big grains on screen).
+/// Rectangle length per millisecond of execution time.
 constexpr double kPxPerMs = 40.0;
 
 struct NodeStyle {

@@ -201,11 +201,6 @@ class SpoolSink {
   /// Appends a supervisor diagnostic dump ('D' frame).
   void append_dump(const std::string& text);
 
-  /// Appends a self-telemetry snapshot ('T' frame, opaque payload). Called
-  /// by the background flusher on the telemetry interval and once more by
-  /// finish(); public so tests can emit snapshots directly.
-  void append_telemetry(std::string_view payload);
-
   /// Writes the clean-shutdown footer ('F' frame with the final meta) and
   /// closes the file. Recovery treats its absence as a crashed run.
   void finish(const TraceMeta& final_meta);
@@ -242,6 +237,10 @@ class SpoolSink {
   void write_frame_locked(FrameType type, u32 worker, u32 seq,
                           std::string_view payload);
   void write_all(const char* data, size_t len) noexcept;
+  /// Appends a self-telemetry snapshot ('T' frame, opaque payload). Called
+  /// by the background flusher on the telemetry interval and once more by
+  /// finish().
+  void append_telemetry(std::string_view payload);
   void flusher_main();
   void stop_flusher();
 
