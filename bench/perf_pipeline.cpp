@@ -12,12 +12,12 @@
 // sweep over 1/2/4/8 workers, and a GGSPOOL1 spool recovered at 1 thread
 // and at the auto thread count), and writes machine-readable results to
 // BENCH_analyze.json. The stage times are each path's phase spans, as
-// `gganalyze --timing` reads them; each path's `graph`, `grains` and
-// `problems` objects hold those stages' phases and a spool path's `recover`
-// object its load's recovery phases; every load, the spool's included,
-// validates the trace. Exit 1 on any parse error, recovery failure, invalid
-// trace or output mismatch (so CI can gate on correctness without gating on
-// timing).
+// `gganalyze --timing` reads them; each path's `graph`, `grains`,
+// `metrics` and `problems` objects hold those stages' phases and a spool
+// path's `recover` object its load's recovery phases; every load, the
+// spool's included, validates the trace. Exit 1 on any parse error,
+// recovery failure, invalid trace or output mismatch (so CI can gate on
+// correctness without gating on timing).
 // --skip-text drops the text round-trip and the spool paths for very large
 // runs (e.g. --grains 10000000), where they would dominate the wall time
 // and the memory budget.
@@ -125,8 +125,8 @@ void emit_phases(std::ofstream& os, const char* key, const char* scope,
   os << "}";
 }
 
-/// One path's stage times, the graph, grain table and problem stages'
-/// phases, and for a spool path its recovery phases.
+/// One path's stage times, the graph, grain table, metrics and problem
+/// stages' phases, and for a spool path its recovery phases.
 void emit_stages(std::ofstream& os, const std::string& name,
                  const PathResult& r, bool spool = false) {
   os << "  \"" << name << "\": {\"load_ns\": " << r.load_ns();
@@ -136,6 +136,7 @@ void emit_stages(std::ofstream& os, const std::string& name,
   }
   emit_phases(os, "graph", "graph", r, kGraphPhases);
   emit_phases(os, "grains", "grains", r, kGrainPhases);
+  emit_phases(os, "metrics", "metrics", r, kMetricPasses);
   emit_phases(os, "problems", "problems", r, kProblemPhases);
   os << ", \"total_ns\": " << r.total_ns() << "}";
 }

@@ -60,9 +60,6 @@ Analysis analyze(const Trace& trace, const Topology& topo,
 
 namespace {
 
-constexpr std::array<const char*, 5> kMetricPasses = {
-    "benefit", "load_balance", "parallelism", "scatter", "critical_path"};
-
 u64 stage_ns(const std::vector<obs::SpanRec>& spans, const char* scope,
              const char* stage) {
   return obs::span_ns(spans, std::string(scope) + "." + stage);

@@ -60,6 +60,9 @@ Analysis analyze(const Trace& trace, const Topology& topo,
 inline constexpr const char* kLoadSpan = "gganalyze.load";
 inline constexpr std::array<const char*, 4> kAnalysisStages = {
     "graph", "grains", "metrics", "problems"};
+/// compute_metrics()'s passes, in order: the spans "metrics.<pass>".
+inline constexpr std::array<const char*, 5> kMetricPasses = {
+    "benefit", "load_balance", "parallelism", "scatter", "critical_path"};
 
 /// The `gganalyze --timing` lines: input size, then load, each stage (the
 /// metric passes under "metrics"), each export, and their total, in ms.

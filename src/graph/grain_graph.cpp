@@ -4,6 +4,8 @@
 
 #include "common/check.hpp"
 #include "common/par_for.hpp"
+#include "common/uninit_vector.hpp"
+#include "graph/task_walk.hpp"
 #include "graph/thread_groups.hpp"
 #include "obs/telemetry.hpp"
 
@@ -58,38 +60,73 @@ std::vector<u32> GrainGraph::nodes_of_kind(NodeKind kind) const {
 }
 
 void GrainGraph::finalize_lenient() {
-  finalize_impl(false);
+  finalize_impl(false, 1);
 }
 
 void GrainGraph::finalize() {
-  finalize_impl(true);
+  finalize_impl(true, 1);
 }
 
-void GrainGraph::finalize_impl(bool require_dag) {
+void GrainGraph::finalize_impl(bool require_dag, int threads) {
   const size_t n = nodes_.size();
-  // CSR adjacency via counting sort over the edge list. Filling in edge-id
-  // order keeps each node's list ascending, exactly as repeated push_back
-  // into per-node vectors produced before.
+  const size_t m = edges_.size();
+  // CSR adjacency via a counting sort of the edge list, in parallel by node
+  // range: the block that owns nodes [lo, hi) scans every edge, counting
+  // its nodes' out-edges (and in-degrees); prefix sums over the blocks give
+  // each block its first slot; then it scans the edges again, from the last
+  // id down, and places its nodes' edge ids from the back of each node's
+  // list. Each list comes out ascending, as the serial pass in edge-id
+  // order produced, and out_offsets_ is its own cursor, so the sort needs
+  // no array beyond the CSR's.
   out_offsets_.assign(n + 1, 0);
-  for (const GraphEdge& e : edges_) out_offsets_[e.from + 1]++;
-  for (size_t v = 0; v < n; ++v) out_offsets_[v + 1] += out_offsets_[v];
-  out_edge_ids_.resize(edges_.size());
-  std::vector<u32> out_cur(out_offsets_.begin(), out_offsets_.end() - 1);
-  for (u32 e = 0; e < edges_.size(); ++e)
-    out_edge_ids_[out_cur[edges_[e].from]++] = e;
+  out_edge_ids_.resize(m);
+  UninitVector<u32> indeg(require_dag ? n : 0);
+  const size_t nblocks = par_block_count(n, threads);
+  std::vector<u32> block_base(nblocks + 1, 0);
+  par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
+    const auto mine = [lo, hi](u32 v) { return v - lo < hi - lo; };
+    if (require_dag) std::fill(indeg.begin() + lo, indeg.begin() + hi, 0u);
+    u32 count = 0;
+    for (const GraphEdge& e : edges_) {
+      if (mine(e.from)) {
+        ++out_offsets_[e.from];
+        ++count;
+      }
+      if (require_dag && mine(e.to)) ++indeg[e.to];
+    }
+    block_base[b + 1] = count;
+  });
+  for (size_t b = 0; b < nblocks; ++b) block_base[b + 1] += block_base[b];
+  // Kahn's initial stack, the nodes with no in-edges, in ascending order:
+  // each block lists its own, and the lists concatenate in block order.
+  std::vector<std::vector<u32>> sources(nblocks);
+  par_for_blocks(n, threads, [&](size_t b, size_t lo, size_t hi) {
+    const auto mine = [lo, hi](u32 v) { return v - lo < hi - lo; };
+    u32 end = block_base[b];  // one past each node's last slot
+    for (size_t v = lo; v < hi; ++v) {
+      end += out_offsets_[v];
+      out_offsets_[v] = end;
+    }
+    for (size_t e = m; e-- > 0;) {
+      const u32 from = edges_[e].from;
+      if (mine(from)) out_edge_ids_[--out_offsets_[from]] = static_cast<u32>(e);
+    }
+    if (!require_dag) return;
+    for (size_t v = lo; v < hi; ++v) {
+      if (indeg[v] == 0) sources[b].push_back(static_cast<u32>(v));
+    }
+  });
+  out_offsets_[n] = static_cast<u32>(m);
   topo_.clear();
   if (!require_dag) {
     finalized_ = true;
     return;
   }
   // Kahn topological sort; aborts on cycles (the graph must be a DAG).
-  std::vector<u32> indeg(n, 0);
-  for (const GraphEdge& e : edges_) indeg[e.to]++;
   topo_.reserve(n);
   std::vector<u32> stack;
-  for (u32 i = 0; i < n; ++i) {
-    if (indeg[i] == 0) stack.push_back(i);
-  }
+  for (const std::vector<u32>& s : sources)
+    stack.insert(stack.end(), s.begin(), s.end());
   while (!stack.empty()) {
     const u32 v = stack.back();
     stack.pop_back();
@@ -118,22 +155,25 @@ namespace {
 //   fragments  task-run-aligned blocks of the (task, seq)-sorted fragment
 //              vector index each task's fragment run: its first node id (the
 //              id the serial walk gave it), first record and length;
-//   count      each shard walks a contiguous block of tasks without writing,
-//              counting its nodes and edges; prefix sums give every shard
-//              its node and edge bases, and the epilogue's additions are
-//              counted too;
+//   count      walk_cuts (graph/task_walk.hpp) cuts the task-major walk into
+//              shards of about equal work, at task boundaries and right
+//              after joins, where no forked child is pending; each shard
+//              walks its part without writing, counting its nodes and edges;
+//              prefix sums give every shard its node and edge bases, and the
+//              epilogue's additions are counted too;
 //   wire       the node and edge arrays are allocated at their final size;
-//              fragment nodes are written straight into their slots and each
-//              shard walks its tasks again, writing its nodes and edges in
-//              place from its bases — cross-task edges only ever point at
-//              fragment nodes, whose ids the fragment index already knows;
+//              each shard writes the fragment nodes of its part of the walk
+//              straight into their slots and walks its part again, writing
+//              its nodes and edges in place from its bases — cross-task
+//              edges only ever point at fragment nodes, whose ids the
+//              fragment index already knows;
 //   epilogue   the barrier node and the unjoined-children and dependence
 //              edges go into the slots reserved for them;
 //   finalize   adjacency and topological order.
 //
-// Every phase partitions by a pure function of (size, threads), so the
-// result is bit-identical for every thread count; threads == 1 runs the
-// same code as a single shard.
+// Every phase partitions by a pure function of the trace and threads, and
+// shards concatenate in walk order, so the result is bit-identical for
+// every thread count; threads == 1 runs the same code as a single shard.
 
 constexpr u32 kNoNode = 0xFFFFFFFFu;
 
@@ -149,13 +189,10 @@ struct FragRun {
   u32 last() const { return node + count - 1; }
 };
 
-/// The fragment phase's result, by task position in trace.tasks, plus the
-/// task positions of each fragment block, which the wire phase writes the
-/// fragment nodes by.
+/// The fragment phase's result, by task position in trace.tasks.
 struct FragIndex {
   std::vector<FragRun> runs;
-  std::vector<size_t> task_lo, task_hi;  ///< task positions block b indexed
-  u32 total = 0;                         ///< F: number of fragment nodes
+  u32 total = 0;  ///< F: number of fragment nodes
 };
 
 /// Indexes every non-orphan fragment run, in flat fragment order, exactly
@@ -187,8 +224,7 @@ FragIndex index_fragments(const Trace& trace, int threads) {
   // One forward walk per block over both uid-sorted vectors: block-local
   // node ids first, rebased onto the block's base below.
   std::vector<u32> kept(t, 0);
-  fi.task_lo.assign(t, 0);
-  fi.task_hi.assign(t, 0);
+  std::vector<size_t> task_lo(t, 0), task_hi(t, 0);  // positions indexed
   par_for_shard(t, [&](size_t b) {
     const size_t lo = bounds[b], hi = bounds[b + 1];
     if (lo == hi) return;
@@ -196,7 +232,7 @@ FragIndex index_fragments(const Trace& trace, int threads) {
         std::lower_bound(tasks.begin(), tasks.end(), frags[lo].task,
                          [](const TaskRec& r, TaskId v) { return r.uid < v; }) -
         tasks.begin());
-    fi.task_lo[b] = fi.task_hi[b] = pos;
+    task_lo[b] = task_hi[b] = pos;
     u32 local = 0;
     for (size_t i = lo; i < hi;) {
       const TaskId uid = frags[i].task;
@@ -207,7 +243,7 @@ FragIndex index_fragments(const Trace& trace, int threads) {
         fi.runs[pos] = FragRun{local, static_cast<u32>(i),
                                static_cast<u32>(run - i)};
         local += static_cast<u32>(run - i);
-        fi.task_hi[b] = pos + 1;
+        task_hi[b] = pos + 1;
       }
       i = run;
     }
@@ -217,20 +253,22 @@ FragIndex index_fragments(const Trace& trace, int threads) {
   for (size_t b = 0; b < t; ++b) base[b + 1] = base[b] + kept[b];
   fi.total = base[t];
   par_for_shard(t, [&](size_t b) {
-    for (size_t p = fi.task_lo[b]; p < fi.task_hi[b]; ++p) {
+    for (size_t p = task_lo[b]; p < task_hi[b]; ++p) {
       if (fi.runs[p].has()) fi.runs[p].node += base[b];
     }
   });
   return fi;
 }
 
-/// Wires tasks [lo, hi) of trace.tasks in two passes over the same code: a
-/// counting pass (no output arrays: node and edge counts, unjoined children,
-/// whether the root joins) and, once the arrays are sized, a writing pass
-/// that writes every node and edge in place from the shard's bases.
+/// Wires the shard [lo, hi) of the task-major walk in two passes over the
+/// same code: a counting pass (no output arrays: node and edge counts,
+/// unjoined children, whether the root joins) and, once the arrays are
+/// sized, a writing pass that writes the shard's fragment nodes, and every
+/// node and edge it wires in place from the shard's bases.
 class ShardBuilder {
  public:
-  ShardBuilder(const Trace& trace, const FragIndex& fi, size_t lo, size_t hi)
+  ShardBuilder(const Trace& trace, const FragIndex& fi, WalkPos lo,
+               WalkPos hi)
       : trace_(trace), fi_(fi), lo_(lo), hi_(hi) {}
 
   void count() { wire(); }
@@ -243,6 +281,7 @@ class ShardBuilder {
     edges_ = edges;
     next_node_ = node_base;
     next_edge_ = edge_base;
+    write_fragments();
     wire();
     GG_CHECK(next_node_ == want_nodes && next_edge_ == want_edges);
   }
@@ -273,7 +312,34 @@ class ShardBuilder {
   }
 
   void wire() {
-    for (size_t i = lo_; i < hi_; ++i) wire_task(i);
+    for_each_walk_task(lo_, hi_, [&](size_t task_pos, size_t from, size_t to) {
+      wire_task(task_pos, from, to);
+    });
+  }
+
+  /// Writes the fragment nodes of the shard's part of the walk. A
+  /// duplicated uid's nodes belong to its first record's run, so the later
+  /// records write none.
+  void write_fragments() {
+    for_each_walk_task(lo_, hi_, [&](size_t task_pos, size_t from, size_t to) {
+      const FragRun& run = fi_.runs[task_pos];
+      if (!run.has()) return;
+      const TaskRec& task = trace_.tasks[task_pos];
+      for (u32 j = static_cast<u32>(from); j < std::min<size_t>(to, run.count);
+           ++j) {
+        const FragmentRec& f = trace_.fragments[run.frag + j];
+        GraphNode& gn = nodes_[run.node + j];
+        gn = GraphNode(NodeKind::Fragment);
+        gn.task = task.uid;
+        gn.seq = f.seq;
+        gn.core = f.core;
+        gn.thread = f.core;
+        gn.start = f.start;
+        gn.end = f.end;
+        gn.src = task.src;
+        gn.busy = gn.duration();
+      }
+    });
   }
 
   /// The fragment run of the task at position i: its own, or the first
@@ -284,7 +350,10 @@ class ShardBuilder {
     return fi_.runs[idx.value_or(i)];
   }
 
-  void wire_task(size_t task_pos) {
+  /// Wires fragments [from, to) of the task at position task_pos. A shard
+  /// starts either at a task's first fragment or right after a join, so
+  /// no child is pending when it starts.
+  void wire_task(size_t task_pos, size_t from, size_t to) {
     const TaskRec& t = trace_.tasks[task_pos];
     const FragRun& run = run_of(task_pos);
     const std::span<const FragmentRec> frags =
@@ -292,7 +361,7 @@ class ShardBuilder {
                         trace_.fragments.data() + run.frag, run.count)
                   : std::span<const FragmentRec>();
     pending_.clear();  // last fragments of children forked since the last join
-    for (size_t i = 0; i < frags.size(); ++i) {
+    for (size_t i = from; i < std::min(to, frags.size()); ++i) {
       const FragmentRec& f = frags[i];
       const u32 fi = run.node + f.seq;
       const bool has_next = i + 1 < frags.size();
@@ -433,7 +502,7 @@ class ShardBuilder {
 
   const Trace& trace_;
   const FragIndex& fi_;
-  size_t lo_, hi_;
+  WalkPos lo_, hi_;
   GraphNode* nodes_ = nullptr;
   GraphEdge* edges_ = nullptr;
   u32 next_node_ = 0;
@@ -446,7 +515,6 @@ class ShardBuilder {
 GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   GG_CHECK_MSG(trace.finalized(), "build requires a finalized trace");
   GrainGraph g;
-  const size_t ntasks = trace.tasks.size();
 
   obs::PhaseSpan fragments_span("graph.fragments");
   const FragIndex fi = index_fragments(trace, threads);
@@ -454,14 +522,12 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   fragments_span.end();
 
   obs::PhaseSpan count_span("graph.count");
-  size_t nshards = static_cast<size_t>(std::max(threads, 1));
-  if (nshards > ntasks) nshards = ntasks == 0 ? 1 : ntasks;
+  const std::vector<WalkPos> cuts = walk_cuts(trace, threads);
+  const size_t nshards = cuts.size() - 1;
   std::vector<ShardBuilder> shards;
   shards.reserve(nshards);
-  for (size_t s = 0; s < nshards; ++s) {
-    shards.emplace_back(trace, fi, ntasks * s / nshards,
-                        ntasks * (s + 1) / nshards);
-  }
+  for (size_t s = 0; s < nshards; ++s)
+    shards.emplace_back(trace, fi, cuts[s], cuts[s + 1]);
   par_for_shard(nshards, [&](size_t s) { shards[s].count(); });
   // Shard bases, then everything the epilogue adds, so that both arrays are
   // allocated once, at their final size. Unjoined children synchronize at
@@ -499,35 +565,11 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   g.nodes_.resize(node_base[nshards] + (synth_barrier ? 1u : 0u));
   g.edges_.resize(edge_base[nshards] + (root_run != nullptr ? 1 : 0) +
                   nunjoined + depend_edges.size());
-  // Every node is written once, in place: fragment block k's nodes and
-  // shard k's nodes and edges, in parallel.
-  const size_t nblocks = fi.task_lo.size();
-  const auto write_fragments = [&](size_t b) {
-    for (size_t p = fi.task_lo[b]; p < fi.task_hi[b]; ++p) {
-      const FragRun& run = fi.runs[p];
-      if (!run.has()) continue;
-      const TaskRec& task = trace.tasks[p];
-      for (u32 j = 0; j < run.count; ++j) {
-        const FragmentRec& f = trace.fragments[run.frag + j];
-        GraphNode& gn = g.nodes_[run.node + j];
-        gn = GraphNode(NodeKind::Fragment);
-        gn.task = task.uid;
-        gn.seq = f.seq;
-        gn.core = f.core;
-        gn.thread = f.core;
-        gn.start = f.start;
-        gn.end = f.end;
-        gn.src = task.src;
-        gn.busy = gn.duration();
-      }
-    }
-  };
-  par_for_shard(std::max(nblocks, nshards), [&](size_t k) {
-    if (k < nblocks) write_fragments(k);
-    if (k < nshards) {
-      shards[k].write(g.nodes_.data(), node_base[k], g.edges_.data(),
-                      edge_base[k]);
-    }
+  // Every node is written once, in place, by the shard whose part of the
+  // walk it belongs to.
+  par_for_shard(nshards, [&](size_t s) {
+    shards[s].write(g.nodes_.data(), node_base[s], g.edges_.data(),
+                    edge_base[s]);
   });
   wire_span.end();
 
@@ -558,7 +600,7 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   epilogue_span.end();
 
   obs::PhaseSpan finalize_span("graph.finalize");
-  g.finalize();
+  g.finalize_impl(true, threads);
   return g;
 }
 

@@ -96,16 +96,17 @@ class GrainGraph {
   ///
   /// `threads` shards the construction, in five phases, each a phase span
   /// inside the caller's: "graph.fragments" indexes each task's fragment
-  /// nodes; "graph.count" walks contiguous task blocks without writing, to
-  /// size every shard's output and the epilogue's; "graph.wire" allocates
-  /// the node and edge arrays once, at their final size, and writes every
-  /// fragment node and every shard's nodes and edges in place;
-  /// "graph.epilogue" writes the barrier node and the unjoined and
-  /// dependence edges into the slots reserved for them; and
-  /// "graph.finalize" builds adjacency and the topological order. Every
-  /// phase partitions by a pure function of (size, threads), so the graph
-  /// (ids, edge order, topological order, every export) is bit-identical
-  /// for every thread count.
+  /// nodes; "graph.count" cuts the task-major walk into shards of about
+  /// equal work (walk_cuts, graph/task_walk.hpp) and walks each without
+  /// writing, to size every shard's output and the epilogue's;
+  /// "graph.wire" allocates the node and edge arrays once, at their final
+  /// size, and each shard writes its fragment nodes and the nodes and edges
+  /// it wires in place; "graph.epilogue" writes the barrier node and the
+  /// unjoined and dependence edges into the slots reserved for them; and
+  /// "graph.finalize" builds adjacency in parallel by node range, then the
+  /// topological order. Every phase partitions by a pure function of the
+  /// trace and threads, so the graph (ids, edge order, topological order,
+  /// every export) is bit-identical for every thread count.
   static GrainGraph build(const Trace& trace, int threads = 1);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -138,7 +139,10 @@ class GrainGraph {
   void finalize_lenient();
 
  private:
-  void finalize_impl(bool require_dag);
+  /// finalize() or finalize_lenient(), building the adjacency and the
+  /// initial Kahn stack with up to `threads` threads; the result is the
+  /// same for every thread count.
+  void finalize_impl(bool require_dag, int threads);
 
   std::vector<GraphNode> nodes_;
   std::vector<GraphEdge> edges_;

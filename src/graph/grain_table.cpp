@@ -9,6 +9,7 @@
 
 #include "common/check.hpp"
 #include "common/par_for.hpp"
+#include "graph/task_walk.hpp"
 #include "graph/thread_groups.hpp"
 #include "obs/telemetry.hpp"
 
@@ -29,39 +30,11 @@ u32 parent_row(const Trace& trace, const TaskRec& t, size_t nroots) {
 
 constexpr u32 kNoRow = std::numeric_limits<u32>::max();
 
-/// Each task's run of task-sorted records (fragments or joins) for a shard
-/// that walks tasks in uid order: a forward cursor, where
-/// Trace::fragments_span and joins_span binary-search every time. Gives the
-/// same spans, a duplicated uid's records included.
-template <class Rec>
-class TaskRuns {
- public:
-  TaskRuns(const std::vector<Rec>& recs, TaskId first)
-      : recs_(recs),
-        at_(static_cast<size_t>(
-            std::lower_bound(
-                recs.begin(), recs.end(), first,
-                [](const Rec& r, TaskId v) { return r.task < v; }) -
-            recs.begin())) {}
-
-  /// The records of `uid`, which is at least every uid asked before.
-  std::span<const Rec> of(TaskId uid) {
-    while (at_ < recs_.size() && recs_[at_].task < uid) ++at_;
-    size_t end = at_;
-    while (end < recs_.size() && recs_[end].task == uid) ++end;
-    return {recs_.data() + at_, end - at_};
-  }
-
- private:
-  const std::vector<Rec>& recs_;
-  size_t at_;
-};
-
 /// What one shard of the synchronization-cost pass produced, staged by the
 /// block of rows each share lands in: a block's owner applies every shard's
-/// shares for it in shard order, which is global task order, so the last
-/// writer wins as in a serial walk (on damaged traces two parents can claim
-/// one child).
+/// shares for it in shard order, which is walk order, so the last writer
+/// wins as in a serial walk (on damaged traces two parents can claim one
+/// child).
 struct SyncShard {
   std::vector<std::vector<std::pair<u32, TimeNs>>> assigns;  // (row, share)
   std::vector<std::vector<u32>> unjoined_rows;
@@ -170,13 +143,15 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
   // --- Synchronization-cost shares -----------------------------------------
   // Walk every task's fragment stream matching forked children to the join
   // they synchronize at (the same pending-children discipline as the graph
-  // builder). Children left unjoined synchronize at the region's implicit
-  // barrier, the join the graph builder wires them to. A child's row is
-  // found by position; on a duplicated uid (damaged traces) it is the last
-  // record's.
+  // builder, and the same shards of about equal work: a shard starts at a
+  // task boundary or right after a join, where no child is pending).
+  // Children left unjoined synchronize at the region's implicit barrier,
+  // the join the graph builder wires them to. A child's row is found by
+  // position; on a duplicated uid (damaged traces) it is the last record's.
   obs::PhaseSpan sync_span("grains.sync");
   const JoinRec* root_last_join = implicit_barrier(trace);
-  const size_t sync_shards = ntasks == 0 ? 1 : std::min(t, ntasks);
+  const std::vector<WalkPos> cuts = walk_cuts(trace, table.threads_);
+  const size_t sync_shards = cuts.size() - 1;
   const size_t row_blocks = task_shards;
   const size_t block_rows = std::max<size_t>(
       1, (ntask_grains + row_blocks - 1) / row_blocks);
@@ -185,15 +160,16 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
     SyncShard& sh = sync[s];
     sh.assigns.resize(row_blocks);
     sh.unjoined_rows.resize(row_blocks);
-    const size_t lo = ntasks * s / sync_shards;
-    const size_t hi = ntasks * (s + 1) / sync_shards;
-    if (lo == hi) return;
-    TaskRuns<FragmentRec> fragments(trace.fragments, trace.tasks[lo].uid);
-    TaskRuns<JoinRec> task_joins(trace.joins, trace.tasks[lo].uid);
+    if (cuts[s] == cuts[s + 1]) return;
+    const TaskId first = trace.tasks[cuts[s].task].uid;
+    TaskRuns<FragmentRec> fragments(trace.fragments, first);
+    TaskRuns<JoinRec> task_joins(trace.joins, first);
     std::vector<u32> pending;  // rows of forked children, kNoRow if none
-    for (size_t i = lo; i < hi; ++i) {
+    for_each_walk_task(cuts[s], cuts[s + 1], [&](size_t i, size_t from,
+                                                  size_t to) {
       const TaskRec& tr = trace.tasks[i];
-      const auto frags = fragments.of(tr.uid);
+      const auto all = fragments.of(tr.uid);
+      const auto frags = all.subspan(from, std::min(to, all.size()) - from);
       const auto joins = task_joins.of(tr.uid);
       pending.clear();
       for (const FragmentRec& f : frags) {
@@ -233,7 +209,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
             std::max(sh.unjoined_last_end, rows[row].last_end);
         sh.unjoined_rows[row / block_rows].push_back(row);
       }
-    }
+    });
   });
   // Unjoined children share the implicit barrier's overhead with the
   // root's children pending at its last join.

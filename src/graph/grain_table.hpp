@@ -105,9 +105,10 @@ class GrainTable {
   /// the caller's. "grains.tasks" writes every task row in place, in
   /// parallel over the uid-sorted task vector (rows are a pure function of
   /// task position). "grains.sync" computes synchronization-cost shares in
-  /// parallel over tasks, staging each share by the block of rows it lands
-  /// in; each row block's owner then applies its shares in global task
-  /// order, so the last writer wins as in a serial walk. "grains.chunks"
+  /// parallel over the graph build's shards of the task-major walk
+  /// (walk_cuts), staging each share by the block of rows it lands in;
+  /// each row block's owner then applies its shares in walk order, so the
+  /// last writer wins as in a serial walk. "grains.chunks"
   /// writes every chunk row in place, in parallel over loops, from
   /// prefix-summed row bases. Rows and costs are bit-identical for every
   /// thread count.

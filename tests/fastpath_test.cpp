@@ -203,8 +203,10 @@ TEST(FastPathThreadsTest, ThreadCountNeverChangesOutput) {
 // The sharded graph build and grain derivation at a size where the shards
 // genuinely run in parallel (well past the serial-fallback threshold): node
 // ids, edge order, topological order, and every grain row must be the exact
-// serial result for every thread count. The trace round-trips through the
-// binary format so the parallel section decoder is in the loop too.
+// serial result for every thread count, odd ones included, since the work
+// cuts move with the thread count (and several fall inside the root task's
+// fragments). The trace round-trips through the binary format so the
+// parallel section decoder is in the loop too.
 TEST(FastPathThreadsTest, ShardedBuildersDeterministicAtScale) {
   SynthOptions sopts;
   sopts.seed = 123;
@@ -291,7 +293,7 @@ TEST(FastPathThreadsTest, ShardedBuildersDeterministicAtScale) {
   };
   const std::string g_serial = graph_bytes(g1);
   const std::string t_serial = table_bytes(t1);
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 5, 7, 8}) {
     EXPECT_EQ(g_serial, graph_bytes(GrainGraph::build(synthesized, threads)))
         << "graph differs at " << threads << " threads";
     EXPECT_EQ(t_serial, table_bytes(GrainTable::build(synthesized, threads)))
